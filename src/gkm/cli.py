@@ -43,11 +43,6 @@ def _parse_real_params(args) -> core.ParamSet:
         with open(args.params_file) as fh:
             return core.ParamSet.from_json(fh.read())
     a = _floats(args.a, "--a") if args.a else ()
-    for i, ai in enumerate(a, start=1):
-        if not abs(ai) < 1.0:
-            raise ValidationError(f"a_{i} = {ai} violates |a_i| < 1")
-    if not args.c > 0.0:
-        raise ValidationError(f"c = {args.c} violates c > 0")
     return core.ParamSet(a=a, c=args.c)
 
 
@@ -57,16 +52,9 @@ def _parse_conj_params(args) -> conjugate.ConjParamSet:
             return conjugate.ConjParamSet.from_json(fh.read())
     rho = _floats(args.rho, "--rho") if args.rho else ()
     y = _floats(args.y, "--y") if args.y else ()
-    if len(rho) != len(y):
-        raise ValidationError(f"--rho has {len(rho)} entries but --y has {len(y)}")
     if not rho:
+        # an empty ConjParamSet is valid, but no command has a use for it
         raise ValidationError("conjugate commands need --rho/--y or --params-file")
-    for i, ri in enumerate(rho, start=1):
-        if not abs(ri) < 1.0:
-            raise ValidationError(f"rho_{i} = {ri} violates |rho_i| < 1")
-    for i, yi in enumerate(y, start=1):
-        if not abs(yi) <= 1.0:
-            raise ValidationError(f"y_{i} = {yi} violates |y_i| <= 1")
     return conjugate.ConjParamSet(rho=rho, y=y)
 
 

@@ -34,11 +34,12 @@ class ConjParamSet:
         object.__setattr__(self, "y", y)
         if len(rho) != len(y):
             raise InvalidParameters("rho and y must have the same length")
+        # written as "not (... < ...)" so that NaN is rejected too
         for i, r in enumerate(rho):
-            if abs(r) >= 1.0:
+            if not abs(r) < 1.0:
                 raise InvalidParameters(f"|rho_{i + 1}| must be < 1, got {r}")
         for i, v in enumerate(y):
-            if abs(v) > 1.0:
+            if not abs(v) <= 1.0:
                 raise InvalidParameters(f"|y_{i + 1}| must be <= 1, got {v}")
 
     @property

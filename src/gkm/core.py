@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,9 +34,22 @@ from .symfun import elementary_all
 DISTINCTNESS_TOL = 1e-6
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class ParamSet:
-    """Scale c and real parameter vector a of the density."""
+    """Scale c and real parameter vector a of the density.
+
+    The operands every closed form shares (the float array of a, S_0..S_n,
+    the normalizer, and the partial-fraction denominators with the
+    normalizer built from them) are computed on first use and kept on the
+    instance; cached arrays are read-only.  A getter that raises stores
+    nothing, so a coincident set refuses the partial-fraction forms on
+    every call.
+    """
 
     a: tuple = field(default=())
     c: float = 1.0
@@ -44,22 +58,58 @@ class ParamSet:
         a = tuple(float(x) for x in self.a)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", float(self.c))
-        if self.c <= 0.0:
-            raise InvalidParameters(f"scale c must be positive, got {self.c}")
+        # written as "not (... < ...)" so that NaN is rejected too
+        if not (0.0 < self.c < math.inf):
+            raise InvalidParameters(f"scale c must be positive and finite, got {self.c}")
         for i, ai in enumerate(a):
-            if abs(ai) >= 1.0:
+            if not abs(ai) < 1.0:
                 raise InvalidParameters(f"|a_{i + 1}| must be < 1, got {ai}")
 
     @property
     def n(self) -> int:
         return len(self.a)
 
-    @property
+    @cached_property
     def min_gap(self) -> float:
         a = self.a
         if len(a) < 2:
             return math.inf
         return min(abs(a[i] - a[j]) for i in range(len(a)) for j in range(i + 1, len(a)))
+
+    @cached_property
+    def _a(self) -> np.ndarray:
+        return _read_only(np.asarray(self.a, dtype=float))
+
+    @cached_property
+    def _S(self) -> np.ndarray:
+        """Elementary symmetric values S_0..S_n of a."""
+        return _read_only(elementary_all(self._a).S.real)
+
+    @cached_property
+    def _A(self) -> float:
+        """The normalizer, by the route `normalizer` documents."""
+        if self.n <= 6:
+            return A_special(self)
+        if self.min_gap > DISTINCTNESS_TOL:
+            return A_closed(self)
+        return oracle.normalizer_numeric(self)
+
+    @cached_property
+    def _pf_den(self) -> np.ndarray:
+        """prod_{j != i} (a_i - a_j)(1 - a_i a_j) for each i; refused for
+        coincident parameters."""
+        _require_distinct(self)
+        a = self._a
+        out = np.ones(self.n)
+        for i in range(self.n):
+            for j in range(self.n):
+                if j != i:
+                    out[i] *= (a[i] - a[j]) * (1.0 - a[i] * a[j])
+        return _read_only(out)
+
+    @cached_property
+    def _A_closed(self) -> float:
+        return float(1.0 / np.sum(self._a ** (self.n - 1) / self._pf_den))
 
     def to_json(self) -> str:
         return json.dumps({"c": self.c, "a": list(self.a)})
@@ -92,25 +142,11 @@ def _require_distinct(p: ParamSet):
         )
 
 
-def _pf_denominators(a: np.ndarray) -> np.ndarray:
-    """prod_{j != i} (a_i - a_j)(1 - a_i a_j) for each i."""
-    n = len(a)
-    out = np.ones(n, dtype=a.dtype)
-    for i in range(n):
-        for j in range(n):
-            if j != i:
-                out[i] *= (a[i] - a[j]) * (1.0 - a[i] * a[j])
-    return out
-
-
 def A_closed(p: ParamSet) -> float:
     """Normalizer by the partial-fraction sum 1 / sum_i a_i^{n-1} / prod(...)."""
     if p.n == 0:
         return 1.0
-    _require_distinct(p)
-    a = np.asarray(p.a, dtype=float)
-    den = _pf_denominators(a)
-    return float(1.0 / np.sum(a ** (p.n - 1) / den))
+    return p._A_closed
 
 
 def _pair_product(a: np.ndarray) -> float:
@@ -128,11 +164,10 @@ def A_special(p: ParamSet) -> float:
     n = p.n
     if n > 6:
         raise Unsupported("explicit normalizer formulas stop at n = 6")
-    a = np.asarray(p.a, dtype=float)
-    num = _pair_product(a)
+    num = _pair_product(p._a)
     if n <= 3:
         return num
-    S = elementary_all(a).S.real
+    S = p._S
     if n == 4:
         den = 1.0 - S[4]
     elif n == 5:
@@ -148,19 +183,16 @@ def A_special(p: ParamSet) -> float:
 
 def normalizer(p: ParamSet) -> float:
     """Best-available normalizer: cancellation-free special form, then the
-    partial-fraction closed form, then numeric quadrature."""
-    if p.n <= 6:
-        return A_special(p)
-    if p.min_gap > DISTINCTNESS_TOL:
-        return A_closed(p)
-    return oracle.normalizer_numeric(p)
+    partial-fraction closed form, then numeric quadrature; computed once
+    per parameter set."""
+    return p._A
 
 
 def density(p: ParamSet, x):
     """Density value(s) at x in [-c, c]."""
     x = np.asarray(x, dtype=float)
     c = p.c
-    if np.any(np.abs(x) > c):
+    if not np.all(np.abs(x) <= c):  # also rejects NaN
         raise DomainError(f"x outside [-{c}, {c}]")
     A = normalizer(p)
     num = 2.0 * A * c ** (p.n - 2) * np.sqrt(np.maximum(c * c - x * x, 0.0))
@@ -190,11 +222,7 @@ def B_coeff(p: ParamSet, k: int) -> float:
         raise ValueError("k must be non-negative")
     if p.n == 0:
         return 1.0 if k == 0 else 0.0
-    _require_distinct(p)
-    a = np.asarray(p.a, dtype=float)
-    den = _pf_denominators(a)
-    A = A_closed(p)
-    return float(A * np.sum(a ** (p.n + k - 1) / den))
+    return float(p._A_closed * np.sum(p._a ** (p.n + k - 1) / p._pf_den))
 
 
 def B_prefix(p: ParamSet, K: int) -> BSeq:
@@ -203,12 +231,8 @@ def B_prefix(p: ParamSet, K: int) -> BSeq:
         v = np.zeros(K + 1)
         v[0] = 1.0
         return BSeq(values=v)
-    _require_distinct(p)
-    a = np.asarray(p.a, dtype=float)
-    den = _pf_denominators(a)
-    A = A_closed(p)
     ks = np.arange(K + 1)
-    v = A * np.sum(a[None, :] ** (p.n + ks[:, None] - 1) / den[None, :], axis=1)
+    v = p._A_closed * np.sum(p._a[None, :] ** (p.n + ks[:, None] - 1) / p._pf_den[None, :], axis=1)
     return BSeq(values=v)
 
 
@@ -240,7 +264,7 @@ def density_series(p: ParamSet, x, tol: float = 1e-10):
     if p.c != 1.0:
         raise InvalidParameters("series path is defined at scale c = 1")
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0):
+    if not np.all(np.abs(x) <= 1.0):  # also rejects NaN
         raise DomainError("x outside [-1, 1]")
     amax = max((abs(ai) for ai in p.a), default=0.0)
     K = series_truncation_order(amax, tol)
@@ -295,10 +319,7 @@ def Q_poly(p: ParamSet) -> np.ndarray:
     n = p.n
     if n <= 2:
         return np.array([1.0])
-    _require_distinct(p)
-    a = np.asarray(p.a, dtype=float)
-    den = _pf_denominators(a)
-    A = A_closed(p)
+    a, den, A = p._a, p._pf_den, p._A_closed
     acc = np.zeros(n)
     for i in range(n):
         acc += (A * a[i] ** (n - 1) / den[i]) * _poly_from_roots_factors(a, skip=i)
@@ -315,7 +336,7 @@ def B_from_genfun(p: ParamSet, K: int) -> BSeq:
     """B_{n,0}..B_{n,K} by formal power-series division of the generating
     function Q_n(t) / prod_i (1 - a_i t)."""
     q = Q_poly(p)
-    S = elementary_all(np.asarray(p.a, dtype=float)).S.real
+    S = p._S
     d = S * (-1.0) ** np.arange(len(S))  # coefficients of prod (1 - a_i t)
     B = np.zeros(K + 1)
     for k in range(K + 1):
@@ -333,9 +354,7 @@ def residual_an2(a) -> float:
     if n < 2:
         raise ValueError("identity needs n >= 2")
     p = ParamSet(a=tuple(a))
-    _require_distinct(p)
-    den = _pf_denominators(a)
-    return float(np.sum(a ** (n - 2) / den))
+    return float(np.sum(p._a ** (n - 2) / p._pf_den))
 
 
 def residual_id(k: int, a) -> float:
@@ -375,7 +394,7 @@ def residual_id2(m: int, p: ParamSet) -> float:
     n = p.n
     if n < 2:
         raise ValueError("identity needs n >= 2")
-    S = elementary_all(np.asarray(p.a, dtype=float)).S.real
+    S = p._S
     total = 0.0
     for j in range(n + 1):
         total += (-1.0) ** j * S[j] * _B_signed(p, m - j)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import EstimatorDisagreement, NonConvergence
 
@@ -211,6 +210,9 @@ def integrate_3d(h, tol: float = 1e-7, budget: int = 1 << 16) -> IntegrationResu
         if (2 * n + 1) ** 3 > BUDGET_CELLS_3D or n > 512:
             raise NonConvergence("3D panel refinement exhausted before tolerance")
         prev = cur
+
+    # imported here, not at the top, so that `import gkm` does not load scipy.stats
+    from scipy.stats import qmc
 
     sampler = qmc.Sobol(d=3, scramble=True, seed=MC_SEED)
     pts = 2.0 * sampler.random(budget) - 1.0

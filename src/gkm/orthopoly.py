@@ -23,7 +23,6 @@ import numpy as np
 
 from .chebyshev import USeries
 from .core import B_prefix, ParamSet
-from .symfun import elementary_all
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ def P_coeffs(m: int, p: ParamSet) -> OrthoPoly:
         raise ValueError("m must be non-negative")
     if m == 0:
         return OrthoPoly(m=0, series=USeries((1.0,)))
-    S = elementary_all(np.asarray(p.a, dtype=float)).S.real
+    S = p._S
     jmax = min(p.n, 2 * m + 2)
     pairs = [(m - j, (-1.0) ** j * S[j]) for j in range(jmax + 1)]
     return OrthoPoly(m=m, series=USeries.from_signed(pairs))
@@ -85,5 +84,5 @@ def gram(m: int, k: int, p: ParamSet) -> float:
                 continue
             # U_i U_j = sum_{l=0}^{min(i,j)} U_{|i-j|+2l}
             lo = abs(i - j)
-            total += ci * cj * float(np.sum(B[lo : i + j + 1 : 2]))
+            total += ci * cj * float(np.add.reduce(B[lo : i + j + 1 : 2]))
     return total

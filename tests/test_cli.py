@@ -28,6 +28,22 @@ def test_eval_rejects_bad_parameter(capsys):
     assert "a_2" in err
 
 
+def test_eval_rejects_nan_point(capsys):
+    code, out, err = run(capsys, "eval", "--a", "0.2", "--x", "nan")
+    assert code == 2
+    assert out == ""
+    assert "outside" in err
+
+
+def test_params_file_rejects_nan(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"a": [float("nan"), 0.2]}))  # written as NaN, which json.loads accepts
+    code, out, err = run(capsys, "eval", "--params-file", str(f), "--x", "0.0")
+    assert code == 2
+    assert out == ""
+    assert "a_1" in err
+
+
 def test_moments(capsys):
     code, out, _ = run(capsys, "moments", "--a", "0.6", "--K", "1")
     assert code == 0
@@ -130,3 +146,9 @@ def test_conj_eval_rejects_bad_rho(capsys):
     code, _, err = run(capsys, "conj-eval", "--rho", "1.2", "--y", "0.0", "--x", "0")
     assert code == 2
     assert "rho_1" in err
+
+
+def test_conj_eval_rejects_unpaired_rho(capsys):
+    code, _, err = run(capsys, "conj-eval", "--rho", "0.5,0.2", "--y", "0.1", "--x", "0")
+    assert code == 2
+    assert "same length" in err

@@ -28,6 +28,12 @@ def test_conj_paramset_validation():
         ConjParamSet(rho=(0.5,), y=(1.2,))
     with pytest.raises(InvalidParameters):
         ConjParamSet(rho=(0.5, 0.2), y=(0.1,))
+
+
+@pytest.mark.parametrize("rho, y", [((float("nan"),), (0.1,)), ((0.5,), (float("nan"),))])
+def test_conj_paramset_rejects_nan(rho, y):
+    with pytest.raises(InvalidParameters):
+        ConjParamSet(rho=rho, y=y)
     p = ConjParamSet(rho=(0.5,), y=(1.0,))
     assert p.k == 1
 

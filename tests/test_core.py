@@ -42,6 +42,21 @@ def test_paramset_validation():
     assert ParamSet().min_gap == math.inf
 
 
+@pytest.mark.parametrize("kwargs", [{"a": (math.nan,)}, {"a": (0.2, math.inf)}, {"c": math.nan}, {"c": math.inf}])
+def test_paramset_rejects_non_finite(kwargs):
+    with pytest.raises(InvalidParameters):
+        ParamSet(**kwargs)
+
+
+def test_density_rejects_nan_points():
+    p = ParamSet(a=(0.2,))
+    for x in (math.nan, [0.0, math.nan]):
+        with pytest.raises(DomainError):
+            density(p, x)
+        with pytest.raises(DomainError):
+            density_series(p, x)
+
+
 def test_paramset_json_roundtrip():
     p = ParamSet(a=(0.2, -0.3), c=2.0)
     q = ParamSet.from_json(p.to_json())

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import gkm
 
 from gkm import ParamSet, eval_U, gauss_chebU_rule
 from gkm.conjugate import f2M, g3
@@ -82,3 +89,12 @@ def test_integrate_3d():
     assert res.value == pytest.approx(1.0, abs=1e-6)
     res2 = integrate_3d(lambda a, b, c: g3(a, b, c, 0.5, -0.4, 0.3), 1e-7)
     assert res2.value == pytest.approx(1.0, abs=1e-6)
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats is needed only by the quasi-MC check inside integrate_3d
+    src = str(Path(gkm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, gkm; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
