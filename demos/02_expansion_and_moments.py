@@ -9,7 +9,7 @@ import numpy as np
 from gkm import B_from_genfun, ParamSet, Q_poly, density, density_series, moment, residual_id2
 from gkm.chebyshev import u_all
 from gkm.core import B_prefix
-from gkm.oracle import integrate_weighted
+from gkm.oracle import integrate_weighted, unnormalized_factor
 
 p = ParamSet(a=(0.2, -0.3, 0.5))
 
@@ -17,12 +17,7 @@ print("B coefficients: closed form vs generating-function division vs quadrature
 closed = B_prefix(p, 6).values
 genfun = B_from_genfun(p, 6).values
 
-
-def unnormalized(x):
-    r = np.ones_like(x)
-    for a in p.a:
-        r = r / (1.0 + a * a - 2.0 * a * x)
-    return r
+unnormalized = unnormalized_factor(p)
 
 
 from gkm.core import A_closed

@@ -24,6 +24,9 @@ from . import conjugate, core, orthopoly, sampler, verify
 
 SCHEMA_VERSION = 1
 
+# rows of a CSV output formatted and written at once
+CSV_CHUNK_ROWS = 1 << 16
+
 _CONJ_SUITES = ("conjugate", "markov", "trivariate")
 
 
@@ -66,11 +69,25 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _csv(header: list, rows: list) -> str:
-    lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _cell(v) -> str:
+    return f"{v!r}" if isinstance(v, float) else f"{v}"
+
+
+def _write_csv(out: str | None, header: list, *columns) -> None:
+    """Write a CSV file (stdout without `out`) from equal-length columns,
+    formatting and writing CSV_CHUNK_ROWS rows at a time.  A numpy column is
+    converted chunk by chunk with `.tolist()`: its elements print as Python
+    numbers."""
+    fh = open(out, "w") if out else sys.stdout
+    try:
+        fh.write(f"# schema_version={SCHEMA_VERSION}\n{','.join(header)}\n")
+        for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            chunk = [col[lo:lo + CSV_CHUNK_ROWS] for col in columns]
+            cells = [map(_cell, c.tolist() if isinstance(c, np.ndarray) else c) for c in chunk]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    finally:
+        if out:
+            fh.close()
 
 
 def _cheb_grid(c: float, npts: int) -> np.ndarray:
@@ -82,8 +99,7 @@ def _cheb_grid(c: float, npts: int) -> np.ndarray:
 def cmd_eval(args) -> int:
     p = _parse_real_params(args)
     xs = _floats(args.x, "--x") if args.x else (0.0,)
-    rows = [(x, float(core.density(p, x))) for x in xs]
-    _emit(_csv(["x", "density"], rows), args.out)
+    _write_csv(args.out, ["x", "density"], xs, [float(core.density(p, x)) for x in xs])
     return 0
 
 
@@ -92,33 +108,31 @@ def cmd_grid(args) -> int:
     if args.n_points < 2:
         raise ValidationError("--n-points must be at least 2")
     xs = _cheb_grid(p.c, args.n_points)
-    dens = core.density(p, xs)
-    _emit(_csv(["x", "density"], list(zip(xs.tolist(), np.asarray(dens).tolist()))), args.out)
+    _write_csv(args.out, ["x", "density"], xs, core.density(p, xs))
     return 0
 
 
 def cmd_moments(args) -> int:
     p = _parse_real_params(args)
-    rows = [(k, core.moment(p, k)) for k in range(args.K + 1)]
-    _emit(_csv(["k", "moment"], rows), args.out)
+    ks = range(args.K + 1)
+    _write_csv(args.out, ["k", "moment"], ks, [core.moment(p, k) for k in ks])
     return 0
 
 
 def cmd_poly(args) -> int:
     p = _parse_real_params(args)
-    poly = orthopoly.P_coeffs(args.m, p)
-    rows = [(j, j, cj) for j, cj in enumerate(poly.series.coeffs)]
-    _emit(_csv(["j", "U_index", "coefficient"], rows), args.out)
+    coeffs = orthopoly.P_coeffs(args.m, p).series.coeffs
+    js = range(len(coeffs))
+    _write_csv(args.out, ["j", "U_index", "coefficient"], js, js, coeffs)
     return 0
 
 
 def cmd_genfun(args) -> int:
     p = _parse_real_params(args)
-    q = core.Q_poly(p)
-    B = core.B_prefix(p, args.K).values
-    rows = [("Q", j, float(cj)) for j, cj in enumerate(q)]
-    rows += [("B", k, float(bk)) for k, bk in enumerate(B)]
-    _emit(_csv(["kind", "index", "value"], rows), args.out)
+    q = core.Q_poly(p).tolist()
+    B = core.B_prefix(p, args.K).values.tolist()
+    kinds = ["Q"] * len(q) + ["B"] * len(B)
+    _write_csv(args.out, ["kind", "index", "value"], kinds, [*range(len(q)), *range(len(B))], q + B)
     return 0
 
 
@@ -151,8 +165,7 @@ def cmd_sample(args) -> int:
     p = _parse_real_params(args)
     table = sampler.build_cdf(p)
     draws = sampler.sample(table, args.n_points, args.seed)
-    rows = [(i, float(x)) for i, x in enumerate(draws)]
-    _emit(_csv(["i", "x"], rows), args.out)
+    _write_csv(args.out, ["i", "x"], range(len(draws)), draws)
     d = sampler.ks_statistic(draws, table)
     sidecar = {
         "schema_version": SCHEMA_VERSION,
@@ -174,8 +187,7 @@ def cmd_sample(args) -> int:
 def cmd_conj_eval(args) -> int:
     p = _parse_conj_params(args)
     xs = _floats(args.x, "--x") if args.x else (0.0,)
-    rows = [(x, float(conjugate.fM_density(p, x))) for x in xs]
-    _emit(_csv(["x", "density"], rows), args.out)
+    _write_csv(args.out, ["x", "density"], xs, [float(conjugate.fM_density(p, x)) for x in xs])
     return 0
 
 

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import oracle
-from .chebyshev import u_all
+from .chebyshev import u_sum
 from .errors import (
     DegenerateParameters,
     DomainError,
@@ -269,8 +269,7 @@ def density_series(p: ParamSet, x, tol: float = 1e-10):
     amax = max((abs(ai) for ai in p.a), default=0.0)
     K = series_truncation_order(amax, tol)
     B = B_prefix(p, K).values
-    basis = u_all(K, x)
-    s = np.tensordot(B, basis, axes=(0, 0))
+    s = u_sum(B, x)
     r = (2.0 / np.pi) * np.sqrt(np.maximum(1.0 - x * x, 0.0)) * s
     return r if r.shape else float(r)
 

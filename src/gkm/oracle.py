@@ -111,8 +111,9 @@ def _w_kernel(x, y, rho):
     return (1.0 - rho * rho) ** 2 - 4.0 * x * y * rho * (1.0 + rho * rho) + 4.0 * rho * rho * (x * x + y * y)
 
 
-def normalizer_numeric(p, tol: float = 1e-11) -> float:
-    """1 / integral of the unnormalized density (the closed constant A set to 1).
+def unnormalized_factor(p):
+    """The factor g(x) of a density A g(x) (2/pi) sqrt(1 - x^2) at scale 1:
+    1/prod_j (1 + a_j^2 - 2 a_j x), or 1/prod_i w(x, y_i, rho_i).
 
     Accepts either parameter-set flavor: real a-vectors (attribute `a`) or
     conjugate pairs (attributes `rho`, `y`).
@@ -136,8 +137,13 @@ def normalizer_numeric(p, tol: float = 1e-11) -> float:
                 r = r / (1.0 + ai * ai - 2.0 * ai * x)
             return r
 
-    res = integrate_weighted(g, tol)
-    return 1.0 / res.value
+    return g
+
+
+def normalizer_numeric(p, tol: float = 1e-11) -> float:
+    """1 / integral of the unnormalized density (the closed constant A set to 1),
+    for either parameter-set flavor."""
+    return 1.0 / integrate_weighted(unnormalized_factor(p), tol).value
 
 
 def _simpson_weights(npts: int) -> np.ndarray:

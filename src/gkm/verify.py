@@ -41,18 +41,6 @@ def _draw_params(rng, n: int, amax: float = 0.9, min_gap: float = 0.05) -> core.
             return p
 
 
-def _unnormalized_factor(p: core.ParamSet):
-    a = np.asarray(p.a)
-
-    def g(x):
-        r = np.ones_like(x)
-        for ai in a:
-            r = r / (1.0 + ai * ai - 2.0 * ai * x)
-        return r
-
-    return g
-
-
 # --- suites -----------------------------------------------------------------
 
 def suite_normalization() -> list:
@@ -75,7 +63,7 @@ def suite_normalization() -> list:
     for i in range(30):
         n = int(rng.integers(0, 9))
         p = _draw_params(rng, n) if n else core.ParamSet()
-        g = _unnormalized_factor(p)
+        g = oracle.unnormalized_factor(p)
         A = core.normalizer(p)
         r_int = max(r_int, abs(A * oracle.integrate_weighted(g, 1e-11).value - 1.0))
         xg = np.linspace(-1.0, 1.0, 1000)
@@ -152,7 +140,7 @@ def suite_genfun() -> list:
     r_quad = 0.0
     for n in range(1, 7):
         p = _draw_params(rng, n)
-        g = _unnormalized_factor(p)
+        g = oracle.unnormalized_factor(p)
         A = core.A_closed(p)
         B = core.B_prefix(p, 20).values
         for k in range(21):
@@ -176,7 +164,7 @@ def suite_genfun() -> list:
     for _ in range(20):
         n = int(rng.integers(0, 7))
         p = _draw_params(rng, n) if n else core.ParamSet()
-        g = _unnormalized_factor(p)
+        g = oracle.unnormalized_factor(p)
         A = core.normalizer(p)
         for k in range(13):
             quad = A * oracle.integrate_weighted(lambda x, k=k: x ** k * g(x), 1e-11).value
@@ -227,7 +215,7 @@ def suite_orthogonality() -> list:
             expect = -S[5] * B[2] + (S[6] * B[3] if n == 6 else 0.0)
             r_defect = max(r_defect, abs(orthopoly.gram(1, 0, p) - expect))
 
-        g = _unnormalized_factor(p)
+        g = oracle.unnormalized_factor(p)
         A = core.A_closed(p)
         pairs = [(1, 0), (2, 1), (4, 2), (7, 3), (9, 5)]
         for m, k in pairs:

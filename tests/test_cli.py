@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from gkm.cli import main
+from gkm import cli, conjugate, core, orthopoly, sampler
+from gkm.cli import SCHEMA_VERSION, main
 
 
 def run(capsys, *argv):
@@ -152,3 +154,89 @@ def test_conj_eval_rejects_unpaired_rho(capsys):
     code, _, err = run(capsys, "conj-eval", "--rho", "0.5,0.2", "--y", "0.1", "--x", "0")
     assert code == 2
     assert "same length" in err
+
+
+# --- reference for the CSV bytes: a writer that builds the whole text row by row
+
+def _csv(header: list, rows: list) -> str:
+    lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _grid_rows():
+    p = core.ParamSet(a=(0.7, -0.3))
+    xs = cli._cheb_grid(p.c, 1001)
+    return list(zip(xs.tolist(), np.asarray(core.density(p, xs)).tolist()))
+
+
+def _sample_rows():
+    draws = sampler.sample(sampler.build_cdf(core.ParamSet(a=(0.3, -0.8))), 1001, 7)
+    return [(i, float(x)) for i, x in enumerate(draws)]
+
+
+def _genfun_rows():
+    p = core.ParamSet(a=(0.1, 0.2, 0.3, -0.4, 0.55))
+    rows = [("Q", j, float(cj)) for j, cj in enumerate(core.Q_poly(p))]
+    return rows + [("B", k, float(bk)) for k, bk in enumerate(core.B_prefix(p, 30).values)]
+
+
+CSV_COMMANDS = {
+    "eval": (
+        ["eval", "--a", "0.2,-0.5,0.7", "--x=-1,-0.3,0,1e-05,0.1,1"],
+        ["x", "density"],
+        lambda: [(x, float(core.density(core.ParamSet(a=(0.2, -0.5, 0.7)), x))) for x in (-1.0, -0.3, 0.0, 1e-05, 0.1, 1.0)],
+    ),
+    "grid": (["grid", "--a", "0.7,-0.3", "--n-points", "1001"], ["x", "density"], _grid_rows),
+    "moments": (
+        ["moments", "--a", "0.6,-0.1,0.3", "--K", "15"],
+        ["k", "moment"],
+        lambda: [(k, core.moment(core.ParamSet(a=(0.6, -0.1, 0.3)), k)) for k in range(16)],
+    ),
+    "poly": (
+        ["poly", "--a", "0.2,0.3,-0.6", "--m", "5"],
+        ["j", "U_index", "coefficient"],
+        lambda: [(j, j, cj) for j, cj in enumerate(orthopoly.P_coeffs(5, core.ParamSet(a=(0.2, 0.3, -0.6))).series.coeffs)],
+    ),
+    "genfun": (["genfun", "--a", "0.1,0.2,0.3,-0.4,0.55", "--K", "30"], ["kind", "index", "value"], _genfun_rows),
+    "sample": (["sample", "--a", "0.3,-0.8", "--n-points", "1001", "--seed", "7"], ["i", "x"], _sample_rows),
+    "conj-eval": (
+        ["conj-eval", "--rho", "0.5,-0.3", "--y", "0.2,0.9", "--x=-0.5,0,0.25"],
+        ["x", "density"],
+        lambda: [
+            (x, float(conjugate.fM_density(conjugate.ConjParamSet(rho=(0.5, -0.3), y=(0.2, 0.9)), x)))
+            for x in (-0.5, 0.0, 0.25)
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 4])
+@pytest.mark.parametrize("command", sorted(CSV_COMMANDS))
+def test_csv_bytes_match_row_writer(command, chunk, tmp_path, capsys, monkeypatch):
+    if chunk:
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+    argv, header, rows = CSV_COMMANDS[command]
+    want = _csv(header, rows()).encode()
+    out_path = tmp_path / "out.csv"
+    code, _, _ = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_bytes() == want
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == want
+
+
+def test_write_csv_matches_row_writer_on_mixed_columns(tmp_path, capsys):
+    n = 2 * cli.CSV_CHUNK_ROWS + 3
+    values = [1e16, 5e-324, -0.0, 0.1, 1e-05, 1.0, -2.5e-300]
+    kinds = [("Q", "B", "x")[i % 3] for i in range(n)]
+    floats = [values[i % len(values)] for i in range(n)]
+    arr = np.array(floats[::-1])
+    want = _csv(["kind", "i", "v", "w"], list(zip(kinds, range(n), floats, arr.tolist()))).encode()
+    out_path = tmp_path / "mixed.csv"
+    cli._write_csv(str(out_path), ["kind", "i", "v", "w"], kinds, range(n), floats, arr)
+    assert out_path.read_bytes() == want
+    cli._write_csv(None, ["kind", "i", "v", "w"], kinds, range(n), floats, arr)
+    assert capsys.readouterr().out.encode() == want

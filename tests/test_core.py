@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,20 @@ def test_density_series_matches_product():
         p = ParamSet(a=a)
         assert np.max(np.abs(density_series(p, x, 1e-10) - density(p, x))) < 1e-9
     assert density_series(ParamSet(a=(0.5,)), 0.0, 1e-10) == pytest.approx((2.0 / np.pi) / 1.25, abs=1e-10)
+
+
+def test_density_series_memory_is_bounded():
+    # K = 294 here: the whole (K+1) x N basis would take 470 MB
+    p = ParamSet(a=(0.9,))
+    x = np.linspace(-1.0, 1.0, 200_001)
+    tracemalloc.start()
+    try:
+        got = density_series(p, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert np.max(np.abs(got - density(p, x))) < 1e-9
 
 
 def test_moment_values():
