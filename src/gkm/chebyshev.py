@@ -19,16 +19,6 @@ from .errors import DomainError, Unsupported
 # power_to_U uses float binomials; beyond this degree they lose precision.
 POWER_DEGREE_CAP = 64
 
-# u_sum holds at most U_SUM_BLOCK basis values at once (8 MB of doubles), in
-# slices of a multiple of U_SUM_ALIGN points; a final remainder shorter than
-# U_SUM_ALIGN joins the slice before.  BLAS orders the sum of a row of the
-# matrix-vector product by the row's place among its vector lanes, and by the
-# row count when that is tiny, so aligned slices give each point the bits of
-# one contraction over all points (on one BLAS thread: with more, BLAS's own
-# split of the rows moves the bits of the rows at each split).
-U_SUM_BLOCK = 1 << 20
-U_SUM_ALIGN = 64
-
 
 def _check_x(x):
     x = np.asarray(x, dtype=float)
@@ -47,28 +37,6 @@ def u_all(kmax: int, x):
     for j in range(2, kmax + 1):
         out[j] = 2.0 * x * out[j - 1] - out[j - 2]
     return out
-
-
-def u_sum(coeffs, x):
-    """Series sum_k coeffs[k] U_k(x), with the shape of x.
-
-    Computed as the contraction of coeffs with u_all over slices of the
-    points, so memory stays bounded for any number of points and the result
-    has the bits of one contraction over all of them.
-    """
-    x = _check_x(x)
-    c = np.asarray(coeffs, dtype=float)
-    if not c.size:
-        return np.zeros_like(x)
-    step = max(U_SUM_BLOCK // c.size // U_SUM_ALIGN, 1) * U_SUM_ALIGN
-    bounds = [*range(0, max(x.size - U_SUM_ALIGN, 0) + 1, step), x.size]
-    if len(bounds) == 2:  # one slice: the call made without slicing
-        return np.tensordot(c, u_all(c.size - 1, x), axes=(0, 0))
-    flat = x.reshape(-1)
-    out = np.empty(flat.size)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        out[lo:hi] = np.tensordot(c, u_all(c.size - 1, flat[lo:hi]), axes=(0, 0))
-    return out.reshape(x.shape)
 
 
 def eval_U(k: int, x):
@@ -128,7 +96,12 @@ class USeries:
         return -1
 
     def __call__(self, x):
-        r = u_sum(self.coeffs, x)
+        x = _check_x(x)
+        if not self.coeffs:
+            z = np.zeros_like(x)
+            return z if z.shape else 0.0
+        basis = u_all(len(self.coeffs) - 1, x)
+        r = np.tensordot(np.asarray(self.coeffs), basis, axes=(0, 0))
         return r if r.shape else float(r)
 
     @staticmethod

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import oracle
-from .chebyshev import u_sum
+from .chebyshev import u_all
 from .errors import (
     DegenerateParameters,
     DomainError,
@@ -32,6 +32,10 @@ from .symfun import elementary_all
 
 # Partial-fraction closed forms are refused below this parameter separation.
 DISTINCTNESS_TOL = 1e-6
+
+# density_series sums the U series over slices of the points holding at most
+# this many basis values (8 MB of doubles), whatever the number of points.
+SERIES_BLOCK = 1 << 20
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -269,8 +273,12 @@ def density_series(p: ParamSet, x, tol: float = 1e-10):
     amax = max((abs(ai) for ai in p.a), default=0.0)
     K = series_truncation_order(amax, tol)
     B = B_prefix(p, K).values
-    s = u_sum(B, x)
-    r = (2.0 / np.pi) * np.sqrt(np.maximum(1.0 - x * x, 0.0)) * s
+    flat = x.reshape(-1)
+    s = np.empty(flat.size)
+    step = max(SERIES_BLOCK // (K + 1), 1)
+    for lo in range(0, flat.size, step):
+        s[lo:lo + step] = np.tensordot(B, u_all(K, flat[lo:lo + step]), axes=(0, 0))
+    r = (2.0 / np.pi) * np.sqrt(np.maximum(1.0 - x * x, 0.0)) * s.reshape(x.shape)
     return r if r.shape else float(r)
 
 

@@ -1,12 +1,5 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
-
-import gkm
 
 from gkm import (
     USeries,
@@ -17,7 +10,6 @@ from gkm import (
     power_to_U,
     product_linearize,
 )
-from gkm.chebyshev import U_SUM_ALIGN, U_SUM_BLOCK, u_all, u_sum
 from gkm.errors import DomainError, Unsupported
 
 
@@ -125,43 +117,3 @@ def test_gauss_rule_monomial_exactness():
             half = p // 2
             expect = comb(p, half) / ((half + 1) * 4 ** half)
         assert got == pytest.approx(expect, abs=1e-13)
-
-
-def test_u_sum_has_the_bits_of_one_contraction():
-    # BLAS splits a large matrix-vector product between its threads, which
-    # moves the bits of the rows at each split, so both sides run on one thread
-    K = 294
-    step = U_SUM_BLOCK // (K + 1) // U_SUM_ALIGN * U_SUM_ALIGN
-    code = f"""
-import numpy as np
-from gkm.chebyshev import u_all, u_sum
-rng = np.random.default_rng(5)
-c = rng.standard_normal({K + 1})
-# three slices and a ragged one, a remainder too short for a slice, no remainder
-for n in (3 * {step} + 100, 3 * {step} + 1, 4 * {step}):
-    x = rng.uniform(-1.0, 1.0, n)
-    assert np.array_equal(u_sum(c, x), np.tensordot(c, u_all({K}, x), axes=(0, 0))), n
-x = x.reshape(4, -1)
-assert np.array_equal(u_sum(c, x), np.tensordot(c, u_all({K}, x), axes=(0, 0)))
-print("ok")
-"""
-    src = str(Path(gkm.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.update({k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
-
-
-def test_u_sum_keeps_the_shape_of_x():
-    c = np.array([0.5, -1.0, 0.25, 2.0])
-    r0 = u_sum(c, 0.3)
-    assert r0.shape == ()
-    assert float(r0) == pytest.approx(0.5 - 0.6 + 0.25 * (4 * 0.09 - 1) + 2.0 * (8 * 0.027 - 4 * 0.3))
-    # more points than one block holds: sliced, and put back in shape
-    x = np.linspace(-1.0, 1.0, 2 * (U_SUM_BLOCK // c.size) + 6).reshape(2, -1)
-    r2 = u_sum(c, x)
-    assert r2.shape == x.shape
-    assert np.allclose(r2, np.tensordot(c, u_all(3, x), axes=(0, 0)), rtol=0, atol=1e-14)
-    assert u_sum((), x).shape == x.shape and not u_sum((), x).any()
-    assert USeries(tuple(c))(0.3) == float(r0)

@@ -21,7 +21,8 @@ from gkm import (
     residual_id,
     residual_id2,
 )
-from gkm.core import B_prefix, normalizer
+from gkm.chebyshev import u_all
+from gkm.core import SERIES_BLOCK, B_prefix, normalizer, series_truncation_order
 from gkm.errors import (
     DegenerateParameters,
     DomainError,
@@ -161,6 +162,20 @@ def test_density_series_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 32 * 2**20
     assert np.max(np.abs(got - density(p, x))) < 1e-9
+
+
+def test_density_series_slices_keep_values_and_shape():
+    # three full slices and a ragged one, against one contraction over all points
+    p = ParamSet(a=(0.9,))
+    K = series_truncation_order(0.9, 1e-10)
+    step = SERIES_BLOCK // (K + 1)
+    x = np.random.default_rng(7).uniform(-1.0, 1.0, 3 * step + 102)
+    whole = np.tensordot(B_prefix(p, K).values, u_all(K, x), axes=(0, 0))
+    got = density_series(p, x)
+    assert np.allclose(got, (2.0 / np.pi) * np.sqrt(1.0 - x * x) * whole, rtol=1e-12, atol=0.0)
+    assert np.array_equal(density_series(p, x.reshape(3, -1)), got.reshape(3, -1))
+    r0 = density_series(p, np.float64(x[5]))
+    assert isinstance(r0, float) and r0 == density_series(p, x[5:6])[0]
 
 
 def test_moment_values():
