@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import conjugate, core, oracle, orthopoly, sampler
-from .chebyshev import gauss_chebU_rule, u_all
+from .chebyshev import eval_U, gauss_chebU_rule, u_all
 from .symfun import delta_all, elementary_all
 
 SCHEMA_VERSION = 1
@@ -144,7 +144,7 @@ def suite_genfun() -> list:
         A = core.A_closed(p)
         B = core.B_prefix(p, 20).values
         for k in range(21):
-            quad = A * oracle.integrate_weighted(lambda x, k=k: u_all(k, x)[k] * g(x), 1e-11).value
+            quad = A * oracle.integrate_weighted(lambda x, k=k: eval_U(k, x) * g(x), 1e-11).value
             r_quad = max(r_quad, abs(B[k] - quad))
     checks.append(_check("genfun/B_vs_quadrature", r_quad, 1e-9))
 
@@ -476,17 +476,16 @@ _SUITE_FN = {
 }
 
 
-def run_verify(suite: str = "all", tol: float | None = None) -> dict:
-    """Execute one named suite (or all of them) and assemble the report.
+def run_verify(suite: str | tuple = "all", tol: float | None = None) -> dict:
+    """Execute one named suite, a tuple of suites (reported as their names
+    joined by "+"), or all of them, and assemble the report.
 
     If tol is given it replaces every check's default tolerance.
     """
-    if suite == "all":
-        names = list(SUITES)
-    elif suite in _SUITE_FN:
-        names = [suite]
-    else:
-        raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
+    names = SUITES if suite == "all" else (suite,) if isinstance(suite, str) else tuple(suite)
+    for name in names:
+        if name not in _SUITE_FN:
+            raise ValueError(f"unknown suite {name!r}; choose from {('all',) + SUITES}")
     checks = []
     for name in names:
         checks.extend(_SUITE_FN[name]())
@@ -497,7 +496,7 @@ def run_verify(suite: str = "all", tol: float | None = None) -> dict:
     checks.sort(key=lambda c: c["check"])
     return {
         "schema_version": SCHEMA_VERSION,
-        "suite": suite,
+        "suite": suite if isinstance(suite, str) else "+".join(names),
         "pass": all(c["pass"] for c in checks),
         "checks": checks,
     }

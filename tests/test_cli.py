@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,3 +244,83 @@ def test_write_csv_matches_row_writer_on_mixed_columns(tmp_path, capsys):
     assert out_path.read_bytes() == want
     cli._write_csv(None, ["kind", "i", "v", "w"], kinds, range(n), floats, arr)
     assert capsys.readouterr().out.encode() == want
+
+
+# --- the forked writer against the serial one
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: n)
+
+
+@pytest.mark.parametrize("chunk", [3, 4, 250])
+@pytest.mark.parametrize("command", sorted(CSV_COMMANDS))
+def test_forked_writer_matches_serial(command, chunk, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+    argv = CSV_COMMANDS[command][0]
+    got = {}
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        out_path = tmp_path / f"{cpus}.csv"
+        assert run(capsys, *argv, "--out", str(out_path))[0] == 0
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        got[cpus] = (out_path.read_bytes(), out.encode())
+    assert got[2] == got[1]
+    assert got[1][0] == got[1][1]
+
+
+@pytest.mark.parametrize("chunk", [5, 64, 4096])
+def test_forked_writer_matches_serial_on_mixed_columns(chunk, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+    n = 2 * chunk + 3
+    values = [1e16, 5e-324, -0.0, 0.1, 1e-05, 1.0, -2.5e-300]
+    kinds = [("Q", "B", "x")[i % 3] for i in range(n)]
+    floats = [values[i % len(values)] for i in range(n)]
+    columns = (kinds, range(n), floats, np.array(floats[::-1]), np.arange(n))
+    got = {}
+    for cpus in (1, 3):
+        _cpus(monkeypatch, cpus)
+        out_path = tmp_path / f"{cpus}.csv"
+        cli._write_csv(str(out_path), ["kind", "i", "v", "w", "j"], *columns)
+        cli._write_csv(None, ["kind", "i", "v", "w", "j"], *columns)
+        got[cpus] = (out_path.read_bytes(), capsys.readouterr().out.encode())
+    assert got[3] == got[1]
+    assert got[1][0] == got[1][1]
+
+
+def _no_pool(*args, **kwargs):
+    raise RuntimeError("a process pool was started")
+
+
+@pytest.mark.parametrize("command", sorted(CSV_COMMANDS))
+def test_one_chunk_starts_no_pool(command, capsys, monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    _cpus(monkeypatch, 4)
+    argv = CSV_COMMANDS[command][0]
+    assert run(capsys, *argv)[0] == 0
+    if command in ("grid", "sample"):
+        # the same command over two chunks does start one
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 1000)
+        with pytest.raises(RuntimeError, match="process pool"):
+            main(argv)
+
+
+def test_forked_cli_writes_each_byte_once(tmp_path, monkeypatch):
+    # through a real pipe and a real file, a forked worker that flushed a
+    # copy of the parent's buffer would repeat the header
+    argv = ["grid", "--a", "0.7,-0.4,0.2", "--n-points", "200001"]
+    _cpus(monkeypatch, 1)
+    serial = tmp_path / "serial.csv"
+    assert main(argv + ["--out", str(serial)]) == 0
+    want = serial.read_bytes()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-W", "error::DeprecationWarning", "-m", "gkm.cli", *argv]
+    piped = subprocess.run(cmd, env=env, capture_output=True, check=True)
+    assert piped.stderr == b""
+    assert piped.stdout == want
+    forked = tmp_path / "forked.csv"
+    subprocess.run(cmd + ["--out", str(forked)], env=env, capture_output=True, check=True)
+    assert forked.read_bytes() == want

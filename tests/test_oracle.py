@@ -8,7 +8,7 @@ import pytest
 
 import gkm
 
-from gkm import ParamSet, eval_U, gauss_chebU_rule
+from gkm import ParamSet, eval_U, gauss_chebU_rule, oracle
 from gkm.conjugate import f2M, g3
 from gkm.errors import NonConvergence
 from gkm.oracle import (
@@ -59,13 +59,16 @@ def test_error_estimates_are_honest():
     assert ok >= 19
 
 
-def test_budget_exhaustion_raises():
+def test_budget_exhaustion_raises(monkeypatch):
+    assert oracle.BUDGET_1D == 10_000_000
+    # a smaller budget runs out on the same path in a fraction of the time
+    monkeypatch.setattr(oracle, "BUDGET_1D", 100_000)
     rng = np.random.default_rng(42)
 
     def noisy(x):
         return rng.standard_normal(np.shape(x))
 
-    with pytest.raises(NonConvergence):
+    with pytest.raises(NonConvergence, match="budget 100000 exhausted"):
         integrate_weighted(noisy, 1e-14)
 
 
