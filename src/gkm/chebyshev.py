@@ -22,20 +22,60 @@ POWER_DEGREE_CAP = 64
 
 def _check_x(x):
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0):
+    # fmin/fmax skip NaN, as abs(x) > 1 does, and allocate no temporary
+    if x.size and (np.fmin.reduce(x, axis=None) < -1.0 or np.fmax.reduce(x, axis=None) > 1.0):
         raise DomainError("x outside [-1, 1]")
     return x
 
 
-def u_all(kmax: int, x):
-    """Values U_0(x)..U_kmax(x), stacked along the first axis."""
+def _unwrap(r):
+    """An array result as it is; a 0-d one as a Python float."""
+    return r if r.shape else float(r)
+
+
+def _step(twox, u1, u2, out):
+    """One three-term step out = twox * u1 - u2, computed in out; the same
+    bits as 2.0 * x * u1 - u2, since doubling is exact."""
+    np.multiply(twox, u1, out=out)
+    return np.subtract(out, u2, out=out)
+
+
+def _recur(k, twox, u1):
+    """Term k of v_j = 2x v_{j-1} - v_{j-2} from v_0 = 1 and v_1 = u1, in
+    three rotating buffers; twox and u1 must be distinct arrays."""
+    prev = np.ones_like(twox)
+    if k == 0:
+        return prev
+    cur, nxt = u1, np.empty_like(twox)
+    for _ in range(k - 1):
+        _step(twox, cur, prev, nxt)
+        prev, cur, nxt = cur, nxt, prev
+    return cur
+
+
+def _twice(x):
+    # through out= so that a 0-d x gives a 0-d array, not a numpy scalar
+    return np.multiply(2.0, x, out=np.empty_like(x))
+
+
+def u_all(kmax: int, x, out=None):
+    """Values U_0(x)..U_kmax(x), stacked along the first axis.
+
+    If given, out is a float array of shape (kmax + 1,) + x.shape (a view
+    will do); the rows are computed in it, with no temporary, and it is
+    returned.
+    """
     x = _check_x(x)
-    out = np.empty((kmax + 1,) + x.shape)
-    out[0] = 1.0
+    if out is None:
+        out = np.empty((kmax + 1,) + x.shape)
+    elif out.shape != (kmax + 1,) + x.shape:
+        raise ValueError(f"out has shape {out.shape}, expected {(kmax + 1,) + x.shape}")
+    # rows are indexed as out[j, ...], a view even when x is 0-d
+    out[0, ...] = 1.0
     if kmax >= 1:
-        out[1] = 2.0 * x
+        np.multiply(2.0, x, out=out[1, ...])
     for j in range(2, kmax + 1):
-        out[j] = 2.0 * x * out[j - 1] - out[j - 2]
+        _step(out[1, ...], out[j - 1, ...], out[j - 2, ...], out[j, ...])
     return out
 
 
@@ -43,14 +83,8 @@ def eval_U(k: int, x):
     """U_k(x) by the forward recurrence; k >= 0, |x| <= 1."""
     if k < 0:
         raise ValueError("k must be non-negative; use eval_U_signed")
-    x = _check_x(x)
-    prev = np.ones_like(x)
-    if k == 0:
-        return prev if prev.shape else float(prev)
-    cur = 2.0 * x
-    for _ in range(k - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur if cur.shape else float(cur)
+    twox = _twice(_check_x(x))
+    return _unwrap(_recur(k, twox, twox.copy()))
 
 
 def eval_U_signed(k: int, x):
@@ -59,8 +93,7 @@ def eval_U_signed(k: int, x):
         return eval_U(k, x)
     x = _check_x(x)
     if k == -1:
-        z = np.zeros_like(x)
-        return z if z.shape else 0.0
+        return _unwrap(np.zeros_like(x))
     r = eval_U(-k - 2, x)
     return -r
 
@@ -70,13 +103,7 @@ def eval_T(k: int, x):
     if k < 0:
         raise ValueError("k must be non-negative")
     x = _check_x(x)
-    prev = np.ones_like(x)
-    if k == 0:
-        return prev if prev.shape else float(prev)
-    cur = x.copy()
-    for _ in range(k - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur if cur.shape else float(cur)
+    return _unwrap(_recur(k, _twice(x), x.copy()))
 
 
 @dataclass(frozen=True)
@@ -98,11 +125,9 @@ class USeries:
     def __call__(self, x):
         x = _check_x(x)
         if not self.coeffs:
-            z = np.zeros_like(x)
-            return z if z.shape else 0.0
+            return _unwrap(np.zeros_like(x))
         basis = u_all(len(self.coeffs) - 1, x)
-        r = np.tensordot(np.asarray(self.coeffs), basis, axes=(0, 0))
-        return r if r.shape else float(r)
+        return _unwrap(np.tensordot(np.asarray(self.coeffs), basis, axes=(0, 0)))
 
     @staticmethod
     def from_dict(d: dict) -> "USeries":

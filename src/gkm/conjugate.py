@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .chebyshev import u_all
+from .chebyshev import _unwrap, u_all
 from .errors import DomainError, InvalidParameters, Unsupported
 
 
@@ -131,15 +131,14 @@ def fM_density(p: ConjParamSet, x):
     den = np.pi * np.ones_like(x)
     for r, v in zip(p.rho, p.y):
         den = den * w_eval(x, v, r)
-    out = num / den
-    return out if out.shape else float(out)
+    return _unwrap(num / den)
 
 
 def wigner_density(x):
     """Semicircle density, the zero-pair member of the family."""
     x = np.asarray(x, dtype=float)
     r = (2.0 / np.pi) * np.sqrt(np.maximum(1.0 - x * x, 0.0))
-    return r if r.shape else float(r)
+    return _unwrap(r)
 
 
 def poisson_mehler_order(rho: float, tol: float) -> int:
@@ -162,8 +161,7 @@ def poisson_mehler(x, y, rho: float, tol: float = 1e-12):
     ux = u_all(J, x)
     uy = u_all(J, y)
     powers = rho ** np.arange(J + 1)
-    r = np.tensordot(powers, ux * uy, axes=(0, 0))
-    return r if getattr(r, "shape", ()) else float(r)
+    return _unwrap(np.tensordot(powers, ux * uy, axes=(0, 0)))
 
 
 def f2M(x, y, rho: float):
@@ -178,7 +176,7 @@ def f2M(x, y, rho: float):
         * np.sqrt(np.maximum((1.0 - x * x) * (1.0 - y * y), 0.0))
         / (np.pi ** 2 * w_eval(x, y, rho))
     )
-    return r if r.shape else float(r)
+    return _unwrap(r)
 
 
 def g3(y1, y2, y3, r1: float, r2: float, r3: float):
@@ -199,14 +197,14 @@ def g3(y1, y2, y3, r1: float, r2: float, r3: float):
         * w_eval(y1, y3, r1 * r3)
     )
     r = num / den
-    return r if r.shape else float(r)
+    return _unwrap(r)
 
 
 def transition_density(x, y, rho: float):
     """One-pair density viewed as the Markov transition kernel x | y."""
     x = np.asarray(x, dtype=float)
     r = (1.0 - rho * rho) * (2.0 / np.pi) * np.sqrt(np.maximum(1.0 - x * x, 0.0)) / w_eval(x, y, rho)
-    return r if r.shape else float(r)
+    return _unwrap(r)
 
 
 def chapman_residual(x: float, y2: float, r1: float, r2: float, tol: float = 1e-10) -> float:

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import oracle
-from .chebyshev import u_all
+from .chebyshev import _unwrap, u_all
 from .errors import (
     DegenerateParameters,
     DomainError,
@@ -192,6 +192,14 @@ def normalizer(p: ParamSet) -> float:
     return p._A
 
 
+def _semicircle(cc: float, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sqrt(max(cc - xs * xs, 0)), computed in out."""
+    np.multiply(xs, xs, out=out)
+    np.subtract(cc, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.sqrt(out, out=out)
+
+
 def density(p: ParamSet, x):
     """Density value(s) at x in [-c, c]."""
     x = np.asarray(x, dtype=float)
@@ -199,12 +207,24 @@ def density(p: ParamSet, x):
     if not np.all(np.abs(x) <= c):  # also rejects NaN
         raise DomainError(f"x outside [-{c}, {c}]")
     A = normalizer(p)
-    num = 2.0 * A * c ** (p.n - 2) * np.sqrt(np.maximum(c * c - x * x, 0.0))
-    den = np.pi * np.ones_like(x)
+    if not x.shape:
+        # one point: operators on numpy scalars cost far less than ufunc
+        # calls into one-element buffers, and do the same operations
+        x = x[()]
+        den = np.pi
+        for aj in p.a:
+            den = den * (c * (1.0 + aj * aj) - 2.0 * aj * x)
+        return float(2.0 * A * c ** (p.n - 2) * np.sqrt(np.maximum(c * c - x * x, 0.0)) / den)
+    # two buffers: den = pi * prod_j (c (1 + a_j^2) - 2 a_j x), with num as
+    # the scratch for each factor, then num = 2 A c^(n-2) sqrt(c^2 - x^2)
+    num = np.empty_like(x)
+    den = np.full_like(x, np.pi)
     for aj in p.a:
-        den = den * (c * (1.0 + aj * aj) - 2.0 * aj * x)
-    r = num / den
-    return r if r.shape else float(r)
+        np.multiply(2.0 * aj, x, out=num)
+        np.subtract(c * (1.0 + aj * aj), num, out=num)
+        np.multiply(den, num, out=den)
+    np.multiply(2.0 * A * c ** (p.n - 2), _semicircle(c * c, x, num), out=num)
+    return np.divide(num, den, out=num)
 
 
 def density_classical_km(v: float, x):
@@ -216,8 +236,7 @@ def density_classical_km(v: float, x):
     half_width = 2.0 * math.sqrt(v - 1.0)
     if np.any(np.abs(x) > half_width):
         raise DomainError(f"x outside [-{half_width}, {half_width}]")
-    r = v * np.sqrt(np.maximum(4.0 * (v - 1.0) - x * x, 0.0)) / (2.0 * np.pi * (v * v - x * x))
-    return r if r.shape else float(r)
+    return _unwrap(v * np.sqrt(np.maximum(4.0 * (v - 1.0) - x * x, 0.0)) / (2.0 * np.pi * (v * v - x * x)))
 
 
 def B_coeff(p: ParamSet, k: int) -> float:
@@ -276,10 +295,16 @@ def density_series(p: ParamSet, x, tol: float = 1e-10):
     flat = x.reshape(-1)
     s = np.empty(flat.size)
     step = max(SERIES_BLOCK // (K + 1), 1)
+    # one slab for every slice's basis; each slice takes a contiguous prefix,
+    # so tensordot sees the layout of a fresh basis and gives the same bits
+    slab = np.empty((K + 1) * min(step, flat.size))
     for lo in range(0, flat.size, step):
-        s[lo:lo + step] = np.tensordot(B, u_all(K, flat[lo:lo + step]), axes=(0, 0))
-    r = (2.0 / np.pi) * np.sqrt(np.maximum(1.0 - x * x, 0.0)) * s.reshape(x.shape)
-    return r if r.shape else float(r)
+        xs = flat[lo:lo + step]
+        basis = u_all(K, xs, out=slab[:(K + 1) * xs.size].reshape(K + 1, xs.size))
+        s[lo:lo + step] = np.tensordot(B, basis, axes=(0, 0))
+    w = _semicircle(1.0, flat, np.empty_like(flat))
+    np.multiply(2.0 / np.pi, w, out=w)
+    return _unwrap(np.multiply(w, s, out=s).reshape(x.shape))
 
 
 def moment(p: ParamSet, k: int) -> float:

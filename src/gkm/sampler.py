@@ -15,7 +15,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import PchipInterpolator
 
 from .core import ParamSet, density
 
@@ -37,12 +36,19 @@ class CdfTable:
     def inverse(self, u):
         return self._inverse(np.asarray(u, dtype=float))
 
+    # scipy.interpolate is imported on first use, so that `import gkm`
+    # (and every CLI command that does not sample) does not load it
+
     @cached_property
     def _forward(self):
+        from scipy.interpolate import PchipInterpolator
+
         return PchipInterpolator(self.xs, self.Fs)
 
     @cached_property
     def _inverse(self):
+        from scipy.interpolate import PchipInterpolator
+
         return PchipInterpolator(self.Fs, self.xs)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from gkm import (
     power_to_U,
     product_linearize,
 )
+from gkm.chebyshev import u_all
 from gkm.errors import DomainError, Unsupported
 
 
@@ -117,3 +120,96 @@ def test_gauss_rule_monomial_exactness():
             half = p // 2
             expect = comb(p, half) / ((half + 1) * 4 ** half)
         assert got == pytest.approx(expect, abs=1e-13)
+
+
+# The allocating recurrences the in-place ones replaced, kept as references:
+# the same operations in the same order must give the same bits.
+
+def _u_all_ref(kmax, x):
+    x = np.asarray(x, dtype=float)
+    out = np.empty((kmax + 1,) + x.shape)
+    out[0] = 1.0
+    if kmax >= 1:
+        out[1] = 2.0 * x
+    for j in range(2, kmax + 1):
+        out[j] = 2.0 * x * out[j - 1] - out[j - 2]
+    return out
+
+
+def _three_term_ref(k, x, first):
+    x = np.asarray(x, dtype=float)
+    prev = np.ones_like(x)
+    if k == 0:
+        return prev if prev.shape else float(prev)
+    cur = first(x)
+    for _ in range(k - 1):
+        prev, cur = cur, 2.0 * x * cur - prev
+    return cur if cur.shape else float(cur)
+
+
+def _points():
+    rng = np.random.default_rng(11)
+    return [np.float64(0.37), np.asarray(-1.0), rng.uniform(-1.0, 1.0, 257), rng.uniform(-1.0, 1.0, (7, 9))]
+
+
+def test_u_all_bit_identical_to_allocating_recurrence():
+    for x in _points():
+        for kmax in (0, 1, 2, 80):
+            want = _u_all_ref(kmax, x)
+            assert np.array_equal(u_all(kmax, x), want)
+            buf = np.full((kmax + 1,) + np.shape(x), np.nan)
+            assert u_all(kmax, x, out=buf) is buf
+            assert np.array_equal(buf, want)
+
+
+def test_u_all_into_column_sliced_slab_view():
+    x = np.random.default_rng(12).uniform(-1.0, 1.0, 300)
+    slab = np.full((81, 512), np.nan)
+    view = slab[:, :300]
+    u_all(80, x, out=view)
+    assert np.array_equal(view, _u_all_ref(80, x))
+    assert np.isnan(slab[:, 300:]).all()
+
+
+def test_u_all_out_shape_is_checked():
+    with pytest.raises(ValueError):
+        u_all(5, np.zeros(4), out=np.empty((5, 4)))
+    with pytest.raises(ValueError):
+        u_all(5, 0.1, out=np.empty((6, 1)))
+
+
+def test_u_all_with_out_allocates_less_than_one_row():
+    x = np.random.default_rng(13).uniform(-1.0, 1.0, 100_000)
+    buf = np.empty((81, x.size))
+    u_all(80, x, out=buf)  # warm up
+    tracemalloc.start()
+    try:
+        u_all(80, x, out=buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes
+
+
+def test_eval_U_and_eval_T_bit_identical_to_allocating_recurrence():
+    def twice(x):
+        return 2.0 * x
+
+    def copy(x):
+        return x.copy()
+
+    for x in _points():
+        for k in range(201):
+            u, t = eval_U(k, x), eval_T(k, x)
+            u_ref, t_ref = _three_term_ref(k, x, twice), _three_term_ref(k, x, copy)
+            assert type(u) is type(u_ref) and np.array_equal(u, u_ref)
+            assert type(t) is type(t_ref) and np.array_equal(t, t_ref)
+
+
+def test_domain_check_sees_past_nan():
+    with pytest.raises(DomainError):
+        eval_U(2, [np.nan, 1.5])
+    with pytest.raises(DomainError):
+        u_all(2, np.array([[np.nan], [-1.0000001]]))
+    assert np.isnan(eval_U(2, np.nan))
+    assert u_all(3, np.zeros(0)).shape == (4, 0)

@@ -178,6 +178,56 @@ def test_density_series_slices_keep_values_and_shape():
     assert isinstance(r0, float) and r0 == density_series(p, x[5:6])[0]
 
 
+def _density_ref(p, x):
+    # the allocating expression density used before its two-buffer form
+    x = np.asarray(x, dtype=float)
+    c = p.c
+    num = 2.0 * normalizer(p) * c ** (p.n - 2) * np.sqrt(np.maximum(c * c - x * x, 0.0))
+    den = np.pi * np.ones_like(x)
+    for aj in p.a:
+        den = den * (c * (1.0 + aj * aj) - 2.0 * aj * x)
+    r = num / den
+    return r if r.shape else float(r)
+
+
+def _density_series_ref(p, x):
+    # the sliced sum with a fresh basis per slice, before the reused slab
+    x = np.asarray(x, dtype=float)
+    K = series_truncation_order(max((abs(ai) for ai in p.a), default=0.0), 1e-10)
+    B = B_prefix(p, K).values
+    flat = x.reshape(-1)
+    s = np.empty(flat.size)
+    step = max(SERIES_BLOCK // (K + 1), 1)
+    for lo in range(0, flat.size, step):
+        s[lo:lo + step] = np.tensordot(B, u_all(K, flat[lo:lo + step]), axes=(0, 0))
+    r = (2.0 / np.pi) * np.sqrt(np.maximum(1.0 - x * x, 0.0)) * s.reshape(x.shape)
+    return r if r.shape else float(r)
+
+
+def test_density_bit_identical_to_allocating_form():
+    rng = np.random.default_rng(21)
+    for a in ((), (0.6, -0.45, 0.3, 0.1, -0.8)):
+        for c in (1.0, 1.7):
+            p = ParamSet(a=a, c=c)
+            for x in (np.float64(0.3 * c), np.asarray(-c), c * rng.uniform(-1.0, 1.0, (13, 17))):
+                got, want = density(p, x), _density_ref(p, x)
+                assert type(got) is type(want) and np.array_equal(got, want)
+
+
+def test_density_series_bit_identical_to_fresh_basis_slices():
+    p = ParamSet(a=(0.7, -0.4, 0.2))  # K = 80
+    K = series_truncation_order(0.7, 1e-10)
+    assert K == 80
+    step = SERIES_BLOCK // (K + 1)
+    rng = np.random.default_rng(22)
+    for size in (1_000_000, 3 * step + 7):
+        x = rng.uniform(-1.0, 1.0, size)
+        assert np.array_equal(density_series(p, x), _density_series_ref(p, x))
+    x = rng.uniform(-1.0, 1.0, (3, 5))
+    assert np.array_equal(density_series(p, x), _density_series_ref(p, x))
+    assert density_series(p, 0.25) == _density_series_ref(p, 0.25)
+
+
 def test_moment_values():
     assert moment(ParamSet(), 2) == pytest.approx(0.25, abs=1e-12)
     assert moment(ParamSet(), 4) == pytest.approx(0.125, abs=1e-12)

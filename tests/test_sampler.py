@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
+import gkm
 from gkm import CdfTable, ParamSet, build_cdf, ks_statistic, moment, sample
 from gkm.oracle import integrate_weighted
 from gkm.sampler import KS_CRIT_99, ks_passes
@@ -74,3 +81,25 @@ def test_ks_detects_mismatched_parameters():
     t_neg = build_cdf(ParamSet(a=(-0.6,)), 2048)
     draws = sample(t_pos, 10_000, seed=10)
     assert ks_statistic(draws, t_neg) * np.sqrt(len(draws)) > 10.0 * KS_CRIT_99
+
+
+def test_import_does_not_load_scipy_interpolate():
+    # PchipInterpolator is imported when a table is first evaluated
+    src = str(Path(gkm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for mod in ("gkm", "gkm.cli"):
+        code = f"import sys, {mod}; print('scipy.interpolate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False", mod
+
+
+def test_lazy_interpolators_give_the_same_draws_and_cdf():
+    # against PchipInterpolator built directly on the table, as sampler did
+    # with its module-level import
+    p = ParamSet(a=(0.7, -0.4, 0.2), c=1.3)
+    t = build_cdf(p, 1024)
+    u = np.random.Generator(np.random.Philox(key=99)).random(20_000)
+    want = np.clip(PchipInterpolator(t.Fs, t.xs)(u), t.xs[0], t.xs[-1])
+    assert np.array_equal(sample(t, 20_000, seed=99), want)
+    x = np.linspace(-1.3, 1.3, 1001)
+    assert np.array_equal(t.cdf(x), PchipInterpolator(t.xs, t.Fs)(x))
