@@ -44,6 +44,6 @@ from .core import (
 from .oracle import IntegrationResult, integrate_2d, integrate_3d, integrate_weighted, normalizer_numeric
 from .orthopoly import OrthoPoly, P_coeffs, P_eval, P_recur_check, gram
 from .sampler import CdfTable, build_cdf, ks_statistic, sample
-from .symfun import SymTable, delta, elementary_all
+from .symfun import SymTable, elementary_all
 
 __version__ = "0.1.0"

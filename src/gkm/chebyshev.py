@@ -20,11 +20,15 @@ from .errors import DomainError, Unsupported
 POWER_DEGREE_CAP = 64
 
 
-def _check_x(x):
+def _check_x(x, c=1.0):
+    """x as a float array, or DomainError unless every point lies in [-c, c].
+
+    min and max propagate NaN, which fails both comparisons, and allocate no
+    temporary.
+    """
     x = np.asarray(x, dtype=float)
-    # fmin/fmax skip NaN, as abs(x) > 1 does, and allocate no temporary
-    if x.size and (np.fmin.reduce(x, axis=None) < -1.0 or np.fmax.reduce(x, axis=None) > 1.0):
-        raise DomainError("x outside [-1, 1]")
+    if not (x.size == 0 or (x.min() >= -c and x.max() <= c)):
+        raise DomainError(f"x outside [-{c}, {c}]")
     return x
 
 

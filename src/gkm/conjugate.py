@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .chebyshev import _unwrap, u_all
-from .errors import DomainError, InvalidParameters, Unsupported
+from .chebyshev import _check_x, _unwrap, u_all
+from .errors import InvalidParameters, Unsupported
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,7 @@ def normalizer(p: ConjParamSet) -> float:
 
 def fM_density(p: ConjParamSet, x):
     """Density value(s) of the conjugate-pair distribution at x in [-1, 1]."""
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0):
-        raise DomainError("x outside [-1, 1]")
+    x = _check_x(x)
     A = normalizer(p)
     num = A * 2.0 * np.sqrt(np.maximum(1.0 - x * x, 0.0))
     den = np.pi * np.ones_like(x)
@@ -166,10 +164,8 @@ def poisson_mehler(x, y, rho: float, tol: float = 1e-12):
 
 def f2M(x, y, rho: float):
     """Bivariate density with Wigner marginals and U-diagonal correlation."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(np.abs(x) > 1.0) or np.any(np.abs(y) > 1.0):
-        raise DomainError("point outside [-1, 1]^2")
+    x = _check_x(x)
+    y = _check_x(y)
     r = (
         4.0
         * (1.0 - rho * rho)

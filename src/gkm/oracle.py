@@ -106,11 +106,6 @@ def integrate_plain(g, tol: float = 1e-11) -> IntegrationResult:
     return _adaptive_simpson(F, 0.0, np.pi, tol, BUDGET_1D)
 
 
-def _w_kernel(x, y, rho):
-    # duplicated from the conjugate module to keep this module import-free of it
-    return (1.0 - rho * rho) ** 2 - 4.0 * x * y * rho * (1.0 + rho * rho) + 4.0 * rho * rho * (x * x + y * y)
-
-
 def unnormalized_factor(p):
     """The factor g(x) of a density A g(x) (2/pi) sqrt(1 - x^2) at scale 1:
     1/prod_j (1 + a_j^2 - 2 a_j x), or 1/prod_i w(x, y_i, rho_i).
@@ -119,13 +114,16 @@ def unnormalized_factor(p):
     conjugate pairs (attributes `rho`, `y`).
     """
     if hasattr(p, "rho"):
+        # imported here because conjugate imports this module
+        from .conjugate import w_eval
+
         rho = np.asarray(p.rho, dtype=float)
         y = np.asarray(p.y, dtype=float)
 
         def g(x):
             r = np.ones_like(x)
             for ri, yi in zip(rho, y):
-                r = r / _w_kernel(x, yi, ri)
+                r = r / w_eval(x, yi, ri)
             return r
 
     else:

@@ -40,26 +40,11 @@ def elementary_all(a) -> SymTable:
     return SymTable(S=coeffs)
 
 
-def delta(m: int, a) -> float:
-    """Complete homogeneous sum of degree m: all monomials of total degree m.
-
-    DP over growing prefixes: h_m(a_1..a_i) = h_m(a_1..a_{i-1}) + a_i * h_{m-1}(a_1..a_i).
-    """
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    a = np.asarray(a, dtype=float)
-    if len(a) == 0:
-        return 1.0 if m == 0 else 0.0
-    h = np.zeros(m + 1)
-    h[0] = 1.0
-    for x in a:
-        for d in range(1, m + 1):
-            h[d] += x * h[d - 1]
-    return float(h[m])
-
-
 def delta_all(mmax: int, a) -> np.ndarray:
-    """h_0..h_mmax in one DP sweep."""
+    """Complete homogeneous sums h_0..h_mmax (h_m sums all monomials of total
+    degree m) in one DP sweep over growing prefixes:
+    h_m(a_1..a_i) = h_m(a_1..a_{i-1}) + a_i * h_{m-1}(a_1..a_i).
+    """
     a = np.asarray(a, dtype=float)
     h = np.zeros(mmax + 1)
     h[0] = 1.0

@@ -109,7 +109,7 @@ def suite_identities() -> list:
     r_b3 = 0.0
     for _ in range(20):
         p = _draw_params(rng, 3)
-        S3 = elementary_all(np.asarray(p.a)).S.real[3]
+        S3 = p._S[3]
         h = delta_all(21, p.a)
         for k in range(1, 21):
             r_b3 = max(r_b3, abs(core.B_coeff(p, k) - (h[k] - S3 * h[k - 1])))
@@ -210,7 +210,7 @@ def suite_orthogonality() -> list:
         for m in range(13):
             r_diag = max(r_diag, max(0.0, -orthopoly.gram(m, m, p)))
         if n >= 5:
-            S = elementary_all(np.asarray(p.a)).S.real
+            S = p._S
             B = core.B_prefix(p, 4).values
             expect = -S[5] * B[2] + (S[6] * B[3] if n == 6 else 0.0)
             r_defect = max(r_defect, abs(orthopoly.gram(1, 0, p) - expect))

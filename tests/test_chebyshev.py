@@ -211,5 +211,13 @@ def test_domain_check_sees_past_nan():
         eval_U(2, [np.nan, 1.5])
     with pytest.raises(DomainError):
         u_all(2, np.array([[np.nan], [-1.0000001]]))
-    assert np.isnan(eval_U(2, np.nan))
+    with pytest.raises(DomainError):
+        eval_U(2, np.nan)
     assert u_all(3, np.zeros(0)).shape == (4, 0)
+
+
+@pytest.mark.parametrize("x", [np.nan, [0.2, np.nan], np.array([[np.nan]])])
+def test_every_evaluator_rejects_nan(x):
+    for fn in (lambda x: eval_T(3, x), lambda x: u_all(3, x), USeries((1.0, 0.5, -0.2))):
+        with pytest.raises(DomainError):
+            fn(x)

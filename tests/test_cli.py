@@ -41,6 +41,13 @@ def test_eval_rejects_nan_point(capsys):
     assert "outside" in err
 
 
+def test_conj_eval_rejects_nan_point(capsys):
+    code, out, err = run(capsys, "conj-eval", "--rho", "0.5", "--y", "0.2", "--x", "nan")
+    assert code == 2
+    assert out == ""
+    assert "outside" in err
+
+
 def test_params_file_rejects_nan(tmp_path, capsys):
     f = tmp_path / "p.json"
     f.write_text(json.dumps({"a": [float("nan"), 0.2]}))  # written as NaN, which json.loads accepts

@@ -17,7 +17,7 @@ from gkm import (
     w_eval,
     wigner_density,
 )
-from gkm.errors import InvalidParameters, Unsupported
+from gkm.errors import DomainError, InvalidParameters, Unsupported
 from gkm.oracle import integrate_weighted, normalizer_numeric
 
 
@@ -36,6 +36,16 @@ def test_conj_paramset_rejects_nan(rho, y):
         ConjParamSet(rho=rho, y=y)
     p = ConjParamSet(rho=(0.5,), y=(1.0,))
     assert p.k == 1
+
+
+@pytest.mark.parametrize("x", [float("nan"), [0.1, float("nan")]])
+def test_conjugate_densities_reject_nan_points(x):
+    with pytest.raises(DomainError):
+        fM_density(ConjParamSet(rho=(0.5,), y=(0.2,)), x)
+    with pytest.raises(DomainError):
+        f2M(x, 0.3, 0.4)
+    with pytest.raises(DomainError):
+        f2M(0.3, x, 0.4)
 
 
 def test_conj_json_roundtrip():

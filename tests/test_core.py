@@ -57,6 +57,10 @@ def test_density_rejects_nan_points():
             density(p, x)
         with pytest.raises(DomainError):
             density_series(p, x)
+        with pytest.raises(DomainError):
+            density_classical_km(2.0, x)
+    empty = density(p, [])
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
 def test_paramset_json_roundtrip():
@@ -139,6 +143,81 @@ def test_B_prefix_matches_B_coeff():
     pre = B_prefix(p, 15).values
     for k in range(16):
         assert pre[k] == pytest.approx(B_coeff(p, k), abs=1e-14)
+
+
+def _one_route_sets():
+    """Seeded distinct sets, n = 0..10, a quarter of them at c != 1; sets 45
+    and 146 are ones where the former per-term and vectorized B forms
+    disagreed in the last bit."""
+    rng = np.random.default_rng(20151007)
+    sets = []
+    for i in range(160):
+        n = i % 11
+        c = 1.0 if i % 4 else float(rng.uniform(0.3, 3.0))
+        while True:
+            p = ParamSet(a=tuple(rng.uniform(-0.9, 0.9, n)), c=c)
+            if p.min_gap >= 0.02:
+                sets.append(p)
+                break
+    return sets
+
+
+def _former_B_prefix(p, K):
+    """The former vectorized closed form of B_prefix, as a fixed reference."""
+    ks = np.arange(K + 1)
+    return p._A_closed * np.sum(p._a[None, :] ** (p.n + ks[:, None] - 1) / p._pf_den[None, :], axis=1)
+
+
+def test_B_has_the_same_bits_whichever_indices_are_asked_for():
+    for p in _one_route_sets():
+        longest = B_prefix(p, 60).values
+        for K in (0, 1, 2, 5, 20, 60):
+            pre = B_prefix(p, K).values
+            assert pre.tobytes() == longest[: K + 1].tobytes()
+            for k in range(K + 1):
+                assert B_coeff(p, k) == pre[k]
+
+
+def _moment_per_term(B, k):
+    total = 0.0
+    for j in range(k // 2 + 1):
+        total += (k - 2 * j + 1) * math.comb(k + 1, j) * float(B[k - 2 * j])
+    return total / ((k + 1) * 2 ** k)
+
+
+def _inner_UU_per_term(B, k, m):
+    return float(sum(float(B[abs(m - k) + 2 * j]) for j in range(min(m, k) + 1)))
+
+
+def test_moment_and_inner_UU_are_per_term_sums_of_B_prefix():
+    for p in _one_route_sets():
+        B = B_prefix(p, 20).values
+        for k in range(9):
+            for m in range(9):
+                assert inner_UU(p, k, m) == _inner_UU_per_term(B, k, m)
+        if p.c == 1.0:
+            for k in range(13):
+                assert moment(p, k) == _moment_per_term(B, k)
+
+
+def test_B_prefix_keeps_the_bits_density_series_uses():
+    rng = np.random.default_rng(20150713)
+    for _ in range(20):
+        for n, amax in ((3, 0.7), (1, 0.5), (5, 0.3)):
+            a = rng.uniform(-amax, amax, n)
+            p = ParamSet(a=tuple(a * (amax / np.max(np.abs(a)))))
+            for K in (80, series_truncation_order(amax, 1e-10)):
+                assert B_prefix(p, K).values.tobytes() == _former_B_prefix(p, K).tobytes()
+
+
+def test_coincident_set_refuses_every_B_route():
+    from gkm.orthopoly import gram
+
+    p = ParamSet(a=(0.3, 0.3))
+    for fn in (lambda: B_coeff(p, 0), lambda: B_prefix(p, 3), lambda: moment(p, 0),
+               lambda: inner_UU(p, 0, 0), lambda: gram(1, 0, p)):
+        with pytest.raises(DegenerateParameters):
+            fn()
 
 
 def test_density_series_matches_product():
@@ -275,12 +354,14 @@ def test_residual_id():
 
 
 def test_residual_id2():
-    from gkm import delta, elementary_all
+    from gkm import elementary_all
+    from gkm.symfun import delta_all
 
     p = ParamSet(a=(0.2, 0.3))
     # m=2 is the classical e-h identity Delta_2 - S_1 Delta_1 + S_2 Delta_0
     S = elementary_all(p.a)
-    direct = delta(2, p.a) - S[1] * delta(1, p.a) + S[2]
+    h = delta_all(2, p.a)
+    direct = h[2] - S[1] * h[1] + S[2]
     assert direct == pytest.approx(0.0, abs=1e-15)
     assert abs(residual_id2(2, p)) <= 1e-13
     assert abs(residual_id2(1, ParamSet(a=(0.1, 0.2, 0.3)))) <= 1e-12

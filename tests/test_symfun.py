@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gkm import delta, elementary_all
+from gkm import elementary_all
 from gkm.symfun import delta_all
 
 
@@ -43,18 +43,18 @@ def test_elementary_complex_dtype():
 
 
 def test_delta_small():
-    assert delta(1, (0.3, 0.4)) == pytest.approx(0.7)
-    assert delta(2, (0.1, 0.2)) == pytest.approx(0.07)
-    assert delta(3, (0.5,)) == pytest.approx(0.125)
-    assert delta(0, ()) == 1.0
-    assert delta(2, ()) == 0.0
+    assert delta_all(1, (0.3, 0.4))[1] == pytest.approx(0.7)
+    assert delta_all(2, (0.1, 0.2))[2] == pytest.approx(0.07)
+    assert delta_all(3, (0.5,))[3] == pytest.approx(0.125)
+    assert delta_all(0, ())[0] == 1.0
+    assert delta_all(2, ())[2] == 0.0
 
 
 def test_delta_equal_parameters_count():
     # all parameters equal: h_m = C(m+n-1, m) a^m
     for n in (1, 2, 3, 4):
         for m in (0, 1, 2, 3):
-            got = delta(m, (0.5,) * n)
+            got = delta_all(m, (0.5,) * n)[m]
             expect = math.comb(m + n - 1, m) * 0.5 ** m
             assert got == pytest.approx(expect, abs=1e-14)
 
