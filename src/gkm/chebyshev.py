@@ -199,10 +199,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    @property
-    def count(self) -> int:
-        return len(self.nodes)
-
     def apply(self, g) -> float:
         return float(np.dot(self.weights, g(self.nodes)))
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import conjugate, core, orthopoly, sampler, verify
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = verify.SCHEMA_VERSION
 
 # rows of a CSV output formatted and written at once
 CSV_CHUNK_ROWS = 1 << 16
@@ -75,18 +75,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cell(v) -> str:
-    return f"{v!r}" if isinstance(v, float) else f"{v}"
-
-
 def _column_text(col):
-    # a float64 array and a range format their elements as _cell would,
-    # without a type check per cell
+    # every cell prints with str; repr gives a float the same text, faster
     if isinstance(col, np.ndarray):
-        return map(repr if col.dtype == np.float64 else _cell, col.tolist())
-    if isinstance(col, range):
-        return map(str, col)
-    return map(_cell, col)
+        return map(repr if col.dtype == np.float64 else str, col.tolist())
+    return map(str, col)
 
 
 def _format_rows(chunk) -> str:

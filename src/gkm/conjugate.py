@@ -134,7 +134,7 @@ def fM_density(p: ConjParamSet, x):
 
 def wigner_density(x):
     """Semicircle density, the zero-pair member of the family."""
-    x = np.asarray(x, dtype=float)
+    x = _check_x(x)
     r = (2.0 / np.pi) * np.sqrt(np.maximum(1.0 - x * x, 0.0))
     return _unwrap(r)
 
@@ -177,9 +177,9 @@ def f2M(x, y, rho: float):
 
 def g3(y1, y2, y3, r1: float, r2: float, r3: float):
     """Trivariate density whose 2D marginals are the pairwise f2M densities."""
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
-    y3 = np.asarray(y3, dtype=float)
+    y1 = _check_x(y1)
+    y2 = _check_x(y2)
+    y3 = _check_x(y3)
     num = (
         (8.0 / np.pi ** 3)
         * np.sqrt(np.maximum(1.0 - y1 * y1, 0.0))
@@ -198,7 +198,8 @@ def g3(y1, y2, y3, r1: float, r2: float, r3: float):
 
 def transition_density(x, y, rho: float):
     """One-pair density viewed as the Markov transition kernel x | y."""
-    x = np.asarray(x, dtype=float)
+    x = _check_x(x)
+    y = _check_x(y)
     r = (1.0 - rho * rho) * (2.0 / np.pi) * np.sqrt(np.maximum(1.0 - x * x, 0.0)) / w_eval(x, y, rho)
     return _unwrap(r)
 

@@ -129,10 +129,6 @@ class BSeq:
 
     values: np.ndarray
 
-    @property
-    def K(self) -> int:
-        return len(self.values) - 1
-
     def __getitem__(self, k: int) -> float:
         return float(self.values[k])
 
@@ -324,9 +320,9 @@ def inner_UU(p: ParamSet, k: int, m: int) -> float:
 
 # coefficient arrays below are ascending in t
 
-def _poly_from_roots_factors(a: np.ndarray, skip: int | None = None) -> np.ndarray:
+def _poly_from_roots_factors(a: np.ndarray, skip: int) -> np.ndarray:
     """Coefficients of prod_{j != skip} (1 - a_j t)."""
-    coeffs = np.zeros(len(a) + (0 if skip is None else -1) + 1)
+    coeffs = np.zeros(len(a))
     coeffs[0] = 1.0
     pos = 0
     for j, aj in enumerate(a):
@@ -396,18 +392,13 @@ def residual_id(k: int, a) -> float:
         raise ValueError("k must satisfy 1 <= k <= n - 1")
     if np.any(a == 0.0):
         raise ZeroParameter("g(x) = (1 + x^2)/(2x) is undefined at 0")
-    p = ParamSet(a=tuple(a))
-    _require_distinct(p)
+    # (a_j - a_i) is exactly -(a_i - a_j), so these are the denominators' bits
+    den = (-1.0) ** (n - 1) * ParamSet(a=tuple(a))._pf_den
     g = (1.0 + a * a) / (2.0 * a)
     total = 0.0
     for i in range(n):
-        others = np.delete(g, i)
-        Sk = elementary_all(others)[k]
-        den = 1.0
-        for j in range(n):
-            if j != i:
-                den *= (a[j] - a[i]) * (1.0 - a[i] * a[j])
-        total += a[i] ** (n - 2) * Sk / den
+        Sk = elementary_all(np.delete(g, i))[k]
+        total += a[i] ** (n - 2) * Sk / den[i]
     return float(total)
 
 

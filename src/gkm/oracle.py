@@ -27,9 +27,6 @@ class IntegrationResult:
     abs_error_estimate: float
     evaluations: int
 
-    def __float__(self):
-        return self.value
-
 
 def _adaptive_simpson(F, lo: float, hi: float, tol: float, budget: int) -> IntegrationResult:
     """Vectorized adaptive Simpson: all active intervals are bisected in one
@@ -162,22 +159,28 @@ def _tensor_simpson_2d(h, npanels: int) -> float:
     return float(w @ vals @ w)
 
 
-def integrate_2d(h, tol: float = 1e-9) -> IntegrationResult:
-    """integral over [-1,1]^2 of h(x, y), by tensorized cos substitution with
-    panel doubling until the Richardson difference is below tol."""
+def _refine(rule, dim: int, tol: float, n_max: int) -> IntegrationResult:
+    """Double the panel count of `rule(n)` (a tensor rule on (n + 1)**dim
+    points) from 16 until the Richardson difference is below tol."""
     n = 16
-    prev = _tensor_simpson_2d(h, n)
-    evals = (n + 1) ** 2
+    prev = rule(n)
+    evals = (n + 1) ** dim
     while True:
         n *= 2
-        cur = _tensor_simpson_2d(h, n)
-        evals += (n + 1) ** 2
+        cur = rule(n)
+        evals += (n + 1) ** dim
         err = abs(cur - prev) / 15.0
         if err <= tol:
             return IntegrationResult(value=cur, abs_error_estimate=err, evaluations=evals)
-        if (2 * n + 1) ** 2 > BUDGET_CELLS_3D or n > 8192:
-            raise NonConvergence("2D panel refinement exhausted before tolerance")
+        if (2 * n + 1) ** dim > BUDGET_CELLS_3D or n > n_max:
+            raise NonConvergence(f"{dim}D panel refinement exhausted before tolerance")
         prev = cur
+
+
+def integrate_2d(h, tol: float = 1e-9) -> IntegrationResult:
+    """integral over [-1,1]^2 of h(x, y), by tensorized cos substitution with
+    panel doubling until the Richardson difference is below tol."""
+    return _refine(lambda n: _tensor_simpson_2d(h, n), 2, tol, 8192)
 
 
 def _tensor_simpson_3d(h, npanels: int) -> float:
@@ -201,19 +204,7 @@ def integrate_3d(h, tol: float = 1e-7, budget: int = 1 << 16) -> IntegrationResu
     confirmed against a scrambled-Sobol quasi-MC estimate with a fixed seed;
     raises if the two estimators disagree beyond combined error bars.
     """
-    n = 16
-    prev = _tensor_simpson_3d(h, n)
-    evals = (n + 1) ** 3
-    while True:
-        n *= 2
-        cur = _tensor_simpson_3d(h, n)
-        evals += (n + 1) ** 3
-        err = abs(cur - prev) / 15.0
-        if err <= tol:
-            break
-        if (2 * n + 1) ** 3 > BUDGET_CELLS_3D or n > 512:
-            raise NonConvergence("3D panel refinement exhausted before tolerance")
-        prev = cur
+    t = _refine(lambda n: _tensor_simpson_3d(h, n), 3, tol, 512)
 
     # imported here, not at the top, so that `import gkm` does not load scipy.stats
     from scipy.stats import qmc
@@ -221,13 +212,12 @@ def integrate_3d(h, tol: float = 1e-7, budget: int = 1 << 16) -> IntegrationResu
     sampler = qmc.Sobol(d=3, scramble=True, seed=MC_SEED)
     pts = 2.0 * sampler.random(budget) - 1.0
     vals = h(pts[:, 0], pts[:, 1], pts[:, 2]) * 8.0
-    evals += budget
     nbatch = 8
     batches = vals.reshape(nbatch, -1).mean(axis=1)
     mc = float(batches.mean())
     mc_sigma = float(batches.std(ddof=1) / np.sqrt(nbatch))
-    if abs(cur - mc) > 3.0 * mc_sigma + err + tol:
+    if abs(t.value - mc) > 3.0 * mc_sigma + t.abs_error_estimate + tol:
         raise EstimatorDisagreement(
-            f"tensor {cur} vs quasi-MC {mc} (sigma {mc_sigma}, tensor err {err})"
+            f"tensor {t.value} vs quasi-MC {mc} (sigma {mc_sigma}, tensor err {t.abs_error_estimate})"
         )
-    return IntegrationResult(value=cur, abs_error_estimate=err, evaluations=evals)
+    return IntegrationResult(t.value, t.abs_error_estimate, t.evaluations + budget)

@@ -28,7 +28,6 @@ class CdfTable:
 
     xs: np.ndarray
     Fs: np.ndarray
-    params: ParamSet
 
     def cdf(self, x):
         return self._forward(np.asarray(x, dtype=float))
@@ -81,7 +80,7 @@ def build_cdf(p: ParamSet, N: int = 2048) -> CdfTable:
     Fs /= Fs[-1]
     Fs[0] = 0.0
     Fs[-1] = 1.0
-    return CdfTable(xs=xs, Fs=Fs, params=p)
+    return CdfTable(xs=xs, Fs=Fs)
 
 
 def sample(t: CdfTable, count: int, seed: int) -> np.ndarray:
@@ -107,9 +106,7 @@ def ks_statistic(samples, t: CdfTable) -> float:
     return float(max(d_plus, d_minus))
 
 
-def ks_passes(samples, t: CdfTable, significance: float = 0.01) -> bool:
-    """Asymptotic Kolmogorov test at 1% significance (the only level pinned)."""
-    if significance != 0.01:
-        raise ValueError("only the 1% critical value is tabulated")
+def ks_passes(samples, t: CdfTable) -> bool:
+    """Asymptotic Kolmogorov test at 1% significance."""
     n = len(samples)
     return ks_statistic(samples, t) * np.sqrt(n) < KS_CRIT_99

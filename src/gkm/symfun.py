@@ -18,10 +18,6 @@ class SymTable:
 
     S: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return len(self.S) - 1
-
     def __getitem__(self, k: int) -> float:
         return float(self.S[k])
 

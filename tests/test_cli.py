@@ -331,3 +331,8 @@ def test_forked_cli_writes_each_byte_once(tmp_path, monkeypatch):
     forked = tmp_path / "forked.csv"
     subprocess.run(cmd + ["--out", str(forked)], env=env, capture_output=True, check=True)
     assert forked.read_bytes() == want
+
+
+def test_write_csv_prints_numpy_scalars_in_lists_as_numbers(capsys):
+    cli._write_csv(None, ["v", "k"], [np.float64(0.1), 0.25], [np.int64(3), 4])
+    assert capsys.readouterr().out == f"# schema_version={SCHEMA_VERSION}\nv,k\n0.1,3\n0.25,4\n"

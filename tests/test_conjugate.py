@@ -165,3 +165,18 @@ def test_conditional_bridge():
     assert conditional_bridge(x, y1, y2, 0.0, r2) == pytest.approx(
         fM_density(ConjParamSet(rho=(r2,), y=(y2,)), x), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 1.5, -float("inf")])
+def test_conjugate_kernels_check_every_point(bad):
+    with pytest.raises(DomainError):
+        wigner_density(bad)
+    with pytest.raises(DomainError):
+        transition_density(bad, 0.3, 0.4)
+    with pytest.raises(DomainError):
+        transition_density(0.3, bad, 0.4)
+    for pos in range(3):
+        y = [0.1, -0.2, 0.3]
+        y[pos] = bad
+        with pytest.raises(DomainError):
+            g3(*y, 0.5, -0.4, 0.3)

@@ -374,3 +374,38 @@ def test_normalizer_fallback_paths():
     # n = 7 distinct uses the partial-fraction form
     p7 = ParamSet(a=(-0.6, -0.4, -0.2, 0.0, 0.2, 0.4, 0.6))
     assert normalizer(p7) == pytest.approx(normalizer_numeric(p7), abs=1e-9)
+
+
+def _residual_id_double_loop(k, a):
+    # the denominators rebuilt term by term, as residual_id once did
+    from gkm import elementary_all
+
+    a = np.asarray(a, dtype=float)
+    n = len(a)
+    g = (1.0 + a * a) / (2.0 * a)
+    total = 0.0
+    for i in range(n):
+        Sk = elementary_all(np.delete(g, i))[k]
+        den = 1.0
+        for j in range(n):
+            if j != i:
+                den *= (a[j] - a[i]) * (1.0 - a[i] * a[j])
+        total += a[i] ** (n - 2) * Sk / den
+    return float(total)
+
+
+def test_residual_id_has_the_bits_of_the_double_loop():
+    rng = np.random.default_rng(77)
+    for n in range(2, 9):
+        for _ in range(5):
+            while True:
+                a = tuple(rng.uniform(-0.9, 0.9, n))
+                if ParamSet(a=a).min_gap >= 0.05 and min(map(abs, a)) > 0.05:
+                    break
+            for k in range(1, n):
+                got = residual_id(k, a)
+                assert np.array_equal(got, _residual_id_double_loop(k, a)), (a, k)
+    with pytest.raises(DegenerateParameters):
+        residual_id(1, (0.3, 0.3, 0.5))
+    with pytest.raises(ZeroParameter):
+        residual_id(1, (0.3, 0.0))

@@ -101,3 +101,24 @@ def test_import_does_not_load_scipy_stats():
     code = "import sys, gkm; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_panel_refinement_exhaustion_raises(dim, monkeypatch):
+    # a cell budget below the 32-panel grid stops at the first refinement
+    monkeypatch.setattr(oracle, "BUDGET_CELLS_3D", 1000)
+    with pytest.raises(NonConvergence, match=f"^{dim}D panel refinement exhausted before tolerance$"):
+        if dim == 2:
+            integrate_2d(lambda x, y: f2M(x, y, 0.5), 0.0)
+        else:
+            integrate_3d(lambda a, b, c: g3(a, b, c, 0.5, -0.4, 0.3), 0.0)
+
+
+def test_tensor_evaluation_counts():
+    # every (n + 1)**dim grid from 16 panels up to convergence, plus the
+    # 2**16 quasi-MC points in 3D
+    assert integrate_2d(lambda x, y: f2M(x, y, 0.0), 1e-9).evaluations == 1378
+    assert integrate_2d(lambda x, y: f2M(x, y, 0.5), 1e-9).evaluations == 5603
+    assert integrate_2d(lambda x, y: f2M(x, y, 0.5) * x * y, 1e-10).evaluations == 5603
+    assert integrate_3d(lambda a, b, c: g3(a, b, c, 0.0, 0.0, 0.0), 1e-7).evaluations == 106386
+    assert integrate_3d(lambda a, b, c: g3(a, b, c, 0.5, -0.4, 0.3), 1e-7).evaluations == 106386
