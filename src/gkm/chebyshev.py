@@ -37,29 +37,17 @@ def _unwrap(r):
     return r if r.shape else float(r)
 
 
-def _step(twox, u1, u2, out):
-    """One three-term step out = twox * u1 - u2, computed in out; the same
-    bits as 2.0 * x * u1 - u2, since doubling is exact."""
-    np.multiply(twox, u1, out=out)
-    return np.subtract(out, u2, out=out)
-
-
-def _recur(k, twox, u1):
-    """Term k of v_j = 2x v_{j-1} - v_{j-2} from v_0 = 1 and v_1 = u1, in
-    three rotating buffers; twox and u1 must be distinct arrays."""
-    prev = np.ones_like(twox)
+def _recur(k, x, u1):
+    """Term k of v_j = 2x v_{j-1} - v_{j-2} from v_0 = 1 and v_1 = u1, with
+    plain operators, so a 0-d x steps on numpy scalars."""
+    prev = np.ones_like(x)
     if k == 0:
         return prev
-    cur, nxt = u1, np.empty_like(twox)
+    twox = 2.0 * x
+    cur = u1
     for _ in range(k - 1):
-        _step(twox, cur, prev, nxt)
-        prev, cur, nxt = cur, nxt, prev
+        prev, cur = cur, twox * cur - prev
     return cur
-
-
-def _twice(x):
-    # through out= so that a 0-d x gives a 0-d array, not a numpy scalar
-    return np.multiply(2.0, x, out=np.empty_like(x))
 
 
 def u_all(kmax: int, x, out=None):
@@ -78,8 +66,11 @@ def u_all(kmax: int, x, out=None):
     out[0, ...] = 1.0
     if kmax >= 1:
         np.multiply(2.0, x, out=out[1, ...])
+    # out[j] = 2x out[j-1] - out[j-2] in place: the same bits, since
+    # doubling is exact
     for j in range(2, kmax + 1):
-        _step(out[1, ...], out[j - 1, ...], out[j - 2, ...], out[j, ...])
+        np.multiply(out[1, ...], out[j - 1, ...], out=out[j, ...])
+        np.subtract(out[j, ...], out[j - 2, ...], out=out[j, ...])
     return out
 
 
@@ -87,8 +78,8 @@ def eval_U(k: int, x):
     """U_k(x) by the forward recurrence; k >= 0, |x| <= 1."""
     if k < 0:
         raise ValueError("k must be non-negative; use eval_U_signed")
-    twox = _twice(_check_x(x))
-    return _unwrap(_recur(k, twox, twox.copy()))
+    x = _check_x(x)
+    return _unwrap(_recur(k, x, 2.0 * x))
 
 
 def eval_U_signed(k: int, x):
@@ -98,8 +89,7 @@ def eval_U_signed(k: int, x):
     x = _check_x(x)
     if k == -1:
         return _unwrap(np.zeros_like(x))
-    r = eval_U(-k - 2, x)
-    return -r
+    return -eval_U(-k - 2, x)
 
 
 def eval_T(k: int, x):
@@ -107,7 +97,8 @@ def eval_T(k: int, x):
     if k < 0:
         raise ValueError("k must be non-negative")
     x = _check_x(x)
-    return _unwrap(_recur(k, _twice(x), x.copy()))
+    # +x is a new array, so T_1 is never the caller's own x
+    return _unwrap(_recur(k, x, +x))
 
 
 @dataclass(frozen=True)

@@ -67,12 +67,13 @@ def _parse_conj_params(args) -> conjugate.ConjParamSet:
     return conjugate.ConjParamSet(rho=rho, y=y)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None, stream) -> None:
+    """Write text to the file `out`, or to `stream` without one."""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        stream.write(text)
 
 
 def _column_text(col):
@@ -147,6 +148,8 @@ def cmd_grid(args) -> int:
 
 def cmd_moments(args) -> int:
     p = _parse_real_params(args)
+    if args.K < 0:
+        raise ValidationError("--K must be non-negative")
     ks = range(args.K + 1)
     _write_csv(args.out, ["k", "moment"], ks, [core.moment(p, k) for k in ks])
     return 0
@@ -169,18 +172,10 @@ def cmd_genfun(args) -> int:
     return 0
 
 
-def _run_report(suite, tol, out) -> int:
-    report = verify.run_verify(suite, tol)
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
-    return 0 if report["pass"] else 1
-
-
 def cmd_verify(args) -> int:
-    return _run_report(args.suite, args.tol, args.out)
-
-
-def cmd_conj_verify(args) -> int:
-    return _run_report(_CONJ_SUITES, args.tol, args.out)
+    report = verify.run_verify(args.suite, args.tol)
+    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out, sys.stdout)
+    return 0 if report["pass"] else 1
 
 
 def cmd_sample(args) -> int:
@@ -195,14 +190,10 @@ def cmd_sample(args) -> int:
         "seed": args.seed,
         "count": args.n_points,
         "ks_statistic": d,
-        "ks_pass_1pct": bool(d * np.sqrt(args.n_points) < sampler.KS_CRIT_99),
+        "ks_pass_1pct": sampler._ks_pass(d, args.n_points),
     }
     text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out + ".json", "w") as fh:
-            fh.write(text)
-    else:
-        sys.stderr.write(text)
+    _emit(text, args.out and args.out + ".json", sys.stderr)
     return 0
 
 
@@ -275,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("conj-verify", help="conjugate-branch suites only")
     sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--out", help="output path (default stdout)")
-    sp.set_defaults(fn=cmd_conj_verify)
+    sp.set_defaults(fn=cmd_verify, suite=_CONJ_SUITES)
 
     return parser
 
@@ -285,7 +276,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,6 +11,7 @@ and trivariate densities, and the Markov-kernel identities they satisfy.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,7 +141,10 @@ def wigner_density(x):
 
 
 def poisson_mehler_order(rho: float, tol: float) -> int:
-    """Smallest J with (J+1)^2 |rho|^J / (1 - |rho|) < tol."""
+    """Smallest J with (J+1)^2 |rho|^J / (1 - |rho|) < tol; 0 < tol < inf."""
+    # written as "not (...)" so that NaN is rejected too
+    if not (0.0 < tol < math.inf):
+        raise InvalidParameters(f"tol must be positive and finite, got {tol}")
     r = abs(rho)
     if r == 0.0:
         return 0
@@ -154,8 +158,6 @@ def poisson_mehler(x, y, rho: float, tol: float = 1e-12):
     """Truncated series sum_j rho^j U_j(x) U_j(y); equals
     (1 - rho^2) / w(x, y | rho) within tol."""
     J = poisson_mehler_order(rho, tol)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     ux = u_all(J, x)
     uy = u_all(J, y)
     powers = rho ** np.arange(J + 1)

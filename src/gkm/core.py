@@ -259,12 +259,17 @@ def B_coeff(p: ParamSet, k: int) -> float:
 
 def B_prefix(p: ParamSet, K: int) -> BSeq:
     """B_{n,0}..B_{n,K} by the closed form."""
+    if K < 0:
+        raise ValueError("K must be non-negative")
     return BSeq(values=_B_values(p, np.arange(K + 1)))
 
 
 def series_truncation_order(amax: float, tol: float) -> int:
     """Smallest K with the tail bound amax^{K+1} (K+2) / (1 - amax) < tol
-    (uses |U_k| <= k + 1 on [-1, 1])."""
+    (uses |U_k| <= k + 1 on [-1, 1]); 0 < tol < inf."""
+    # written as "not (...)" so that NaN is rejected too
+    if not (0.0 < tol < math.inf):
+        raise InvalidParameters(f"tol must be positive and finite, got {tol}")
     if amax == 0.0:
         return 0
     K = 0
@@ -359,6 +364,8 @@ def Q_poly(p: ParamSet) -> np.ndarray:
 def B_from_genfun(p: ParamSet, K: int) -> BSeq:
     """B_{n,0}..B_{n,K} by formal power-series division of the generating
     function Q_n(t) / prod_i (1 - a_i t)."""
+    if K < 0:
+        raise ValueError("K must be non-negative")
     q = Q_poly(p)
     S = p._S
     d = S * (-1.0) ** np.arange(len(S))  # coefficients of prod (1 - a_i t)

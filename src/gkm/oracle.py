@@ -18,6 +18,7 @@ from .errors import EstimatorDisagreement, NonConvergence
 
 BUDGET_1D = 10_000_000
 BUDGET_CELLS_3D = 100_000_000
+MC_POINTS = 1 << 16  # quasi-MC points confirming a 3D tensor estimate
 MC_SEED = 20150601  # fixed so acceptance runs are reproducible
 
 
@@ -28,11 +29,12 @@ class IntegrationResult:
     evaluations: int
 
 
-def _adaptive_simpson(F, lo: float, hi: float, tol: float, budget: int) -> IntegrationResult:
-    """Vectorized adaptive Simpson: all active intervals are bisected in one
-    batched call per sweep; local acceptance at tol * (width / total width)."""
+def _adaptive_simpson(F, tol: float) -> IntegrationResult:
+    """Vectorized adaptive Simpson on [0, pi] within BUDGET_1D evaluations:
+    all active intervals are bisected in one batched call per sweep; local
+    acceptance at tol * (width / pi)."""
     n0 = 8
-    edges = np.linspace(lo, hi, n0 + 1)
+    edges = np.linspace(0.0, np.pi, n0 + 1)
     a = edges[:-1]
     b = edges[1:]
     m = 0.5 * (a + b)
@@ -41,12 +43,11 @@ def _adaptive_simpson(F, lo: float, hi: float, tol: float, budget: int) -> Integ
     fm = F(m)
     evals = 3 * n0
     S = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    total = hi - lo
     acc_val = 0.0
     acc_err = 0.0
     while a.size:
-        if evals > budget:
-            raise NonConvergence(f"evaluation budget {budget} exhausted")
+        if evals > BUDGET_1D:
+            raise NonConvergence(f"evaluation budget {BUDGET_1D} exhausted")
         ml = 0.5 * (a + m)
         mr = 0.5 * (m + b)
         fml = F(ml)
@@ -59,9 +60,9 @@ def _adaptive_simpson(F, lo: float, hi: float, tol: float, budget: int) -> Integ
         err = np.abs(diff) / 15.0
         # floor at roundoff of the local contributions so refinement terminates
         ok = (
-            (err <= tol * (h / total))
+            (err <= tol * (h / np.pi))
             | (err <= 8.0 * np.finfo(float).eps * (np.abs(Sl) + np.abs(Sr)))
-            | (h <= total * 2.0 ** -42)
+            | (h <= np.pi * 2.0 ** -42)
         )
         acc_val += float(np.sum(Sl[ok] + Sr[ok] + diff[ok] / 15.0))
         acc_err += float(np.sum(err[ok]))
@@ -87,7 +88,7 @@ def integrate_weighted(g, tol: float = 1e-11) -> IntegrationResult:
     def F(theta):
         return (2.0 / np.pi) * g(np.cos(theta)) * np.sin(theta) ** 2
 
-    return _adaptive_simpson(F, 0.0, np.pi, tol, BUDGET_1D)
+    return _adaptive_simpson(F, tol)
 
 
 def integrate_plain(g, tol: float = 1e-11) -> IntegrationResult:
@@ -100,7 +101,7 @@ def integrate_plain(g, tol: float = 1e-11) -> IntegrationResult:
     def F(theta):
         return g(np.cos(theta)) * np.sin(theta)
 
-    return _adaptive_simpson(F, 0.0, np.pi, tol, BUDGET_1D)
+    return _adaptive_simpson(F, tol)
 
 
 def unnormalized_factor(p):
@@ -135,28 +136,28 @@ def unnormalized_factor(p):
     return g
 
 
-def normalizer_numeric(p, tol: float = 1e-11) -> float:
+def normalizer_numeric(p) -> float:
     """1 / integral of the unnormalized density (the closed constant A set to 1),
     for either parameter-set flavor."""
-    return 1.0 / integrate_weighted(unnormalized_factor(p), tol).value
+    return 1.0 / integrate_weighted(unnormalized_factor(p)).value
 
 
-def _simpson_weights(npts: int) -> np.ndarray:
-    # npts odd
-    w = np.ones(npts)
+def _panels(n: int):
+    """cos(theta), sin(theta) and the Simpson weights of n panels on [0, pi]."""
+    theta = np.linspace(0.0, np.pi, n + 1)
+    w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w / 3.0
+    return np.cos(theta), np.sin(theta), w / 3.0 * (np.pi / n)
+
+
+def _simpson_2d(h, x, s, w) -> float:
+    vals = h(x[:, None], x[None, :]) * s[:, None] * s[None, :]
+    return float(w @ vals @ w)
 
 
 def _tensor_simpson_2d(h, npanels: int) -> float:
-    theta = np.linspace(0.0, np.pi, npanels + 1)
-    step = np.pi / npanels
-    x = np.cos(theta)
-    s = np.sin(theta)
-    vals = h(x[:, None], x[None, :]) * s[:, None] * s[None, :]
-    w = _simpson_weights(npanels + 1) * step
-    return float(w @ vals @ w)
+    return _simpson_2d(h, *_panels(npanels))
 
 
 def _refine(rule, dim: int, tol: float, n_max: int) -> IntegrationResult:
@@ -184,20 +185,15 @@ def integrate_2d(h, tol: float = 1e-9) -> IntegrationResult:
 
 
 def _tensor_simpson_3d(h, npanels: int) -> float:
-    theta = np.linspace(0.0, np.pi, npanels + 1)
-    step = np.pi / npanels
-    x = np.cos(theta)
-    s = np.sin(theta)
-    w = _simpson_weights(npanels + 1) * step
+    x, s, w = _panels(npanels)
     acc = 0.0
-    # slab at a time along the first axis to bound memory
+    # slab at a time along the first axis to bound memory, on one grid
     for i in range(npanels + 1):
-        vals = h(x[i], x[:, None], x[None, :]) * s[:, None] * s[None, :]
-        acc += w[i] * s[i] * float(w @ vals @ w)
+        acc += w[i] * s[i] * _simpson_2d(lambda y, z: h(x[i], y, z), x, s, w)
     return acc
 
 
-def integrate_3d(h, tol: float = 1e-7, budget: int = 1 << 16) -> IntegrationResult:
+def integrate_3d(h, tol: float = 1e-7) -> IntegrationResult:
     """integral over [-1,1]^3 of h(x, y, z).
 
     Tensor Simpson under the cos substitution, refined by doubling, then
@@ -210,7 +206,7 @@ def integrate_3d(h, tol: float = 1e-7, budget: int = 1 << 16) -> IntegrationResu
     from scipy.stats import qmc
 
     sampler = qmc.Sobol(d=3, scramble=True, seed=MC_SEED)
-    pts = 2.0 * sampler.random(budget) - 1.0
+    pts = 2.0 * sampler.random(MC_POINTS) - 1.0
     vals = h(pts[:, 0], pts[:, 1], pts[:, 2]) * 8.0
     nbatch = 8
     batches = vals.reshape(nbatch, -1).mean(axis=1)
@@ -220,4 +216,4 @@ def integrate_3d(h, tol: float = 1e-7, budget: int = 1 << 16) -> IntegrationResu
         raise EstimatorDisagreement(
             f"tensor {t.value} vs quasi-MC {mc} (sigma {mc_sigma}, tensor err {t.abs_error_estimate})"
         )
-    return IntegrationResult(t.value, t.abs_error_estimate, t.evaluations + budget)
+    return IntegrationResult(t.value, t.abs_error_estimate, t.evaluations + MC_POINTS)

@@ -29,23 +29,19 @@ class CdfTable:
     xs: np.ndarray
     Fs: np.ndarray
 
-    def cdf(self, x):
-        return self._forward(np.asarray(x, dtype=float))
-
-    def inverse(self, u):
-        return self._inverse(np.asarray(u, dtype=float))
-
     # scipy.interpolate is imported on first use, so that `import gkm`
     # (and every CLI command that does not sample) does not load it
 
     @cached_property
-    def _forward(self):
+    def cdf(self):
+        """x -> F(x), monotone cubic through the table."""
         from scipy.interpolate import PchipInterpolator
 
         return PchipInterpolator(self.xs, self.Fs)
 
     @cached_property
-    def _inverse(self):
+    def inverse(self):
+        """u -> F^{-1}(u), monotone cubic through the table."""
         from scipy.interpolate import PchipInterpolator
 
         return PchipInterpolator(self.Fs, self.xs)
@@ -106,7 +102,11 @@ def ks_statistic(samples, t: CdfTable) -> float:
     return float(max(d_plus, d_minus))
 
 
+def _ks_pass(d: float, n: int) -> bool:
+    """Asymptotic Kolmogorov test at 1% significance of a statistic d from n draws."""
+    return bool(d * np.sqrt(n) < KS_CRIT_99)
+
+
 def ks_passes(samples, t: CdfTable) -> bool:
     """Asymptotic Kolmogorov test at 1% significance."""
-    n = len(samples)
-    return ks_statistic(samples, t) * np.sqrt(n) < KS_CRIT_99
+    return _ks_pass(ks_statistic(samples, t), len(samples))

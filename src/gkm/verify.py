@@ -240,13 +240,7 @@ def suite_conjugate() -> list:
         )
         r_norm = max(r_norm, abs(res.value - 1.0))
         x = float(rng.uniform(-1.0, 1.0))
-        res2 = oracle.integrate_weighted(
-            lambda yy: (1.0 - rho * rho)
-            * (2.0 / np.pi)
-            * np.sqrt(np.maximum(1.0 - x * x, 0.0))
-            / conjugate.w_eval(x, yy, rho),
-            1e-10,
-        )
+        res2 = oracle.integrate_weighted(lambda yy: conjugate.transition_density(x, yy, rho), 1e-10)
         r_marg = max(r_marg, abs(res2.value - conjugate.wigner_density(x)))
     checks.append(_check("conjugate/kernel_row_normalization", r_norm, 1e-8))
     checks.append(_check("conjugate/wigner_marginal", r_marg, 1e-8))
@@ -283,9 +277,7 @@ def suite_conjugate() -> list:
             rho=tuple(rng.uniform(-0.4, 0.4, 2)), y=tuple(rng.uniform(-1.0, 1.0, 2))
         )
         x = float(rng.uniform(-1.0, 1.0))
-        ux = u_all(M, np.asarray([x]))[:, 0]
-        uy1 = u_all(M, np.asarray([p.y[0]]))[:, 0]
-        uy2 = u_all(M, np.asarray([p.y[1]]))[:, 0]
+        ux, uy1, uy2 = u_all(M, np.array([x, *p.y])).T
         pw1 = p.rho[0] ** np.arange(M + 1)
         pw2 = p.rho[1] ** np.arange(M + 1)
         s = float(np.sum(pw1 * ux * uy1) * np.sum(pw2 * ux * uy2))

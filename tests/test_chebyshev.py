@@ -221,3 +221,43 @@ def test_every_evaluator_rejects_nan(x):
     for fn in (lambda x: eval_T(3, x), lambda x: u_all(3, x), USeries((1.0, 0.5, -0.2))):
         with pytest.raises(DomainError):
             fn(x)
+
+
+def _former_recur(k, twox, u1):
+    # the three-buffer in-place loop eval_U and eval_T used to run
+    prev = np.ones_like(twox)
+    if k == 0:
+        return prev
+    cur, nxt = u1, np.empty_like(twox)
+    for _ in range(k - 1):
+        np.multiply(twox, cur, out=nxt)
+        np.subtract(nxt, prev, out=nxt)
+        prev, cur, nxt = cur, nxt, prev
+    return cur
+
+
+def _former_eval(k, x, kind):
+    x = np.asarray(x, dtype=float)
+    twox = np.multiply(2.0, x, out=np.empty_like(x))
+    r = _former_recur(k, twox, twox.copy() if kind == "U" else x.copy())
+    return r if r.shape else float(r)
+
+
+def test_plain_operator_recurrences_match_the_in_place_loop():
+    for x in [0.3, *_points()]:
+        for k in range(201):
+            for kind, fn in (("U", eval_U), ("T", eval_T)):
+                got, want = fn(k, x), _former_eval(k, x, kind)
+                assert type(got) is type(want) and np.array_equal(got, want)
+                if np.ndim(x) == 0:
+                    assert type(got) is float
+
+
+@pytest.mark.parametrize("fn, k", [(eval_T, 1), (eval_U, 0), (eval_T, 0), (eval_U, 1)])
+def test_recurrence_result_is_not_the_callers_array(fn, k):
+    x = np.array([0.25, -0.5, 0.75])
+    keep = x.copy()
+    r = fn(k, x)
+    assert r is not x
+    r[...] = 7.0
+    assert np.array_equal(x, keep)

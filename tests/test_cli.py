@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gkm import cli, conjugate, core, orthopoly, sampler
+from gkm import cli, conjugate, core, orthopoly, sampler, verify
 from gkm.cli import SCHEMA_VERSION, main
 
 
@@ -336,3 +336,33 @@ def test_forked_cli_writes_each_byte_once(tmp_path, monkeypatch):
 def test_write_csv_prints_numpy_scalars_in_lists_as_numbers(capsys):
     cli._write_csv(None, ["v", "k"], [np.float64(0.1), 0.25], [np.int64(3), 4])
     assert capsys.readouterr().out == f"# schema_version={SCHEMA_VERSION}\nv,k\n0.1,3\n0.25,4\n"
+
+
+def test_conj_verify_writes_the_conjugate_suites_report(tmp_path, capsys):
+    out_path = tmp_path / "conj.json"
+    code, out, _ = run(capsys, "conj-verify", "--out", str(out_path))
+    assert code == 0 and out == ""
+    report = verify.run_verify(("conjugate", "markov", "trivariate"))
+    assert out_path.read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_sample_without_out_writes_its_sidecar_to_stderr(capsys):
+    code, out, err = run(capsys, "sample", "--a", "0.3,-0.5", "--n-points", "400", "--seed", "3")
+    assert code == 0
+    sidecar = json.loads(err)
+    table = sampler.build_cdf(core.ParamSet(a=(0.3, -0.5)))
+    draws = sampler.sample(table, 400, 3)
+    assert out.splitlines()[2:] == [f"{i},{x!r}" for i, x in enumerate(draws.tolist())]
+    assert sidecar["ks_statistic"] == sampler.ks_statistic(draws, table)
+    assert sidecar["ks_pass_1pct"] is sampler.ks_passes(draws, table)
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--a", "0.3", "--K", "-1"],
+    ["genfun", "--a", "0.3,0.5", "--K", "-3"],
+])
+def test_negative_prefix_length_exits_2(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "non-negative" in err

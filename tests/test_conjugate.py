@@ -180,3 +180,11 @@ def test_conjugate_kernels_check_every_point(bad):
         y[pos] = bad
         with pytest.raises(DomainError):
             g3(*y, 0.5, -0.4, 0.3)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_poisson_mehler_tolerance_must_be_positive_and_finite(tol):
+    # tol <= 0 used to loop forever once rho**J underflowed to zero
+    for rho in (0.5, 0.0):
+        with pytest.raises(InvalidParameters):
+            poisson_mehler(0.1, 0.2, rho, tol)

@@ -409,3 +409,20 @@ def test_residual_id_has_the_bits_of_the_double_loop():
         residual_id(1, (0.3, 0.3, 0.5))
     with pytest.raises(ZeroParameter):
         residual_id(1, (0.3, 0.0))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_series_tolerance_must_be_positive_and_finite(tol):
+    # nan and inf used to give K = 0, and tol <= 0 spun to the iteration cap
+    with pytest.raises(InvalidParameters):
+        density_series(ParamSet(a=(0.7, -0.4, 0.2)), 0.3, tol)
+    with pytest.raises(InvalidParameters):
+        density_series(ParamSet(), 0.3, tol)
+
+
+@pytest.mark.parametrize("fn", [B_prefix, B_from_genfun])
+def test_negative_prefix_length_raises(fn):
+    p = ParamSet(a=(0.3, 0.5))
+    with pytest.raises(ValueError, match="non-negative"):
+        fn(p, -1)
+    assert fn(p, 0).values.tolist() == [1.0]

@@ -122,3 +122,31 @@ def test_tensor_evaluation_counts():
     assert integrate_2d(lambda x, y: f2M(x, y, 0.5) * x * y, 1e-10).evaluations == 5603
     assert integrate_3d(lambda a, b, c: g3(a, b, c, 0.0, 0.0, 0.0), 1e-7).evaluations == 106386
     assert integrate_3d(lambda a, b, c: g3(a, b, c, 0.5, -0.4, 0.3), 1e-7).evaluations == 106386
+
+
+def _former_tensor_simpson_3d(h, npanels):
+    # the slab loop integrate_3d used to run, with its own grid per call
+    theta = np.linspace(0.0, np.pi, npanels + 1)
+    x = np.cos(theta)
+    s = np.sin(theta)
+    w = np.ones(npanels + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w = w / 3.0 * (np.pi / npanels)
+    acc = 0.0
+    for i in range(npanels + 1):
+        vals = h(x[i], x[:, None], x[None, :]) * s[:, None] * s[None, :]
+        acc += w[i] * s[i] * float(w @ vals @ w)
+    return acc
+
+
+@pytest.mark.parametrize("r", [(0.0, 0.0, 0.0), (0.5, -0.4, 0.3), (0.2, 0.6, -0.1)])
+def test_integrate_3d_has_the_bits_of_the_former_slab_loop(r):
+    def h(a, b, c):
+        return g3(a, b, c, *r)
+
+    want = oracle._refine(lambda n: _former_tensor_simpson_3d(h, n), 3, 1e-7, 512)
+    got = integrate_3d(h, 1e-7)
+    assert got.value == want.value
+    assert got.abs_error_estimate == want.abs_error_estimate
+    assert got.evaluations == want.evaluations + oracle.MC_POINTS
