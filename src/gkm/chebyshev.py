@@ -19,6 +19,11 @@ from .errors import DomainError, Unsupported
 # power_to_U uses float binomials; beyond this degree they lose precision.
 POWER_DEGREE_CAP = 64
 
+# U-series truncation orders (core.series_truncation_order,
+# conjugate.poisson_mehler_order) above this are refused as Unsupported;
+# each order is one row of the basis the series is summed over.
+SERIES_ORDER_CAP = 100_000
+
 
 def _check_x(x, c=1.0):
     """x as a float array, or DomainError unless every point lies in [-c, c].

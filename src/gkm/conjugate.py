@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .chebyshev import _check_x, _unwrap, u_all
+from .chebyshev import SERIES_ORDER_CAP, _check_x, _unwrap, u_all
 from .errors import InvalidParameters, Unsupported
 
 
@@ -141,7 +141,8 @@ def wigner_density(x):
 
 
 def poisson_mehler_order(rho: float, tol: float) -> int:
-    """Smallest J with (J+1)^2 |rho|^J / (1 - |rho|) < tol; 0 < tol < inf."""
+    """Smallest J with (J+1)^2 |rho|^J / (1 - |rho|) < tol; 0 < tol < inf.
+    Unsupported above SERIES_ORDER_CAP."""
     # written as "not (...)" so that NaN is rejected too
     if not (0.0 < tol < math.inf):
         raise InvalidParameters(f"tol must be positive and finite, got {tol}")
@@ -151,6 +152,8 @@ def poisson_mehler_order(rho: float, tol: float) -> int:
     J = 0
     while (J + 1) ** 2 * r ** J / (1.0 - r) >= tol:
         J += 1
+        if J > SERIES_ORDER_CAP:
+            raise Unsupported(f"series order above {SERIES_ORDER_CAP}: rho={rho}, tol={tol}")
     return J
 
 

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import oracle
-from .chebyshev import _check_x, _unwrap, u_all
+from .chebyshev import SERIES_ORDER_CAP, _check_x, _unwrap, u_all
 from .errors import (
     DegenerateParameters,
     InternalInconsistency,
@@ -47,11 +47,12 @@ class ParamSet:
     """Scale c and real parameter vector a of the density.
 
     The operands every closed form shares (the float array of a, S_0..S_n,
-    the normalizer, and the partial-fraction denominators with the
-    normalizer built from them) are computed on first use and kept on the
+    the normalizer, the partial-fraction denominators with the normalizer
+    built from them, the table of B values, and orthopoly's polynomials P_m
+    and sums of B for U_i U_j) are computed on first use and kept on the
     instance; cached arrays are read-only.  A getter that raises stores
-    nothing, so a coincident set refuses the partial-fraction forms on
-    every call.
+    nothing, so a coincident set refuses the partial-fraction forms on every
+    call.
     """
 
     a: tuple = field(default=())
@@ -113,6 +114,29 @@ class ParamSet:
     @cached_property
     def _A_closed(self) -> float:
         return float(1.0 / np.sum(self._a ** (self.n - 1) / self._pf_den))
+
+    def _B(self, K: int) -> np.ndarray:
+        """The kept table B_{n,0}..B_{n,L}, L >= K; a longer request at least
+        doubles it.  _B_values gives B_k the same bits whatever else it is
+        asked for, so the table holds the bits of every direct call."""
+        table = self.__dict__.get("_B_table")
+        if table is None or len(table) <= K:
+            start = 0 if table is None else len(table)
+            new = _B_values(self, np.arange(start, max(K + 1, 2 * start)))
+            table = _read_only(new if table is None else np.concatenate((table, new)))
+            self.__dict__["_B_table"] = table
+        return table
+
+    @cached_property
+    def _P(self) -> dict:
+        """orthopoly's P_m by m, filled by P_coeffs."""
+        return {}
+
+    @cached_property
+    def _UU(self) -> dict:
+        """orthopoly's sums B_lo + B_{lo+2} + ... + B_hi, the integral of
+        U_i U_j with lo = |i - j| and hi = i + j, by (lo, hi); filled by gram."""
+        return {}
 
     def to_json(self) -> str:
         return json.dumps({"c": self.c, "a": list(self.a)})
@@ -258,15 +282,17 @@ def B_coeff(p: ParamSet, k: int) -> float:
 
 
 def B_prefix(p: ParamSet, K: int) -> BSeq:
-    """B_{n,0}..B_{n,K} by the closed form."""
+    """B_{n,0}..B_{n,K} by the closed form, in a fresh array the caller may
+    write to."""
     if K < 0:
         raise ValueError("K must be non-negative")
-    return BSeq(values=_B_values(p, np.arange(K + 1)))
+    return BSeq(values=p._B(K)[: K + 1].copy())
 
 
 def series_truncation_order(amax: float, tol: float) -> int:
     """Smallest K with the tail bound amax^{K+1} (K+2) / (1 - amax) < tol
-    (uses |U_k| <= k + 1 on [-1, 1]); 0 < tol < inf."""
+    (uses |U_k| <= k + 1 on [-1, 1]); 0 < tol < inf.  Unsupported above
+    SERIES_ORDER_CAP."""
     # written as "not (...)" so that NaN is rejected too
     if not (0.0 < tol < math.inf):
         raise InvalidParameters(f"tol must be positive and finite, got {tol}")
@@ -275,8 +301,8 @@ def series_truncation_order(amax: float, tol: float) -> int:
     K = 0
     while amax ** (K + 1) * (K + 2) / (1.0 - amax) >= tol:
         K += 1
-        if K > 100_000:
-            raise InternalInconsistency(f"series truncation failed: amax={amax}, tol={tol}")
+        if K > SERIES_ORDER_CAP:
+            raise Unsupported(f"series order above {SERIES_ORDER_CAP}: amax={amax}, tol={tol}")
     return K
 
 
@@ -311,7 +337,7 @@ def moment(p: ParamSet, k: int) -> float:
     if p.c != 1.0:
         raise InvalidParameters("moment formula is at scale c = 1; scale by c^k externally")
     total = 0.0
-    for j, b in enumerate(_B_values(p, np.arange(k, -1, -2)).tolist()):
+    for j, b in enumerate(p._B(k)[k::-2].tolist()):
         total += (k - 2 * j + 1) * math.comb(k + 1, j) * b
     return total / ((k + 1) * 2 ** k)
 
@@ -320,7 +346,7 @@ def inner_UU(p: ParamSet, k: int, m: int) -> float:
     """integral of U_k U_m against the density, as a finite sum of B values."""
     if k < 0 or m < 0:
         raise ValueError("indices must be non-negative")
-    return float(sum(_B_values(p, abs(m - k) + 2 * np.arange(min(m, k) + 1)).tolist()))
+    return float(sum(p._B(m + k)[abs(m - k) : m + k + 1 : 2].tolist()))
 
 
 # coefficient arrays below are ascending in t
@@ -421,7 +447,8 @@ def residual_id2(m: int, p: ParamSet) -> float:
     if n < 2:
         raise ValueError("identity needs n >= 2")
     S = p._S
-    B = _B_values(p, np.arange(max(m, n - m - 2) + 1)).tolist()
+    L = max(m, n - m - 2)
+    B = p._B(L)[: L + 1].tolist()
     total = 0.0
     for j in range(n + 1):
         i = m - j

@@ -39,10 +39,17 @@ def P_coeffs(m: int, p: ParamSet) -> OrthoPoly:
 
     P_0 is pinned to the constant 1 (the signed-sum display would give the
     constant 1 - S_2 instead, an irrelevant rescaling of the same degree-0
-    member).
+    member).  Each P_m is built once per parameter set and kept on it.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
+    poly = p._P.get(m)
+    if poly is None:
+        poly = p._P[m] = _build_P(m, p)
+    return poly
+
+
+def _build_P(m: int, p: ParamSet) -> OrthoPoly:
     if m == 0:
         return OrthoPoly(m=0, series=USeries((1.0,)))
     S = p._S
@@ -69,12 +76,14 @@ def P_recur_check(m: int, p: ParamSet, x) -> float:
 
 def gram(m: int, k: int, p: ParamSet) -> float:
     """integral of P_m P_k against the density, bilinearly through the exact
-    U-product expansion (no quadrature)."""
+    U-product expansion (no quadrature).  Each sum of B values is computed
+    once per parameter set and kept on it."""
     cm = P_coeffs(m, p).series.coeffs
     ck = P_coeffs(k, p).series.coeffs
     if not cm or not ck:
         return 0.0
     B = B_prefix(p, len(cm) + len(ck)).values
+    uu = p._UU
     total = 0.0
     for i, ci in enumerate(cm):
         if ci == 0.0:
@@ -83,6 +92,9 @@ def gram(m: int, k: int, p: ParamSet) -> float:
             if cj == 0.0:
                 continue
             # U_i U_j = sum_{l=0}^{min(i,j)} U_{|i-j|+2l}
-            lo = abs(i - j)
-            total += ci * cj * float(np.add.reduce(B[lo : i + j + 1 : 2]))
+            lo, hi = abs(i - j), i + j
+            s = uu.get((lo, hi))
+            if s is None:
+                s = uu[lo, hi] = float(np.add.reduce(B[lo : hi + 1 : 2]))
+            total += ci * cj * s
     return total

@@ -17,6 +17,8 @@ from gkm import (
     w_eval,
     wigner_density,
 )
+from gkm.chebyshev import SERIES_ORDER_CAP
+from gkm.conjugate import poisson_mehler_order
 from gkm.errors import DomainError, InvalidParameters, Unsupported
 from gkm.oracle import integrate_weighted, normalizer_numeric
 
@@ -188,3 +190,10 @@ def test_poisson_mehler_tolerance_must_be_positive_and_finite(tol):
     for rho in (0.5, 0.0):
         with pytest.raises(InvalidParameters):
             poisson_mehler(0.1, 0.2, rho, tol)
+
+
+def test_poisson_mehler_order_above_the_cap_is_unsupported():
+    # J would be 635 630, and the (J + 1)-row bases about 5 MB per point
+    with pytest.raises(Unsupported):
+        poisson_mehler(0.1, 0.2, 0.9999, 1e-12)
+    assert poisson_mehler_order(0.999, 1e-12) <= SERIES_ORDER_CAP

@@ -21,7 +21,7 @@ from gkm import (
     residual_id,
     residual_id2,
 )
-from gkm.chebyshev import u_all
+from gkm.chebyshev import SERIES_ORDER_CAP, u_all
 from gkm.core import SERIES_BLOCK, B_prefix, normalizer, series_truncation_order
 from gkm.errors import (
     DegenerateParameters,
@@ -426,3 +426,10 @@ def test_negative_prefix_length_raises(fn):
     with pytest.raises(ValueError, match="non-negative"):
         fn(p, -1)
     assert fn(p, 0).values.tolist() == [1.0]
+
+
+def test_series_order_above_the_cap_is_unsupported():
+    # K would pass SERIES_ORDER_CAP; this used to raise InternalInconsistency
+    with pytest.raises(Unsupported):
+        density_series(ParamSet(a=(0.9999,)), 0.3)
+    assert series_truncation_order(0.999, 1e-10) <= SERIES_ORDER_CAP

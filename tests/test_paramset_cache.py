@@ -5,6 +5,8 @@ the same instance again after all of them have run (everything cached), and
 on an equal but distinct instance; the three answers must agree bit for bit.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,9 @@ from gkm import (
     gram,
     inner_UU,
     moment,
+    residual_id2,
 )
+from gkm.chebyshev import USeries
 from gkm.core import B_prefix, normalizer
 from gkm.errors import DegenerateParameters, GKMError
 
@@ -121,3 +125,130 @@ def test_warm_and_cold_instances_are_the_same_value():
     assert {warm: 1}[cold] == 1
     assert repr(warm) == repr(cold) == "ParamSet(a=(0.2, -0.5, 0.6), c=1.5)"
     assert warm.to_json() == cold.to_json() == '{"c": 1.5, "a": [0.2, -0.5, 0.6]}'
+
+
+# Reference copies of the closed forms that keep nothing between calls: each
+# computes its B values afresh from a, and gram its sums of them.
+
+def _B_uncached(a, ks):
+    a = np.asarray(a, dtype=float)
+    n, rows = len(a), len(ks)
+    if n == 0:
+        return (ks == 0).astype(float)
+    den = np.ones(n)
+    for i in range(n):
+        for j in range(n):
+            if j != i:
+                den[i] *= (a[i] - a[j]) * (1.0 - a[i] * a[j])
+    A = float(1.0 / np.sum(a ** (n - 1) / den))
+    bases = np.repeat(a[None, :], rows, axis=0).ravel()
+    table = np.power(bases, np.repeat(ks + (n - 1.0), n)).reshape(rows, n)
+    np.divide(table, den, out=table)
+    return A * np.add.reduce(table, axis=1)
+
+
+def _moment_uncached(a, k):
+    total = 0.0
+    for j, b in enumerate(_B_uncached(a, np.arange(k, -1, -2)).tolist()):
+        total += (k - 2 * j + 1) * math.comb(k + 1, j) * b
+    return total / ((k + 1) * 2 ** k)
+
+
+def _inner_UU_uncached(a, k, m):
+    return float(sum(_B_uncached(a, abs(m - k) + 2 * np.arange(min(m, k) + 1)).tolist()))
+
+
+def _P_uncached(a, m):
+    if m == 0:
+        return (1.0,)
+    S = ParamSet(a=a)._S
+    pairs = [(m - j, (-1.0) ** j * S[j]) for j in range(min(len(a), 2 * m + 2) + 1)]
+    return USeries.from_signed(pairs).coeffs
+
+
+def _gram_uncached(a, m, k):
+    cm, ck = _P_uncached(a, m), _P_uncached(a, k)
+    B = _B_uncached(a, np.arange(len(cm) + len(ck) + 1))
+    total = 0.0
+    for i, ci in enumerate(cm):
+        for j, cj in enumerate(ck):
+            if ci != 0.0 and cj != 0.0:
+                total += ci * cj * float(np.add.reduce(B[abs(i - j) : i + j + 1 : 2]))
+    return total
+
+
+def _table_reads(p, K):
+    """What the table readers give for prefix length K, as exact bytes."""
+    m = min(K, 6)
+    return [
+        _bits(B_prefix(p, K)),
+        _bits([moment(p, k) for k in range(K + 1)]),
+        _bits([inner_UU(p, k, K - k) for k in range(K + 1)]),
+        _bits([P_coeffs(j, p) for j in range(m + 1)]),
+        _bits([gram(m, k, p) for k in range(m + 1)]),
+    ]
+
+
+def _uncached_reads(a, K):
+    m = min(K, 6)
+    return [
+        _bits(_B_uncached(a, np.arange(K + 1))),
+        _bits([_moment_uncached(a, k) for k in range(K + 1)]),
+        _bits([_inner_UU_uncached(a, k, K - k) for k in range(K + 1)]),
+        _bits([_P_uncached(a, j) for j in range(m + 1)]),
+        _bits([_gram_uncached(a, m, k) for k in range(m + 1)]),
+    ]
+
+
+@pytest.mark.parametrize("p", [q for q in _seeded_sets() if q.c == 1.0], ids=lambda p: f"n={p.n}")
+def test_table_readers_have_the_bits_of_the_uncached_expressions(p):
+    orders = (5, 100, 3)
+    expected = {K: _uncached_reads(p.a, K) for K in orders}
+    fresh = ParamSet(a=p.a)
+    for K in orders:  # the table grows from 6 values to 101, then serves K = 3
+        assert _table_reads(fresh, K) == expected[K], K
+    twin = ParamSet(a=p.a)
+    for K in orders:
+        assert _table_reads(fresh, K) == expected[K], K  # warm
+        assert _table_reads(twin, K) == expected[K], K  # equal but distinct
+    assert len(fresh._B(0)) >= 101
+    assert P_coeffs(4, fresh) is P_coeffs(4, fresh)
+    assert P_coeffs(4, twin) is not P_coeffs(4, fresh)
+
+
+def test_table_at_least_doubles_when_it_grows():
+    p = ParamSet(a=(0.6, -0.3, 0.15))
+    assert len(p._B(5)) == 6
+    assert len(p._B(6)) == 12
+    assert len(p._B(100)) == 101
+    assert len(p._B(3)) == 101
+
+
+def test_B_coeff_does_not_grow_the_table():
+    p = ParamSet(a=(0.6, -0.3, 0.15))
+    B_coeff(p, 10_000)
+    assert "_B_table" not in vars(p)
+    B_prefix(p, 4)
+    assert B_coeff(p, 10_000) == float(_B_uncached(p.a, np.array([10_000]))[0])
+    assert len(p._B(0)) == 5
+
+
+def test_coincident_set_stores_no_table():
+    p = ParamSet(a=(0.3, 0.3, -0.2))
+    for fn in (lambda q: B_prefix(q, 4), lambda q: moment(q, 3), lambda q: inner_UU(q, 1, 2),
+               lambda q: gram(2, 1, q), lambda q: residual_id2(1, q)):
+        with pytest.raises(DegenerateParameters):
+            fn(p)
+    assert "_B_table" not in vars(p) and "_UU" not in vars(p)
+
+
+def test_B_prefix_results_never_share_a_buffer():
+    p = ParamSet(a=(0.6, -0.3, 0.15))
+    first, second = B_prefix(p, 8).values, B_prefix(p, 8).values
+    shorter = B_prefix(p, 3).values
+    for arr in (first, second, shorter):
+        assert arr.flags.writeable and arr.flags.owndata
+        assert not np.shares_memory(arr, p._B(0))
+    assert not np.shares_memory(first, second)
+    first[0] = 7.0
+    assert B_prefix(p, 8).values[0] == second[0] != 7.0
