@@ -134,8 +134,9 @@ class ParamSet:
 
     @cached_property
     def _UU(self) -> dict:
-        """orthopoly's sums B_lo + B_{lo+2} + ... + B_hi, the integral of
-        U_i U_j with lo = |i - j| and hi = i + j, by (lo, hi); filled by gram."""
+        """The sums of _UU_sum by (lo, hi); refused, like the B table, for
+        coincident parameters."""
+        _require_distinct(self)
         return {}
 
     def to_json(self) -> str:
@@ -342,11 +343,21 @@ def moment(p: ParamSet, k: int) -> float:
     return total / ((k + 1) * 2 ** k)
 
 
+def _UU_sum(p: ParamSet, lo: int, hi: int) -> float:
+    """B_lo + B_{lo+2} + ... + B_hi, the integral of U_i U_j against the
+    density with lo = |i - j| and hi = i + j; kept in p._UU."""
+    uu = p._UU
+    s = uu.get((lo, hi))
+    if s is None:
+        s = uu[lo, hi] = float(np.add.reduce(p._B(hi)[lo : hi + 1 : 2]))
+    return s
+
+
 def inner_UU(p: ParamSet, k: int, m: int) -> float:
     """integral of U_k U_m against the density, as a finite sum of B values."""
     if k < 0 or m < 0:
         raise ValueError("indices must be non-negative")
-    return float(sum(p._B(m + k)[abs(m - k) : m + k + 1 : 2].tolist()))
+    return _UU_sum(p, abs(m - k), m + k)
 
 
 # coefficient arrays below are ascending in t

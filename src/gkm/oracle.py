@@ -1,16 +1,22 @@
 """Independent quadrature used to validate every closed form in the package.
 
-All 1D integrals against the semicircle weight go through the substitution
-x = cos(theta), which removes the sqrt(1 - x^2) endpoint singularity and
-leaves a smooth periodic integrand on [0, pi]; adaptive Simpson bisection
-with Richardson error control then converges quickly.  The 2D/3D routines
-tensorize the same substitution; the 3D one is additionally confirmed by a
-seeded quasi-Monte-Carlo estimate.
+All 1D integrals go through the substitution x = cos(theta), which removes
+the sqrt(1 - x^2) endpoint singularity.  For a g that is smooth (analytic)
+on [-1, 1], the integrand in theta is then a smooth, even, 2pi-periodic
+function, so its integral over [0, pi] is half the one over a full period,
+and there the plain trapezoid rule converges geometrically (Trefethen and
+Weideman, SIAM Review 56, 2014).  The rule runs on two grids, each shifted
+by a fixed offset drawn from Philox(MC_SEED), and doubles both until they
+agree with each other and with the level before: a high mode that one grid
+aliases to a constant shows up as a disagreement.  The 2D/3D routines
+tensorize the same substitution with Simpson panels; the 3D one is
+additionally confirmed by a seeded quasi-Monte-Carlo estimate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -29,79 +35,68 @@ class IntegrationResult:
     evaluations: int
 
 
-def _adaptive_simpson(F, tol: float) -> IntegrationResult:
-    """Vectorized adaptive Simpson on [0, pi] within BUDGET_1D evaluations:
-    all active intervals are bisected in one batched call per sweep; local
-    acceptance at tol * (width / pi)."""
-    n0 = 8
-    edges = np.linspace(0.0, np.pi, n0 + 1)
-    a = edges[:-1]
-    b = edges[1:]
-    m = 0.5 * (a + b)
-    fa = F(a)
-    fb = F(b)
-    fm = F(m)
-    evals = 3 * n0
-    S = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    acc_val = 0.0
-    acc_err = 0.0
-    while a.size:
-        if evals > BUDGET_1D:
+@cache
+def _shifts() -> np.ndarray:
+    """The two fixed offsets of the trapezoid grids in theta, drawn once, on
+    first use, so that `import gkm` does not load numpy.random."""
+    return 2.0 * np.pi * np.random.Generator(np.random.Philox(MC_SEED)).random(2)
+
+
+def _periodic_trapezoid(F, tol: float) -> IntegrationResult:
+    """Half the integral over one period of an even, 2pi-periodic F, i.e. its
+    integral over [0, pi], by the trapezoid rule on the grids _shifts() + 2 pi j / N
+    for N = 32, 64, ... (each doubling adds the midpoints), within BUDGET_1D
+    evaluations.  Accepted when the two grids agree and the last two levels
+    agree, each to tol."""
+
+    def sums(offset, n):
+        theta = _shifts()[:, None] + (2.0 * np.pi / n) * (np.arange(n) + offset)
+        return (np.pi / n) * F(theta.ravel()).reshape(2, n).sum(axis=1)
+
+    n = 32
+    t = sums(0.0, n)
+    evals = 2 * n
+    while True:
+        if evals + 2 * n > BUDGET_1D:
             raise NonConvergence(f"evaluation budget {BUDGET_1D} exhausted")
-        ml = 0.5 * (a + m)
-        mr = 0.5 * (m + b)
-        fml = F(ml)
-        fmr = F(mr)
-        evals += 2 * a.size
-        h = b - a
-        Sl = h / 12.0 * (fa + 4.0 * fml + fm)
-        Sr = h / 12.0 * (fm + 4.0 * fmr + fb)
-        diff = Sl + Sr - S
-        err = np.abs(diff) / 15.0
-        # floor at roundoff of the local contributions so refinement terminates
-        ok = (
-            (err <= tol * (h / np.pi))
-            | (err <= 8.0 * np.finfo(float).eps * (np.abs(Sl) + np.abs(Sr)))
-            | (h <= np.pi * 2.0 ** -42)
-        )
-        acc_val += float(np.sum(Sl[ok] + Sr[ok] + diff[ok] / 15.0))
-        acc_err += float(np.sum(err[ok]))
-        bad = ~ok
-        a, b, m, fa, fb, fm, S = (
-            np.concatenate([a[bad], m[bad]]),
-            np.concatenate([m[bad], b[bad]]),
-            np.concatenate([ml[bad], mr[bad]]),
-            np.concatenate([fa[bad], fm[bad]]),
-            np.concatenate([fm[bad], fb[bad]]),
-            np.concatenate([fml[bad], fmr[bad]]),
-            np.concatenate([Sl[bad], Sr[bad]]),
-        )
-    return IntegrationResult(value=acc_val, abs_error_estimate=acc_err, evaluations=evals)
+        new = 0.5 * (t + sums(0.5, n))
+        evals += 2 * n
+        n *= 2
+        err = max(abs(new[0] - new[1]), 0.5 * abs(new.sum() - t.sum()))
+        if err <= tol:
+            return IntegrationResult(float(0.5 * new.sum()), float(err), evals)
+        t = new
 
 
 def integrate_weighted(g, tol: float = 1e-11) -> IntegrationResult:
     """integral_{-1}^{1} (2/pi) sqrt(1-x^2) g(x) dx.
 
-    g must accept numpy arrays.
+    g must accept numpy arrays and be smooth on [-1, 1].  A jump of g at
+    x = cos(theta_c) leaves an O(1/N) error that depends only on theta_c and
+    the grid spacing, so both grids share it and the error estimate misses
+    it, except at x = 0, where the two jumps at +-theta_c cancel.
     """
 
     def F(theta):
         return (2.0 / np.pi) * g(np.cos(theta)) * np.sin(theta) ** 2
 
-    return _adaptive_simpson(F, tol)
+    return _periodic_trapezoid(F, tol)
 
 
 def integrate_plain(g, tol: float = 1e-11) -> IntegrationResult:
-    """integral_{-1}^{1} g(x) dx through the same cos substitution.
+    """integral_{-1}^{1} g(x) dx through the same cos substitution, as half
+    the full-period integral of the even extension g(cos theta) |sin theta|.
 
-    Intended for integrands that carry their own sqrt(1-x^2) factor, so the
-    transformed integrand g(cos theta) sin(theta) is still smooth.
+    g must accept numpy arrays.  The extension has a kink at theta = 0 and pi
+    unless g carries its own sqrt(1-x^2) factor, g(x) = sqrt(1-x^2) h(x) with
+    h smooth; then it is sin(theta)^2 h(cos theta), smooth and periodic, and
+    the rule converges geometrically.
     """
 
     def F(theta):
-        return g(np.cos(theta)) * np.sin(theta)
+        return g(np.cos(theta)) * np.abs(np.sin(theta))
 
-    return _adaptive_simpson(F, tol)
+    return _periodic_trapezoid(F, tol)
 
 
 def unnormalized_factor(p):
@@ -156,10 +151,6 @@ def _simpson_2d(h, x, s, w) -> float:
     return float(w @ vals @ w)
 
 
-def _tensor_simpson_2d(h, npanels: int) -> float:
-    return _simpson_2d(h, *_panels(npanels))
-
-
 def _refine(rule, dim: int, tol: float, n_max: int) -> IntegrationResult:
     """Double the panel count of `rule(n)` (a tensor rule on (n + 1)**dim
     points) from 16 until the Richardson difference is below tol."""
@@ -181,7 +172,7 @@ def _refine(rule, dim: int, tol: float, n_max: int) -> IntegrationResult:
 def integrate_2d(h, tol: float = 1e-9) -> IntegrationResult:
     """integral over [-1,1]^2 of h(x, y), by tensorized cos substitution with
     panel doubling until the Richardson difference is below tol."""
-    return _refine(lambda n: _tensor_simpson_2d(h, n), 2, tol, 8192)
+    return _refine(lambda n: _simpson_2d(h, *_panels(n)), 2, tol, 8192)
 
 
 def _tensor_simpson_3d(h, npanels: int) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import USeries
-from .core import B_prefix, ParamSet
+from .core import ParamSet, _UU_sum
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,6 @@ def gram(m: int, k: int, p: ParamSet) -> float:
     ck = P_coeffs(k, p).series.coeffs
     if not cm or not ck:
         return 0.0
-    B = B_prefix(p, len(cm) + len(ck)).values
-    uu = p._UU
     total = 0.0
     for i, ci in enumerate(cm):
         if ci == 0.0:
@@ -92,9 +90,5 @@ def gram(m: int, k: int, p: ParamSet) -> float:
             if cj == 0.0:
                 continue
             # U_i U_j = sum_{l=0}^{min(i,j)} U_{|i-j|+2l}
-            lo, hi = abs(i - j), i + j
-            s = uu.get((lo, hi))
-            if s is None:
-                s = uu[lo, hi] = float(np.add.reduce(B[lo : hi + 1 : 2]))
-            total += ci * cj * s
+            total += ci * cj * _UU_sum(p, abs(i - j), i + j)
     return total

@@ -186,7 +186,7 @@ def _moment_per_term(B, k):
 
 
 def _inner_UU_per_term(B, k, m):
-    return float(sum(float(B[abs(m - k) + 2 * j]) for j in range(min(m, k) + 1)))
+    return float(np.add.reduce(B[abs(m - k) : m + k + 1 : 2]))
 
 
 def test_moment_and_inner_UU_are_per_term_sums_of_B_prefix():

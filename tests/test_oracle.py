@@ -8,7 +8,7 @@ import pytest
 
 import gkm
 
-from gkm import ParamSet, eval_U, gauss_chebU_rule, oracle
+from gkm import ParamSet, density, eval_T, eval_U, gauss_chebU_rule, oracle
 from gkm.conjugate import f2M, g3
 from gkm.errors import NonConvergence
 from gkm.oracle import (
@@ -78,6 +78,24 @@ def test_normalizer_numeric_values():
     from gkm import ConjParamSet
 
     assert normalizer_numeric(ConjParamSet(rho=(0.6,), y=(0.2,))) == pytest.approx(0.64, abs=1e-10)
+
+
+@pytest.mark.parametrize("k", [62, 64, 128])
+def test_high_chebyshev_modes_are_not_aliased(k):
+    # T_k times the weight holds the modes k and k +- 2; a grid of N points per
+    # period aliases each mode N divides to a constant, so a rule that stops
+    # when two unshifted grids agree reports 1.0 for T_64
+    assert abs(integrate_weighted(lambda x: eval_T(k, x), 1e-11).value) <= 1e-11
+
+
+def test_near_pole_normalizer_matches_mpmath():
+    # n = 7 with coincident parameters takes the numeric route; max|a| = 0.9999
+    # puts a pole 1e-4 from the support.  Reference values from mpmath at 30
+    # digits: A = 1 / ((2/pi) quad(sin(t)^2 prod_j 1/(1 + a_j^2 - 2 a_j cos t),
+    # [0, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, pi])), and the density at x = 0.5.
+    p = ParamSet(a=(0.9999, 0.3, 0.3, -0.5, 0.2, 0.1, 0.1))
+    assert normalizer_numeric(p) == pytest.approx(0.46540563684151121689, rel=1e-10)
+    assert density(p, 0.5) == pytest.approx(0.33777812374002058363, rel=1e-10)
 
 
 def test_integrate_2d():

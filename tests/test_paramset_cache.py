@@ -155,7 +155,7 @@ def _moment_uncached(a, k):
 
 
 def _inner_UU_uncached(a, k, m):
-    return float(sum(_B_uncached(a, abs(m - k) + 2 * np.arange(min(m, k) + 1)).tolist()))
+    return float(np.add.reduce(_B_uncached(a, abs(m - k) + 2 * np.arange(min(m, k) + 1))))
 
 
 def _P_uncached(a, m):
