@@ -3,6 +3,10 @@
 The CDF is tabulated on a Chebyshev-extrema grid (dense near the endpoints
 where the density has square-root behavior) and inverted through monotone
 cubic interpolation, so moment recovery is not biased by grid resolution.
+The interpolant is a numpy Fritsch-Carlson monotone cubic (Fritsch and
+Carlson, SIAM J. Numer. Anal. 17, 1980) that repeats the arithmetic of
+scipy's PchipInterpolator step by step and so returns its bits; a guide
+table (Chen and Asau, 1974) finds each point's interval.
 Uniform draws come from the Philox counter-based generator: the stream is a
 pure function of (seed, counter), so any run with the same seed reproduces
 the same samples bit for bit regardless of partitioning.
@@ -20,6 +24,112 @@ from .core import ParamSet, density
 
 # 99% asymptotic critical value of the Kolmogorov statistic: D * sqrt(n) < 1.628
 KS_CRIT_99 = 1.628
+# points a monotone cubic evaluates per pass: each temporary (64 KiB) stays in
+# cache and below glibc's default mmap threshold (128 KiB)
+_BLOCK = 8192
+
+
+def _edge_slope(h0, h1, m0, m1):
+    """The end slope of a monotone cubic from the two end intervals (widths
+    h0, h1, secant slopes m0, m1): the one-sided three-point formula, set to
+    0 where its sign differs from m0's and to 3 m0 where it overshoots
+    (Moler, Numerical Computing with MATLAB, 2004, section 3.6)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+class _MonotoneCubic:
+    """q -> the monotone (PCHIP) cubic through the knots (x_j, y_j) at q, with
+    the bits of scipy.interpolate.PchipInterpolator(x, y)(q): the same knot
+    slopes, the same per-interval power coefficients c_k of s = q - x_i, the
+    same sum ((c0 + c1 s) + c2 (s s)) + c3 ((s s) s), and the same intervals
+    x_i <= q < x_{i+1}, the last one closed and the two end pieces
+    extrapolated.  Returns an array of q's shape, 0-d for a scalar.
+
+    The interval is found through a guide table over M = 4 (N - 1) buckets of
+    equal width: b(q) = clip(floor((q - x_0) (M / (x_last - x_0))), 0, M - 1)
+    is monotone in q in floating point, so the guide[b(q)] interior knots
+    whose own bucket is below b(q) all lie at or below q, and stepping on
+    from there while the next knot is <= q gives the count of interior knots
+    <= q, which is the interval.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        h = np.diff(x)
+        if not (
+            x.ndim == 1 and x.shape == y.shape and x.size >= 2
+            and np.all(h > 0) and np.all(np.isfinite(h)) and np.all(np.isfinite(y))
+        ):
+            raise ValueError("a monotone cubic needs two or more finite, strictly increasing knots with finite values")
+        m = np.diff(y) / h
+        d = np.zeros_like(y)
+        if x.size == 2:
+            d[:] = m[0]
+        else:
+            # Fritsch-Butland: a weighted harmonic mean of the secant slopes,
+            # 0 where they differ in sign or one vanishes
+            sm = np.sign(m)
+            flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d[1:-1][~flat] = 1.0 / whmean[~flat]
+            d[0] = _edge_slope(h[0], h[1], m[0], m[1])
+            d[-1] = _edge_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        # 0.0 + y turns -0.0 into 0.0, as PPoly's sum starting from 0.0 does
+        self._coef = (0.0 + y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h)
+        self._x = x
+        buckets = 4 * (x.size - 1)
+        self._scale = buckets / (x[-1] - x[0])
+        self._top = buckets - 1.0
+        self._guide = np.searchsorted(self._bucket(x[1:-1]), np.arange(buckets))
+        # the NaN after the last interior knot ends every walk: NaN <= q is False
+        self._knots = np.append(x[1:-1], np.nan)
+
+    def _bucket(self, q):
+        b = q - self._x[0]
+        b *= self._scale
+        np.fmax(b, 0.0, out=b)  # NaN goes to bucket 0
+        np.fmin(b, self._top, out=b)
+        return b.astype(np.intp)
+
+    def _block(self, q, out):
+        i = self._guide.take(self._bucket(q))
+        walk = np.flatnonzero(self._knots.take(i) <= q)
+        while walk.size:
+            i[walk] += 1
+            walk = walk[self._knots.take(i[walk]) <= q[walk]]
+        c0, c1, c2, c3 = self._coef
+        s = q - self._x.take(i)
+        ss = s * s
+        r = c1.take(i)
+        r *= s
+        r += c0.take(i)
+        t = c2.take(i)
+        t *= ss
+        r += t
+        ss *= s
+        c3.take(i, out=t)
+        t *= ss
+        np.add(r, t, out=out)
+
+    def __call__(self, q):
+        q = np.asarray(q, dtype=float)
+        out = np.empty(q.shape)
+        flat_q, flat_out = q.reshape(-1), out.reshape(-1)
+        # far outside the table the cubic overflows, silently as in scipy
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(0, q.size, _BLOCK):
+                self._block(flat_q[k:k + _BLOCK], flat_out[k:k + _BLOCK])
+        return out
 
 
 @dataclass(frozen=True)
@@ -29,22 +139,18 @@ class CdfTable:
     xs: np.ndarray
     Fs: np.ndarray
 
-    # scipy.interpolate is imported on first use, so that `import gkm`
-    # (and every CLI command that does not sample) does not load it
+    # each interpolant is built on first use: numpy's monotone cubic, with
+    # the bits of scipy's PchipInterpolator on the same table
 
     @cached_property
     def cdf(self):
         """x -> F(x), monotone cubic through the table."""
-        from scipy.interpolate import PchipInterpolator
-
-        return PchipInterpolator(self.xs, self.Fs)
+        return _MonotoneCubic(self.xs, self.Fs)
 
     @cached_property
     def inverse(self):
         """u -> F^{-1}(u), monotone cubic through the table."""
-        from scipy.interpolate import PchipInterpolator
-
-        return PchipInterpolator(self.Fs, self.xs)
+        return _MonotoneCubic(self.Fs, self.xs)
 
 
 def build_cdf(p: ParamSet, N: int = 2048) -> CdfTable:
@@ -86,7 +192,7 @@ def sample(t: CdfTable, count: int, seed: int) -> np.ndarray:
     gen = np.random.Generator(np.random.Philox(key=seed))
     u = gen.random(count)
     x = t.inverse(u)
-    return np.clip(x, t.xs[0], t.xs[-1])
+    return np.clip(x, t.xs[0], t.xs[-1], out=x)
 
 
 def ks_statistic(samples, t: CdfTable) -> float:
@@ -94,11 +200,12 @@ def ks_statistic(samples, t: CdfTable) -> float:
     s = np.sort(np.asarray(samples, dtype=float))
     if s.size == 0:
         raise ValueError("samples must be nonempty")
-    F = np.clip(t.cdf(np.clip(s, t.xs[0], t.xs[-1])), 0.0, 1.0)
-    n = s.size
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - F)
-    d_minus = np.max(F - (i - 1) / n)
+    F = t.cdf(np.clip(s, t.xs[0], t.xs[-1], out=s))
+    np.clip(F, 0.0, 1.0, out=F)
+    # i / n and (i - 1) / n for i = 1..n
+    steps = np.arange(s.size + 1) / s.size
+    d_plus = np.max(steps[1:] - F)
+    d_minus = np.max(F - steps[:-1])
     return float(max(d_plus, d_minus))
 
 

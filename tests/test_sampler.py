@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
 import gkm
@@ -84,22 +86,98 @@ def test_ks_detects_mismatched_parameters():
 
 
 def test_import_does_not_load_scipy_interpolate():
-    # PchipInterpolator is imported when a table is first evaluated
+    # sampling, KS and the sampling suite run on numpy alone
     src = str(Path(gkm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for mod in ("gkm", "gkm.cli"):
-        code = f"import sys, {mod}; print('scipy.interpolate' in sys.modules)"
+        code = (
+            f"import sys, {mod}\n"
+            "from gkm import ParamSet, build_cdf, ks_statistic, sample\n"
+            "t = build_cdf(ParamSet(a=(0.5,)))\n"
+            "ks_statistic(sample(t, 1000, seed=1), t)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False", mod
+        assert out.stdout.strip() == "[]", mod
+
+
+def _parent_ks_statistic(samples, t):
+    # ks_statistic as it was, on scipy's interpolant, with a temporary per step
+    s = np.sort(np.asarray(samples, dtype=float))
+    F = np.clip(PchipInterpolator(t.xs, t.Fs)(np.clip(s, t.xs[0], t.xs[-1])), 0.0, 1.0)
+    n = s.size
+    i = np.arange(1, n + 1)
+    return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
 
 
 def test_lazy_interpolators_give_the_same_draws_and_cdf():
     # against PchipInterpolator built directly on the table, as sampler did
-    # with its module-level import
+    # with its module-level import, and KS against its former spelling
     p = ParamSet(a=(0.7, -0.4, 0.2), c=1.3)
     t = build_cdf(p, 1024)
     u = np.random.Generator(np.random.Philox(key=99)).random(20_000)
     want = np.clip(PchipInterpolator(t.Fs, t.xs)(u), t.xs[0], t.xs[-1])
-    assert np.array_equal(sample(t, 20_000, seed=99), want)
+    draws = sample(t, 20_000, seed=99)
+    assert np.array_equal(draws, want)
     x = np.linspace(-1.3, 1.3, 1001)
     assert np.array_equal(t.cdf(x), PchipInterpolator(t.xs, t.Fs)(x))
+    # draws, draws beyond the table on both sides, and a point mass
+    for s in (draws, 1.5 * draws, np.zeros(1000)):
+        kept = s.copy()
+        assert ks_statistic(s, t) == _parent_ks_statistic(s, t)
+        assert np.array_equal(s, kept)
+
+
+def _assert_same_bits(got, want):
+    assert type(got) is type(want) and got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+
+@pytest.mark.parametrize("c", [0.7, 1.0, 2.5])
+@pytest.mark.parametrize("a", [(0.99,), (0.9, 0.9)])
+def test_monotone_cubic_has_the_bits_of_pchip(c, a):
+    t = build_cdf(ParamSet(a=a, c=c), 2048)
+    rng = np.random.default_rng(17)
+    for f, x, y in ((t.cdf, t.xs, t.Fs), (t.inverse, t.Fs, t.xs)):
+        ref = PchipInterpolator(x, y)
+        lo, hi = x[0], x[-1]
+        span = hi - lo
+        inside = rng.uniform(lo, hi, 20_000)
+        points = (
+            inside,
+            inside.reshape(100, 200),
+            x,  # the knots exactly, the last one closing the last interval
+            np.array([lo, hi, 0.0, 1.0, np.nan, np.inf, -np.inf]),
+            rng.uniform(lo - span, hi + span, 2_000),  # the end pieces, extrapolated
+            np.nextafter(x, np.inf),
+            np.nextafter(x, -np.inf),
+            np.array([]),
+        )
+        for q in points:
+            _assert_same_bits(f(q), ref(q))
+        for q in (0.0, 1.0, 0.5 * (lo + hi), np.float64(hi), np.array(lo), 2):
+            _assert_same_bits(f(q), ref(q))
+
+
+@pytest.mark.parametrize("xs, Fs", [([-1.0, 1.0], [0.0, 1.0]), ([-1.0, 0.2, 1.0], [0.0, 0.7, 1.0])])
+def test_monotone_cubic_has_the_bits_of_pchip_on_tiny_tables(xs, Fs):
+    # two knots: one straight piece; three: both end slopes from the edge rule
+    t = CdfTable(xs=np.array(xs), Fs=np.array(Fs))
+    q = np.linspace(-1.5, 1.5, 301)
+    _assert_same_bits(t.cdf(q), PchipInterpolator(xs, Fs)(q))
+    _assert_same_bits(t.inverse(q), PchipInterpolator(Fs, xs)(q))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    st.lists(st.floats(-0.95, 0.95), min_size=1, max_size=3),
+    st.floats(0.25, 4.0),
+    st.integers(64, 300),
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40),
+    st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=40),
+)
+def test_monotone_cubic_has_the_bits_of_pchip_on_drawn_tables(a, c, N, xq, uq):
+    t = build_cdf(ParamSet(a=tuple(a), c=c), N)
+    xq = np.concatenate([np.array(xq), c * np.array(uq)])
+    _assert_same_bits(t.cdf(xq), PchipInterpolator(t.xs, t.Fs)(xq))
+    _assert_same_bits(t.inverse(np.array(uq)), PchipInterpolator(t.Fs, t.xs)(np.array(uq)))
