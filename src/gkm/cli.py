@@ -15,11 +15,16 @@ usable CPU and platforms without `fork`.  There is no setting for it.
 
 Exit status is 0 on success and, for verify commands, 0 iff every check in
 the report passed; flag/validation problems exit with status 2.
+
+`main` parses with one parser per process, built on its first call; parsing
+leaves a parser unchanged, so every call sees the same flags and defaults.
+`build_parser` returns a new parser on each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -205,6 +210,7 @@ def cmd_conj_eval(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the gkm command line."""
     parser = argparse.ArgumentParser(
         prog="gkm",
         description="Generalized Kesten-McKay densities: evaluation, verification, sampling.",
@@ -271,11 +277,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one gkm command (sys.argv[1:] without `argv`) and return its exit
+    status.  Every call in a process parses with the same parser, built on
+    the first call."""
+    args = _parser().parse_args(argv)
+    # the command as this module binds it now, not as it was when the parser
+    # was built: a wrapper installed since then (a tracer, a test) is called
+    fn = globals()[args.fn.__name__]
     try:
-        return args.fn(args)
+        return fn(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -362,16 +362,17 @@ def inner_UU(p: ParamSet, k: int, m: int) -> float:
 
 # coefficient arrays below are ascending in t
 
-def _poly_from_roots_factors(a: np.ndarray, skip: int) -> np.ndarray:
-    """Coefficients of prod_{j != skip} (1 - a_j t)."""
-    coeffs = np.zeros(len(a))
-    coeffs[0] = 1.0
+def _poly_from_roots_factors(a: list, skip: int) -> list:
+    """Coefficients of prod_{j != skip} (1 - a_j t), on Python floats: each
+    factor updates c_m - a_j c_{m-1} from the top down."""
+    coeffs = [1.0] + [0.0] * (len(a) - 1)
     pos = 0
     for j, aj in enumerate(a):
         if j == skip:
             continue
         pos += 1
-        coeffs[1:pos + 1] = coeffs[1:pos + 1] - aj * coeffs[0:pos]
+        for m in range(pos, 0, -1):
+            coeffs[m] = coeffs[m] - aj * coeffs[m - 1]
     return coeffs
 
 
@@ -380,15 +381,20 @@ def Q_poly(p: ParamSet) -> np.ndarray:
     the B-sequence generating function.
 
     The formally degree-(n-1) coefficient must cancel; the residual is
-    checked before truncation.
+    checked before truncation.  The sum runs on Python floats in a fixed
+    order: for i = 0..n-1 it adds (A a_i^{n-1} / den_i) times the
+    coefficients of prod_{j != i} (1 - a_j t), one product and one sum per
+    coefficient, with no fused multiply-add.
     """
     n = p.n
     if n <= 2:
         return np.array([1.0])
-    a, den, A = p._a, p._pf_den, p._A_closed
-    acc = np.zeros(n)
+    a, den, A = p._a.tolist(), p._pf_den.tolist(), p._A_closed
+    acc = [0.0] * n
     for i in range(n):
-        acc += (A * a[i] ** (n - 1) / den[i]) * _poly_from_roots_factors(a, skip=i)
+        w = A * a[i] ** (n - 1) / den[i]
+        acc = [s + w * c for s, c in zip(acc, _poly_from_roots_factors(a, skip=i))]
+    acc = np.array(acc)
     top = acc[-1]
     scale = max(1.0, float(np.max(np.abs(acc))))
     if abs(top) / scale > 1e-8:
@@ -400,19 +406,23 @@ def Q_poly(p: ParamSet) -> np.ndarray:
 
 def B_from_genfun(p: ParamSet, K: int) -> BSeq:
     """B_{n,0}..B_{n,K} by formal power-series division of the generating
-    function Q_n(t) / prod_i (1 - a_i t)."""
+    function Q_n(t) / prod_i (1 - a_i t).
+
+    The division runs on Python floats in a fixed order:
+    B_k = q_k - d_1 B_{k-1} - d_2 B_{k-2} - ..., subtracted left to right.
+    """
     if K < 0:
         raise ValueError("K must be non-negative")
-    q = Q_poly(p)
+    q = Q_poly(p).tolist()
     S = p._S
-    d = S * (-1.0) ** np.arange(len(S))  # coefficients of prod (1 - a_i t)
-    B = np.zeros(K + 1)
+    d = (S * (-1.0) ** np.arange(len(S))).tolist()  # coefficients of prod (1 - a_i t)
+    B = []
     for k in range(K + 1):
         val = q[k] if k < len(q) else 0.0
         for j in range(1, min(k, len(d) - 1) + 1):
             val -= d[j] * B[k - j]
-        B[k] = val
-    return BSeq(values=B)
+        B.append(val)
+    return BSeq(values=np.array(B))
 
 
 def residual_an2(a) -> float:

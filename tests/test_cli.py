@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -366,3 +367,67 @@ def test_negative_prefix_length_exits_2(argv, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "non-negative" in err
+
+
+# one process, one parser: each command in turn, passing, failing in the
+# command (exit 2) and failing in the parser (SystemExit 2)
+MIXED_SEQUENCE = [
+    ["verify", "--suite", "genfun"],
+    ["conj-verify"],
+    ["genfun", "--a", "0.1,0.2,0.3,-0.4,0.55", "--K", "12"],
+    ["moments", "--a", "0.3,0.3"],
+    ["eval", "--a", "0.2", "--bogus"],
+    ["sample", "--a", "0.3,-0.8", "--n-points", "500", "--seed", "7"],
+]
+
+
+def _outcomes(capsys, sequence):
+    got = []
+    for argv in sequence:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        got.append((code, captured.out.encode(), captured.err.encode()))
+    return got
+
+
+def test_main_reuses_one_parser_with_the_bytes_of_a_fresh_one(capsys, monkeypatch):
+    cached = _outcomes(capsys, MIXED_SEQUENCE)
+    assert cli._parser() is cli._parser()
+    assert [o[0] for o in cached] == [0, 0, 0, 2, ("SystemExit", 2), 0]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert _outcomes(capsys, MIXED_SEQUENCE) == cached
+
+
+def test_conj_verify_suite_default_does_not_leak_into_verify(capsys):
+    parser = cli._parser()
+    assert parser.parse_args(["conj-verify"]).suite == cli._CONJ_SUITES
+    assert parser.parse_args(["verify"]).suite == "all"
+    code, out, _ = run(capsys, "verify", "--suite", "identities")
+    assert code == 0
+    report = json.loads(out)
+    assert report["suite"] == "identities"
+    assert {c["check"].split("/")[0] for c in report["checks"]} == {"identities"}
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    # a plain function, so a tracer or a mock can wrap it like any other
+    assert inspect.isfunction(cli.build_parser)
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_main_calls_a_command_rebound_after_the_parser_was_built(capsys, monkeypatch):
+    cli._parser()
+    seen = []
+    genfun = cli.cmd_genfun
+
+    def traced(args):
+        seen.append(args.K)
+        return genfun(args)
+
+    monkeypatch.setattr(cli, "cmd_genfun", traced)
+    code, out, _ = run(capsys, "genfun", "--a", "0.2,0.3", "--K", "4")
+    assert code == 0 and seen == [4]
+    assert out.splitlines()[1] == "kind,index,value"

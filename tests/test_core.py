@@ -337,6 +337,85 @@ def test_B_from_genfun_values():
     assert np.allclose(got2, [1.0, 0.5, 0.19], atol=1e-13)
 
 
+def _former_poly_from_roots_factors(a, skip):
+    """The former numpy-scalar product, as a fixed reference."""
+    coeffs = np.zeros(len(a))
+    coeffs[0] = 1.0
+    pos = 0
+    for j, aj in enumerate(a):
+        if j == skip:
+            continue
+        pos += 1
+        coeffs[1:pos + 1] = coeffs[1:pos + 1] - aj * coeffs[0:pos]
+    return coeffs
+
+
+def _former_Q_poly(p):
+    n = p.n
+    if n <= 2:
+        return np.array([1.0])
+    a, den, A = p._a, p._pf_den, p._A_closed
+    acc = np.zeros(n)
+    for i in range(n):
+        acc += (A * a[i] ** (n - 1) / den[i]) * _former_poly_from_roots_factors(a, skip=i)
+    return acc[: n - 1]
+
+
+def _former_B_from_genfun(p, K):
+    q = _former_Q_poly(p)
+    S = p._S
+    d = S * (-1.0) ** np.arange(len(S))
+    B = np.zeros(K + 1)
+    for k in range(K + 1):
+        val = q[k] if k < len(q) else 0.0
+        for j in range(1, min(k, len(d) - 1) + 1):
+            val -= d[j] * B[k - j]
+        B[k] = val
+    return B
+
+
+def _genfun_sets():
+    """Seeded distinct sets, n = 0..16, max|a_j| up to 0.99; every third one
+    symmetric (a = ±b, plus 0 for odd n)."""
+    rng = np.random.default_rng(20151019)
+    sets = []
+    for i in range(17 * 12):
+        n = i % 17
+        amax = float(rng.uniform(0.1, 0.99))
+        while True:
+            if i % 3 == 0:
+                b = rng.uniform(-1.0, 1.0, n // 2)
+                a = np.concatenate((b, -b, np.zeros(n % 2)))
+            else:
+                a = rng.uniform(-1.0, 1.0, n)
+            if np.any(a):
+                a = a * (amax / np.max(np.abs(a)))
+            p = ParamSet(a=tuple(a))
+            if p.min_gap >= 1e-3:
+                sets.append(p)
+                break
+    return sets
+
+
+def test_genfun_route_has_the_bits_of_the_former_numpy_scalar_code():
+    for p in _genfun_sets():
+        q = Q_poly(p)
+        want = _former_Q_poly(p)
+        assert q.dtype == want.dtype and q.tobytes() == want.tobytes()
+        for K in (0, 1, 20, 40):
+            assert B_from_genfun(p, K).values.tobytes() == _former_B_from_genfun(p, K).tobytes()
+
+
+def test_genfun_route_keeps_its_refusal_and_its_short_numerator():
+    with pytest.raises(DegenerateParameters):
+        Q_poly(ParamSet(a=(0.3, 0.3, -0.2)))
+    with pytest.raises(DegenerateParameters):
+        B_from_genfun(ParamSet(a=(0.5, -0.1, 0.5)), 20)
+    for a in ((), (0.4,), (0.2, 0.3), (0.3, 0.3)):
+        q = Q_poly(ParamSet(a=a))
+        assert q.dtype == np.float64 and q.tolist() == [1.0]
+
+
 def test_residual_an2():
     assert residual_an2((0.2, 0.5)) == pytest.approx(0.0, abs=1e-14)
     assert abs(residual_an2((0.1, 0.2, 0.3))) <= 1e-12
