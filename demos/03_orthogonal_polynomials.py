@@ -29,7 +29,7 @@ for m in (3, 5, 10):
 print("\nLow-degree caveat: with six parameters the truncated degree-1 member")
 print("is *not* orthogonal to the constant; the defect is exactly S6*B3 - S5*B2:")
 p6 = ParamSet(a=(-0.42, 0.36, -0.79, 0.85, 0.05, -0.56))
-S = elementary_all(np.asarray(p6.a)).S.real
+S = elementary_all(p6.a)
 B = B_prefix(p6, 4).values
 print(f"  gram(1,0)        = {gram(1, 0, p6):.12f}")
 print(f"  S6*B3 - S5*B2    = {S[6] * B[3] - S[5] * B[2]:.12f}")

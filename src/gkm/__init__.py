@@ -1,15 +1,6 @@
 """Generalized Kesten-McKay distributions and their closed-form apparatus."""
 
-from .chebyshev import (
-    QuadratureRule,
-    USeries,
-    eval_T,
-    eval_U,
-    eval_U_signed,
-    gauss_chebU_rule,
-    power_to_U,
-    product_linearize,
-)
+from .chebyshev import USeries, eval_U, eval_U_signed, gauss_chebU_rule
 from .conjugate import (
     A2k_closed,
     ConjParamSet,
@@ -44,6 +35,6 @@ from .core import (
 from .oracle import IntegrationResult, integrate_2d, integrate_3d, integrate_weighted, normalizer_numeric
 from .orthopoly import OrthoPoly, P_coeffs, P_eval, P_recur_check, gram
 from .sampler import CdfTable, build_cdf, ks_statistic, sample
-from .symfun import SymTable, elementary_all
+from .symfun import elementary_all
 
 __version__ = "0.1.0"

@@ -52,18 +52,24 @@ def _floats(text: str, flag: str) -> tuple:
         raise ValidationError(f"{flag}: expected comma-separated reals, got {text!r}")
 
 
+def _read_params_file(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValidationError(f"--params-file: cannot read {path!r}: {exc.strerror}")
+
+
 def _parse_real_params(args) -> core.ParamSet:
     if args.params_file:
-        with open(args.params_file) as fh:
-            return core.ParamSet.from_json(fh.read())
+        return core.ParamSet.from_json(_read_params_file(args.params_file))
     a = _floats(args.a, "--a") if args.a else ()
     return core.ParamSet(a=a, c=args.c)
 
 
 def _parse_conj_params(args) -> conjugate.ConjParamSet:
     if args.params_file:
-        with open(args.params_file) as fh:
-            return conjugate.ConjParamSet.from_json(fh.read())
+        return conjugate.ConjParamSet.from_json(_read_params_file(args.params_file))
     rho = _floats(args.rho, "--rho") if args.rho else ()
     y = _floats(args.y, "--y") if args.y else ()
     if not rho:

@@ -18,7 +18,16 @@ import numpy as np
 
 from . import oracle
 from .chebyshev import SERIES_ORDER_CAP, _check_x, _unwrap, u_all
+from .core import _json_params
 from .errors import InvalidParameters, Unsupported
+
+
+def _check_rho(**rhos):
+    """InvalidParameters unless |rho| < 1 for each named rho; written as
+    "not (... < ...)" so that NaN is rejected too."""
+    for name, r in rhos.items():
+        if not abs(r) < 1.0:
+            raise InvalidParameters(f"|{name}| must be < 1, got {r}")
 
 
 @dataclass(frozen=True)
@@ -35,10 +44,8 @@ class ConjParamSet:
         object.__setattr__(self, "y", y)
         if len(rho) != len(y):
             raise InvalidParameters("rho and y must have the same length")
-        # written as "not (... < ...)" so that NaN is rejected too
-        for i, r in enumerate(rho):
-            if not abs(r) < 1.0:
-                raise InvalidParameters(f"|rho_{i + 1}| must be < 1, got {r}")
+        _check_rho(**{f"rho_{i + 1}": r for i, r in enumerate(rho)})
+        # written as "not (... <= ...)" so that NaN is rejected too
         for i, v in enumerate(y):
             if not abs(v) <= 1.0:
                 raise InvalidParameters(f"|y_{i + 1}| must be <= 1, got {v}")
@@ -60,7 +67,7 @@ class ConjParamSet:
 
     @staticmethod
     def from_json(s: str) -> "ConjParamSet":
-        d = json.loads(s)
+        d = _json_params(s, ("rho", "y"))
         return ConjParamSet(rho=tuple(d["rho"]), y=tuple(d["y"]))
 
 
@@ -143,6 +150,7 @@ def wigner_density(x):
 def poisson_mehler_order(rho: float, tol: float) -> int:
     """Smallest J with (J+1)^2 |rho|^J / (1 - |rho|) < tol; 0 < tol < inf.
     Unsupported above SERIES_ORDER_CAP."""
+    _check_rho(rho=rho)
     # written as "not (...)" so that NaN is rejected too
     if not (0.0 < tol < math.inf):
         raise InvalidParameters(f"tol must be positive and finite, got {tol}")
@@ -169,6 +177,7 @@ def poisson_mehler(x, y, rho: float, tol: float = 1e-12):
 
 def f2M(x, y, rho: float):
     """Bivariate density with Wigner marginals and U-diagonal correlation."""
+    _check_rho(rho=rho)
     x = _check_x(x)
     y = _check_x(y)
     r = (
@@ -182,6 +191,7 @@ def f2M(x, y, rho: float):
 
 def g3(y1, y2, y3, r1: float, r2: float, r3: float):
     """Trivariate density whose 2D marginals are the pairwise f2M densities."""
+    _check_rho(r1=r1, r2=r2, r3=r3)
     y1 = _check_x(y1)
     y2 = _check_x(y2)
     y3 = _check_x(y3)
@@ -203,6 +213,7 @@ def g3(y1, y2, y3, r1: float, r2: float, r3: float):
 
 def transition_density(x, y, rho: float):
     """One-pair density viewed as the Markov transition kernel x | y."""
+    _check_rho(rho=rho)
     x = _check_x(x)
     y = _check_x(y)
     r = (1.0 - rho * rho) * (2.0 / np.pi) * np.sqrt(np.maximum(1.0 - x * x, 0.0)) / w_eval(x, y, rho)
@@ -213,6 +224,7 @@ def chapman_residual(x: float, y2: float, r1: float, r2: float, tol: float = 1e-
     """Quadrature check of the Chapman-Kolmogorov composition: integrating the
     r1 kernel against the r2 kernel over the middle variable must reproduce
     the r1*r2 kernel."""
+    _check_rho(r1=r1, r2=r2)
 
     def g(y1):
         # weight (2/pi) sqrt(1-y1^2) is supplied by integrate_weighted
@@ -229,6 +241,7 @@ def chapman_residual(x: float, y2: float, r1: float, r2: float, tol: float = 1e-
 def conditional_bridge(x: float, y1: float, y2: float, r1: float, r2: float) -> float:
     """Conditional density of the middle state of the three-step Markov chain,
     written as the kernel ratio; equals the two-pair density at x."""
+    _check_rho(r1=r1, r2=r2)
     num = (
         transition_density(y1, x, r1)
         * transition_density(x, y2, r2)

@@ -42,6 +42,27 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _json_params(s: str, lists: tuple, reals: tuple = ()) -> dict:
+    """The JSON object s, with each key of `lists` a list of reals and each
+    key of `reals` that it has a real; InvalidParameters for any other shape."""
+    d = json.loads(s)
+    if not isinstance(d, dict):
+        raise InvalidParameters(f"parameter file: expected a JSON object, got {type(d).__name__}")
+    for key in lists:
+        if key not in d:
+            raise InvalidParameters(f"parameter file: missing key {key!r}")
+        if not (isinstance(d[key], list) and all(map(_is_real, d[key]))):
+            raise InvalidParameters(f"parameter file: {key!r} must be a list of reals, got {d[key]!r}")
+    for key in reals:
+        if key in d and not _is_real(d[key]):
+            raise InvalidParameters(f"parameter file: {key!r} must be a real, got {d[key]!r}")
+    return d
+
+
 @dataclass(frozen=True)
 class ParamSet:
     """Scale c and real parameter vector a of the density.
@@ -87,7 +108,7 @@ class ParamSet:
     @cached_property
     def _S(self) -> np.ndarray:
         """Elementary symmetric values S_0..S_n of a."""
-        return _read_only(elementary_all(self._a).S.real)
+        return _read_only(elementary_all(self._a))
 
     @cached_property
     def _A(self) -> float:
@@ -144,7 +165,7 @@ class ParamSet:
 
     @staticmethod
     def from_json(s: str) -> "ParamSet":
-        d = json.loads(s)
+        d = _json_params(s, ("a",), ("c",))
         return ParamSet(a=tuple(d["a"]), c=float(d.get("c", 1.0)))
 
 

@@ -212,8 +212,3 @@ def ks_statistic(samples, t: CdfTable) -> float:
 def _ks_pass(d: float, n: int) -> bool:
     """Asymptotic Kolmogorov test at 1% significance of a statistic d from n draws."""
     return bool(d * np.sqrt(n) < KS_CRIT_99)
-
-
-def ks_passes(samples, t: CdfTable) -> bool:
-    """Asymptotic Kolmogorov test at 1% significance."""
-    return _ks_pass(ks_statistic(samples, t), len(samples))

@@ -7,23 +7,12 @@ h_m from the prefix recurrence of the complete homogeneous polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SymTable:
-    """S_0..S_n of one parameter vector; S[k] is the k-th elementary symmetric."""
-
-    S: np.ndarray
-
-    def __getitem__(self, k: int) -> float:
-        return float(self.S[k])
-
-
-def elementary_all(a) -> SymTable:
-    """All elementary symmetric functions S_0..S_n of a_1..a_n.
+def elementary_all(a) -> np.ndarray:
+    """All elementary symmetric functions S_0..S_n of a_1..a_n, as an array
+    that is complex for complex a.
 
     Multiplies out prod_i (1 + t a_i) one factor at a time, so the only
     subtractions are those present in the data itself.
@@ -33,7 +22,7 @@ def elementary_all(a) -> SymTable:
     coeffs[0] = 1.0
     for x in a:
         coeffs[1:] += x * coeffs[:-1]
-    return SymTable(S=coeffs)
+    return coeffs
 
 
 def delta_all(mmax: int, a) -> np.ndarray:

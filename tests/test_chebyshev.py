@@ -3,17 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gkm import (
-    USeries,
-    eval_T,
-    eval_U,
-    eval_U_signed,
-    gauss_chebU_rule,
-    power_to_U,
-    product_linearize,
-)
+from gkm import USeries, eval_U, eval_U_signed, gauss_chebU_rule
 from gkm.chebyshev import u_all
-from gkm.errors import DomainError, Unsupported
+from gkm.errors import DomainError
 
 
 def test_eval_U_small_values():
@@ -47,63 +39,47 @@ def test_eval_U_signed_reflection():
         assert eval_U_signed(k, 0.37) == pytest.approx(-eval_U_signed(-k - 2, 0.37), abs=1e-12)
 
 
-def test_eval_T_values():
-    assert eval_T(0, 0.9) == 1.0
-    assert eval_T(1, 0.4) == pytest.approx(0.4)
-    assert eval_T(2, 0.5) == pytest.approx(-0.5)
-
-
-def test_power_to_U_small():
-    assert power_to_U(0).coeffs == (1.0,)
-    assert power_to_U(2).coeffs == (0.25, 0.0, 0.25)
-    assert power_to_U(3).coeffs == (0.0, 0.25, 0.0, 0.125)
-
-
-def test_power_to_U_evaluates_to_monomial():
-    rng = np.random.default_rng(2)
-    x = rng.uniform(-1.0, 1.0, 50)
-    for k in range(21):
-        assert np.max(np.abs(power_to_U(k)(x) - x ** k)) < 1e-12
-
-
-def test_power_to_U_degree_cap():
-    with pytest.raises(Unsupported):
-        power_to_U(65)
-
-
-def test_product_linearize_small():
-    assert product_linearize(1, 1).coeffs == (1.0, 0.0, 1.0)
-    assert product_linearize(2, 1).coeffs == (0.0, 1.0, 0.0, 1.0)
-    assert product_linearize(5, 0).coeffs == (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
-
-
-def test_product_linearize_evaluates_to_product():
-    rng = np.random.default_rng(3)
-    x = rng.uniform(-1.0, 1.0, 50)
-    for k in range(21):
-        for m in range(21):
-            lhs = product_linearize(k, m)(x)
-            rhs = eval_U(k, x) * eval_U(m, x)
-            assert np.max(np.abs(lhs - rhs)) < 1e-11
-
-
-def test_useries_degree_ignores_trailing_zeros():
-    s = USeries((1.0, 2.0, 0.0, 0.0))
-    assert s.degree == 1
-    assert USeries(()).degree == -1
-
-
 def test_useries_from_signed_folds():
     # U_{-2} = -U_0 and U_{-1} = 0
     s = USeries.from_signed([(1, 1.0), (-1, 5.0), (-2, 2.0)])
     assert s.coeffs == (-2.0, 1.0)
 
 
+def _former_from_signed(pairs):
+    # the fold through a dict and USeries.from_dict that from_signed once ran
+    d: dict = {}
+    for j, c in pairs:
+        if j == -1:
+            continue
+        if j < -1:
+            j, c = -j - 2, -c
+        d[j] = d.get(j, 0.0) + c
+    coeffs = [0.0] * (max(d, default=-1) + 1)
+    for j, c in d.items():
+        coeffs[j] += c
+    return tuple(coeffs)
+
+
+def test_useries_from_signed_has_the_bits_of_the_dict_fold():
+    rng = np.random.default_rng(14)
+    for _ in range(50):
+        idx = rng.integers(-9, 9, int(rng.integers(0, 12)))
+        c = rng.standard_normal(idx.size) * rng.choice([0.0, 1.0, 1e-300], idx.size)
+        pairs = list(zip(idx.tolist(), c.tolist()))
+        got = USeries.from_signed(pairs).coeffs
+        want = _former_from_signed(pairs)
+        assert np.array_equal(np.signbit(got), np.signbit(want)) and got == want
+
+
+def _rule(N, g):
+    nodes, weights = gauss_chebU_rule(N)
+    return float(np.dot(weights, g(nodes)))
+
+
 def test_gauss_rule_basic():
-    assert gauss_chebU_rule(1).apply(lambda x: np.ones_like(x)) == pytest.approx(1.0)
-    r8 = gauss_chebU_rule(8)
-    assert r8.apply(lambda x: eval_U(3, x) ** 2) == pytest.approx(1.0, abs=1e-13)
-    assert r8.apply(lambda x: eval_U(2, x) * eval_U(4, x)) == pytest.approx(0.0, abs=1e-13)
+    assert _rule(1, lambda x: np.ones_like(x)) == pytest.approx(1.0)
+    assert _rule(8, lambda x: eval_U(3, x) ** 2) == pytest.approx(1.0, abs=1e-13)
+    assert _rule(8, lambda x: eval_U(2, x) * eval_U(4, x)) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_gauss_rule_monomial_exactness():
@@ -111,9 +87,8 @@ def test_gauss_rule_monomial_exactness():
     from math import comb
 
     N = 10
-    rule = gauss_chebU_rule(N)
     for p in range(2 * N):
-        got = rule.apply(lambda x: x ** p)
+        got = _rule(N, lambda x: x ** p)
         if p % 2:
             expect = 0.0
         else:
@@ -136,12 +111,12 @@ def _u_all_ref(kmax, x):
     return out
 
 
-def _three_term_ref(k, x, first):
+def _three_term_ref(k, x):
     x = np.asarray(x, dtype=float)
     prev = np.ones_like(x)
     if k == 0:
         return prev if prev.shape else float(prev)
-    cur = first(x)
+    cur = 2.0 * x
     for _ in range(k - 1):
         prev, cur = cur, 2.0 * x * cur - prev
     return cur if cur.shape else float(cur)
@@ -191,19 +166,11 @@ def test_u_all_with_out_allocates_less_than_one_row():
     assert peak < x.nbytes
 
 
-def test_eval_U_and_eval_T_bit_identical_to_allocating_recurrence():
-    def twice(x):
-        return 2.0 * x
-
-    def copy(x):
-        return x.copy()
-
+def test_eval_U_bit_identical_to_allocating_recurrence():
     for x in _points():
         for k in range(201):
-            u, t = eval_U(k, x), eval_T(k, x)
-            u_ref, t_ref = _three_term_ref(k, x, twice), _three_term_ref(k, x, copy)
+            u, u_ref = eval_U(k, x), _three_term_ref(k, x)
             assert type(u) is type(u_ref) and np.array_equal(u, u_ref)
-            assert type(t) is type(t_ref) and np.array_equal(t, t_ref)
 
 
 def test_domain_check_sees_past_nan():
@@ -218,17 +185,17 @@ def test_domain_check_sees_past_nan():
 
 @pytest.mark.parametrize("x", [np.nan, [0.2, np.nan], np.array([[np.nan]])])
 def test_every_evaluator_rejects_nan(x):
-    for fn in (lambda x: eval_T(3, x), lambda x: u_all(3, x), USeries((1.0, 0.5, -0.2))):
+    for fn in (lambda x: eval_U(3, x), lambda x: u_all(3, x), USeries((1.0, 0.5, -0.2))):
         with pytest.raises(DomainError):
             fn(x)
 
 
-def _former_recur(k, twox, u1):
-    # the three-buffer in-place loop eval_U and eval_T used to run
+def _former_recur(k, twox):
+    # the three-buffer in-place loop eval_U used to run
     prev = np.ones_like(twox)
     if k == 0:
         return prev
-    cur, nxt = u1, np.empty_like(twox)
+    cur, nxt = twox.copy(), np.empty_like(twox)
     for _ in range(k - 1):
         np.multiply(twox, cur, out=nxt)
         np.subtract(nxt, prev, out=nxt)
@@ -236,24 +203,22 @@ def _former_recur(k, twox, u1):
     return cur
 
 
-def _former_eval(k, x, kind):
+def _former_eval(k, x):
     x = np.asarray(x, dtype=float)
-    twox = np.multiply(2.0, x, out=np.empty_like(x))
-    r = _former_recur(k, twox, twox.copy() if kind == "U" else x.copy())
+    r = _former_recur(k, np.multiply(2.0, x, out=np.empty_like(x)))
     return r if r.shape else float(r)
 
 
 def test_plain_operator_recurrences_match_the_in_place_loop():
     for x in [0.3, *_points()]:
         for k in range(201):
-            for kind, fn in (("U", eval_U), ("T", eval_T)):
-                got, want = fn(k, x), _former_eval(k, x, kind)
-                assert type(got) is type(want) and np.array_equal(got, want)
-                if np.ndim(x) == 0:
-                    assert type(got) is float
+            got, want = eval_U(k, x), _former_eval(k, x)
+            assert type(got) is type(want) and np.array_equal(got, want)
+            if np.ndim(x) == 0:
+                assert type(got) is float
 
 
-@pytest.mark.parametrize("fn, k", [(eval_T, 1), (eval_U, 0), (eval_T, 0), (eval_U, 1)])
+@pytest.mark.parametrize("fn, k", [(eval_U, 0), (eval_U, 1)])
 def test_recurrence_result_is_not_the_callers_array(fn, k):
     x = np.array([0.25, -0.5, 0.75])
     keep = x.copy()

@@ -92,6 +92,29 @@ def test_grid(capsys):
     assert float(rows[-1].split(",")[1]) == 0.0
 
 
+@pytest.mark.parametrize("command, text, what", [
+    ("eval", "{}", "missing key 'a'"),
+    ("eval", '{"a": 5}', "'a' must be a list of reals"),
+    ("eval", '{"a": [0.2], "c": null}', "'c' must be a real"),
+    ("eval", "[0.2]", "expected a JSON object"),
+    ("conj-eval", '{"rho": [0.5]}', "missing key 'y'"),
+])
+def test_malformed_params_file_exits_2(tmp_path, capsys, command, text, what):
+    f = tmp_path / "p.json"
+    f.write_text(text)
+    code, out, err = run(capsys, command, "--params-file", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and what in err
+
+
+@pytest.mark.parametrize("command", ["eval", "conj-eval"])
+def test_unreadable_params_file_exits_2(tmp_path, capsys, command):
+    for path in (tmp_path / "missing.json", tmp_path):
+        code, out, err = run(capsys, command, "--params-file", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --params-file: cannot read")
+
+
 def test_params_file(tmp_path, capsys):
     f = tmp_path / "p.json"
     f.write_text(json.dumps({"c": 1.0, "a": [0.5]}))
@@ -355,7 +378,7 @@ def test_sample_without_out_writes_its_sidecar_to_stderr(capsys):
     draws = sampler.sample(table, 400, 3)
     assert out.splitlines()[2:] == [f"{i},{x!r}" for i, x in enumerate(draws.tolist())]
     assert sidecar["ks_statistic"] == sampler.ks_statistic(draws, table)
-    assert sidecar["ks_pass_1pct"] is sampler.ks_passes(draws, table)
+    assert sidecar["ks_pass_1pct"] is sampler._ks_pass(sampler.ks_statistic(draws, table), 400)
 
 
 @pytest.mark.parametrize("argv", [

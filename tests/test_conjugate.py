@@ -56,6 +56,39 @@ def test_conj_json_roundtrip():
     assert json.loads(p.to_json()) == {"rho": [0.5, -0.2], "y": [0.1, 0.9]}
 
 
+@pytest.mark.parametrize("text", ['{"rho": [0.5]}', '{"y": [0.5]}', '[0.5]', '{"rho": 0.5, "y": [0.1]}',
+                                  '{"rho": [0.5], "y": [null]}'])
+def test_conj_from_json_rejects_malformed_objects(text):
+    with pytest.raises(InvalidParameters):
+        ConjParamSet.from_json(text)
+
+
+# every function that takes a raw correlation rho, with rho in one position
+RAW_RHO_CALLS = {
+    "ConjParamSet": lambda r: ConjParamSet(rho=(0.2, r), y=(0.1, 0.3)),
+    "poisson_mehler_order": lambda r: poisson_mehler_order(r, 1e-12),
+    "poisson_mehler": lambda r: poisson_mehler(0.2, 0.3, r),
+    "f2M": lambda r: f2M(0.2, 0.3, r),
+    "transition_density": lambda r: transition_density(0.2, 0.3, r),
+    "g3_r1": lambda r: g3(0.1, 0.2, 0.3, r, 0.2, 0.3),
+    "g3_r2": lambda r: g3(0.1, 0.2, 0.3, 0.2, r, 0.3),
+    "g3_r3": lambda r: g3(0.1, 0.2, 0.3, 0.2, 0.3, r),
+    "chapman_residual_r1": lambda r: chapman_residual(0.3, -0.5, r, 0.6),
+    "chapman_residual_r2": lambda r: chapman_residual(0.3, -0.5, 0.4, r),
+    "conditional_bridge_r1": lambda r: conditional_bridge(0.1, 0.2, 0.3, r, 0.5),
+    "conditional_bridge_r2": lambda r: conditional_bridge(0.1, 0.2, 0.3, 0.5, r),
+}
+
+
+@pytest.mark.parametrize("rho", [1.0, -1.0, 1.5, float("nan")])
+@pytest.mark.parametrize("call", RAW_RHO_CALLS.values(), ids=RAW_RHO_CALLS.keys())
+def test_raw_rho_must_lie_inside_the_unit_interval(call, rho):
+    # before, rho = 1.5 gave negative densities, NaN gave 1.0 from
+    # poisson_mehler and rho = +-1 divided by zero
+    with pytest.raises(InvalidParameters):
+        call(rho)
+
+
 def test_w_eval_values():
     assert w_eval(0.3, -0.8, 0.0) == pytest.approx(1.0)
     assert w_eval(1.0, 1.0, 0.6) == pytest.approx(0.4 ** 4)

@@ -68,6 +68,14 @@ def test_paramset_json_roundtrip():
     q = ParamSet.from_json(p.to_json())
     assert q == p
     assert json.loads(p.to_json()) == {"c": 2.0, "a": [0.2, -0.3]}
+    assert ParamSet.from_json('{"a": [0.2, -0.3], "c": 2}') == p
+
+
+@pytest.mark.parametrize("text", ['{}', '{"a": 5}', '{"a": [0.2], "c": null}', '[0.2]', '{"a": [null]}',
+                                  '{"a": [true]}', '{"a": [0.2], "c": "2"}', '"a"'])
+def test_from_json_rejects_malformed_objects(text):
+    with pytest.raises(InvalidParameters):
+        ParamSet.from_json(text)
 
 
 def test_A_closed_values():
