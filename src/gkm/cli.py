@@ -9,9 +9,11 @@ same ``schema_version`` field.  Every run is fully determined by its flags
 outputs.
 
 A CSV longer than CSV_CHUNK_ROWS (65 536) rows is formatted by one forked
-process per usable CPU and written in chunk order.  The bytes are those the
-serial loop writes; that loop handles outputs of one chunk, machines with one
-usable CPU and platforms without `fork`.  There is no setting for it.
+process per usable CPU and written in chunk order; `verify` and
+`conj-verify` run their suites the same way (see `gkm.verify`).  The bytes
+are those the serial loop writes; that loop handles outputs of one chunk,
+machines with one usable CPU and platforms without `fork`.  There is no
+setting for it.
 
 Exit status is 0 on success and, for verify commands, 0 iff every check in
 the report passed; flag/validation problems exit with status 2.
@@ -26,12 +28,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
 
-from . import conjugate, core, orthopoly, sampler, verify
+from . import _pool, conjugate, core, orthopoly, sampler, verify
 
 SCHEMA_VERSION = verify.SCHEMA_VERSION
 
@@ -101,35 +102,20 @@ def _format_rows(chunk) -> str:
     return "\n".join(map(",".join, zip(*map(_column_text, chunk)))) + "\n"
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _write_csv(out: str | None, header: list, *columns) -> None:
     """Write a CSV file (stdout without `out`) from equal-length columns,
     CSV_CHUNK_ROWS rows at a time.  More than one chunk is formatted by
     forked workers (see the module docstring), with the serial loop's bytes."""
     n = len(columns[0])
     chunks = ([col[lo:lo + CSV_CHUNK_ROWS] for col in columns] for lo in range(0, n, CSV_CHUNK_ROWS))
-    workers = min(_usable_cpus(), -(-n // CSV_CHUNK_ROWS)) if hasattr(os, "fork") else 1
     fh = open(out, "w") if out else sys.stdout
     try:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n{','.join(header)}\n")
-        if workers > 1:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            # no forked worker may hold a copy of unwritten text; the fork
-            # start method flushes sys.stdout itself, but not an open file
-            fh.flush()
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                for text in pool.map(_format_rows, chunks):
-                    fh.write(text)
-        else:
-            for chunk in chunks:
-                fh.write(_format_rows(chunk))
+        # no forked worker may hold a copy of unwritten text; the fork
+        # start method flushes sys.stdout itself, but not an open file
+        fh.flush()
+        for text in _pool.fork_map(_format_rows, chunks, -(-n // CSV_CHUNK_ROWS)):
+            fh.write(text)
     finally:
         if out:
             fh.close()

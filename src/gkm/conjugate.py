@@ -240,12 +240,22 @@ def chapman_residual(x: float, y2: float, r1: float, r2: float, tol: float = 1e-
 
 def conditional_bridge(x: float, y1: float, y2: float, r1: float, r2: float) -> float:
     """Conditional density of the middle state of the three-step Markov chain,
-    written as the kernel ratio; equals the two-pair density at x."""
+    written as the kernel ratio; equals the two-pair density at x.
+
+    At y1 = +-1 or y2 = +-1 numerator and denominator vanish.  There the
+    common factors wigner_density(y2) and sqrt(1 - y1^2) are cancelled by
+    hand, which leaves the Poisson kernels (1 - rho^2) / w of y1.
+    """
     _check_rho(r1=r1, r2=r2)
-    num = (
-        transition_density(y1, x, r1)
-        * transition_density(x, y2, r2)
-        * wigner_density(y2)
-    )
-    den = transition_density(y1, y2, r1 * r2) * wigner_density(y2)
+    if abs(y1) < 1.0 and abs(y2) < 1.0:
+        num = (
+            transition_density(y1, x, r1)
+            * transition_density(x, y2, r2)
+            * wigner_density(y2)
+        )
+        den = transition_density(y1, y2, r1 * r2) * wigner_density(y2)
+        return float(num / den)
+    _check_x([y1, y2])
+    num = (1.0 - r1 * r1) / w_eval(y1, x, r1) * transition_density(x, y2, r2)
+    den = (1.0 - (r1 * r2) ** 2) / w_eval(y1, y2, r1 * r2)
     return float(num / den)

@@ -48,10 +48,14 @@ def _is_real(v) -> bool:
 
 def _json_params(s: str, lists: tuple, reals: tuple = ()) -> dict:
     """The JSON object s, with each key of `lists` a list of reals and each
-    key of `reals` that it has a real; InvalidParameters for any other shape."""
+    key of `reals` that it has a real, and no other key; InvalidParameters
+    for any other shape."""
     d = json.loads(s)
     if not isinstance(d, dict):
         raise InvalidParameters(f"parameter file: expected a JSON object, got {type(d).__name__}")
+    unknown = sorted(set(d) - set(lists) - set(reals))
+    if unknown:
+        raise InvalidParameters(f"parameter file: unknown key(s) {', '.join(map(repr, unknown))}")
     for key in lists:
         if key not in d:
             raise InvalidParameters(f"parameter file: missing key {key!r}")
@@ -383,18 +387,25 @@ def inner_UU(p: ParamSet, k: int, m: int) -> float:
 
 # coefficient arrays below are ascending in t
 
-def _poly_from_roots_factors(a: list, skip: int) -> list:
-    """Coefficients of prod_{j != skip} (1 - a_j t), on Python floats: each
-    factor updates c_m - a_j c_{m-1} from the top down."""
-    coeffs = [1.0] + [0.0] * (len(a) - 1)
-    pos = 0
-    for j, aj in enumerate(a):
-        if j == skip:
-            continue
-        pos += 1
-        for m in range(pos, 0, -1):
-            coeffs[m] = coeffs[m] - aj * coeffs[m - 1]
-    return coeffs
+def _products_skipping_each(a: list) -> list:
+    """For i = 0..n-1, the coefficients of prod_{j != i} (1 - a_j t), on
+    Python floats: each factor updates c_m - a_j c_{m-1} from the top down,
+    in the order of j.  The products share the factors before i, which are
+    applied once, to a common prefix."""
+    n = len(a)
+    prefix = [1.0] + [0.0] * (n - 1)
+    products = []
+    for i in range(n):
+        coeffs = prefix.copy()
+        # factor j > i is the j-th one applied when factor i is skipped
+        for j in range(i + 1, n):
+            for m in range(j, 0, -1):
+                coeffs[m] = coeffs[m] - a[j] * coeffs[m - 1]
+        products.append(coeffs)
+        if i + 1 < n:
+            for m in range(i + 1, 0, -1):
+                prefix[m] = prefix[m] - a[i] * prefix[m - 1]
+    return products
 
 
 def Q_poly(p: ParamSet) -> np.ndarray:
@@ -412,9 +423,9 @@ def Q_poly(p: ParamSet) -> np.ndarray:
         return np.array([1.0])
     a, den, A = p._a.tolist(), p._pf_den.tolist(), p._A_closed
     acc = [0.0] * n
-    for i in range(n):
+    for i, product in enumerate(_products_skipping_each(a)):
         w = A * a[i] ** (n - 1) / den[i]
-        acc = [s + w * c for s, c in zip(acc, _poly_from_roots_factors(a, skip=i))]
+        acc = [s + w * c for s, c in zip(acc, product)]
     acc = np.array(acc)
     top = acc[-1]
     scale = max(1.0, float(np.max(np.abs(acc))))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gkm import cli, conjugate, core, orthopoly, sampler, verify
+from gkm import _pool, cli, conjugate, core, orthopoly, sampler, verify
 from gkm.cli import SCHEMA_VERSION, main
 
 
@@ -98,6 +98,8 @@ def test_grid(capsys):
     ("eval", '{"a": [0.2], "c": null}', "'c' must be a real"),
     ("eval", "[0.2]", "expected a JSON object"),
     ("conj-eval", '{"rho": [0.5]}', "missing key 'y'"),
+    ("eval", '{"a": [0.2, 0.3], "C": 2}', "unknown key(s) 'C'"),
+    ("conj-eval", '{"rho": [0.5], "y": [0.1], "Y": [0.2]}', "unknown key(s) 'Y'"),
 ])
 def test_malformed_params_file_exits_2(tmp_path, capsys, command, text, what):
     f = tmp_path / "p.json"
@@ -280,7 +282,7 @@ def test_write_csv_matches_row_writer_on_mixed_columns(tmp_path, capsys):
 # --- the forked writer against the serial one
 
 def _cpus(monkeypatch, n):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: n)
 
 
 @pytest.mark.parametrize("chunk", [3, 4, 250])

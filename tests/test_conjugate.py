@@ -57,7 +57,7 @@ def test_conj_json_roundtrip():
 
 
 @pytest.mark.parametrize("text", ['{"rho": [0.5]}', '{"y": [0.5]}', '[0.5]', '{"rho": 0.5, "y": [0.1]}',
-                                  '{"rho": [0.5], "y": [null]}'])
+                                  '{"rho": [0.5], "y": [null]}', '{"rho": [0.5], "y": [0.1], "c": 1.0}'])
 def test_conj_from_json_rejects_malformed_objects(text):
     with pytest.raises(InvalidParameters):
         ConjParamSet.from_json(text)
@@ -202,6 +202,19 @@ def test_conditional_bridge():
     )
 
 
+@pytest.mark.parametrize("y1", [-1.0, -0.4, 1.0])
+@pytest.mark.parametrize("y2", [-1.0, 0.6, 1.0])
+def test_conditional_bridge_on_the_support_boundary(y1, y2):
+    # at y1 or y2 = +-1 the kernel ratio is 0/0; its limit is the two-pair
+    # density, whose closed form has no such factor
+    for x in (-1.0, -0.55, 0.15, 0.9, 1.0):
+        for r1, r2 in ((0.5, -0.3), (-0.85, 0.7), (0.0, 0.4)):
+            expect = fM_density(ConjParamSet(rho=(r1, r2), y=(y1, y2)), x)
+            got = conditional_bridge(x, y1, y2, r1, r2)
+            assert np.isfinite(got)
+            assert got == pytest.approx(expect, rel=1e-13, abs=1e-15)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), 1.5, -float("inf")])
 def test_conjugate_kernels_check_every_point(bad):
     with pytest.raises(DomainError):
@@ -215,6 +228,8 @@ def test_conjugate_kernels_check_every_point(bad):
         y[pos] = bad
         with pytest.raises(DomainError):
             g3(*y, 0.5, -0.4, 0.3)
+        with pytest.raises(DomainError):
+            conditional_bridge(*y, 0.5, -0.4)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])

@@ -22,7 +22,7 @@ from gkm import (
     residual_id2,
 )
 from gkm.chebyshev import SERIES_ORDER_CAP, u_all
-from gkm.core import SERIES_BLOCK, B_prefix, normalizer, series_truncation_order
+from gkm.core import SERIES_BLOCK, B_prefix, _products_skipping_each, normalizer, series_truncation_order
 from gkm.errors import (
     DegenerateParameters,
     DomainError,
@@ -72,7 +72,7 @@ def test_paramset_json_roundtrip():
 
 
 @pytest.mark.parametrize("text", ['{}', '{"a": 5}', '{"a": [0.2], "c": null}', '[0.2]', '{"a": [null]}',
-                                  '{"a": [true]}', '{"a": [0.2], "c": "2"}', '"a"'])
+                                  '{"a": [true]}', '{"a": [0.2], "c": "2"}', '"a"', '{"a": [0.2, 0.3], "C": 2}'])
 def test_from_json_rejects_malformed_objects(text):
     with pytest.raises(InvalidParameters):
         ParamSet.from_json(text)
@@ -356,6 +356,37 @@ def _former_poly_from_roots_factors(a, skip):
         pos += 1
         coeffs[1:pos + 1] = coeffs[1:pos + 1] - aj * coeffs[0:pos]
     return coeffs
+
+
+def _former_products_one_by_one(a):
+    """The former Python-float products prod_{j != skip} (1 - a_j t), each
+    built from scratch, as a fixed reference."""
+    products = []
+    for skip in range(len(a)):
+        coeffs = [1.0] + [0.0] * (len(a) - 1)
+        pos = 0
+        for j, aj in enumerate(a):
+            if j == skip:
+                continue
+            pos += 1
+            for m in range(pos, 0, -1):
+                coeffs[m] = coeffs[m] - aj * coeffs[m - 1]
+        products.append(coeffs)
+    return products
+
+
+def test_shared_prefix_products_have_the_bits_of_the_products_one_by_one():
+    rng = np.random.default_rng(1015)
+    for n in range(11):
+        for i in range(30):
+            a = rng.uniform(-0.99, 0.99, n)
+            if n and i % 3 == 0:
+                a[rng.integers(n)] = (0.0, -0.0)[i % 2]  # a zero factor keeps its sign
+            a = a.tolist()
+            got = _products_skipping_each(a)
+            want = _former_products_one_by_one(a)
+            assert len(got) == n
+            assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
 
 
 def _former_Q_poly(p):

@@ -1,6 +1,14 @@
-import numpy as np
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from gkm import ParamSet, verify
+import numpy as np
+import pytest
+
+from gkm import ParamSet, _pool, verify
+from gkm.errors import NonConvergence
 
 
 def test_draw_params_with_no_parameters_draws_nothing():
@@ -9,3 +17,62 @@ def test_draw_params_with_no_parameters_draws_nothing():
     assert verify._draw_params(rng, 0) == ParamSet()
     assert rng.bit_generator.state == before
 
+
+# --- the suites in forked workers
+
+CONJ_SUITES = ("conjugate", "markov", "trivariate")
+
+
+def _report_bytes(suite) -> bytes:
+    return (json.dumps(verify.run_verify(suite), indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_longest_first_is_a_permutation_of_the_suites():
+    assert len(verify._LONGEST_FIRST) == len(verify.SUITES)
+    assert sorted(verify._LONGEST_FIRST) == sorted(verify.SUITES)
+
+
+def test_suites_are_submitted_longest_first(monkeypatch):
+    submitted = []
+
+    def fake_fork_map(fn, items, max_workers):
+        submitted.append((list(items), max_workers))
+        return map(fn, items)
+
+    monkeypatch.setattr(_pool, "fork_map", fake_fork_map)
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify._SUITE_FN, name, lambda name=name: [verify._check(f"{name}/c", 0.0, 0.0)])
+    verify.run_verify(CONJ_SUITES)
+    verify.run_verify("all")
+    assert submitted == [(["trivariate", "conjugate", "markov"], 3), (list(verify._LONGEST_FIRST), 8)]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_reports_pinned_to_one_cpu_have_the_bytes_of_forked_workers(monkeypatch):
+    # the child is pinned to one CPU, so it takes the serial loop; here, three
+    # workers run the suites whatever the number of CPUs
+    child = (
+        "import os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from gkm import _pool, verify\n"
+        "assert _pool.usable_cpus() == 1\n"
+        "import json\n"
+        "for suite in ('all', %r):\n"
+        "    sys.stdout.write(json.dumps(verify.run_verify(suite), indent=2, sort_keys=True) + '\\n')\n"
+    ) % (CONJ_SUITES,)
+    src = str(Path(verify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    pinned = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, check=True).stdout
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 3)
+    assert pinned == _report_bytes("all") + _report_bytes(CONJ_SUITES)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_a_suite_that_raises_raises_in_the_caller(cpus, monkeypatch):
+    def fails():
+        raise NonConvergence("evaluation budget exhausted")
+
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: cpus)
+    monkeypatch.setitem(verify._SUITE_FN, "markov", fails)
+    with pytest.raises(NonConvergence, match="evaluation budget exhausted"):
+        verify.run_verify(("identities", "markov", "conjugate"))
