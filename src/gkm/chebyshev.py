@@ -21,6 +21,11 @@ from .errors import DomainError
 # each order is one row of the basis the series is summed over.
 SERIES_ORDER_CAP = 100_000
 
+# core.density_series and USeries sum a U series over slices of the points
+# holding at most this many basis values (8 MB of doubles), whatever the
+# number of points.
+SERIES_BLOCK = 1 << 20
+
 
 def _check_x(x, c=1.0):
     """x as a float array, or DomainError unless every point lies in [-c, c].
@@ -96,11 +101,25 @@ class USeries:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
     def __call__(self, x):
+        """The series at x, summed over slices of the points that hold at
+        most SERIES_BLOCK basis values; within one slice, one contraction
+        over all of them."""
         x = _check_x(x)
         if not self.coeffs:
             return _unwrap(np.zeros_like(x))
-        basis = u_all(len(self.coeffs) - 1, x)
-        return _unwrap(np.tensordot(np.asarray(self.coeffs), basis, axes=(0, 0)))
+        c = np.asarray(self.coeffs)
+        if c.size * x.size <= SERIES_BLOCK:
+            return _unwrap(np.tensordot(c, u_all(c.size - 1, x), axes=(0, 0)))
+        flat = x.reshape(-1)
+        s = np.empty(flat.size)
+        step = max(SERIES_BLOCK // c.size, 1)
+        # one slab for every slice's basis, as in core.density_series
+        slab = np.empty(c.size * step)
+        for lo in range(0, flat.size, step):
+            xs = flat[lo:lo + step]
+            basis = u_all(c.size - 1, xs, out=slab[:c.size * xs.size].reshape(c.size, xs.size))
+            s[lo:lo + step] = np.tensordot(c, basis, axes=(0, 0))
+        return s.reshape(x.shape)
 
     @staticmethod
     def from_signed(pairs) -> "USeries":

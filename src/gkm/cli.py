@@ -8,12 +8,20 @@ same ``schema_version`` field.  Every run is fully determined by its flags
 (plus the fixed internal seeds), so re-running a command byte-reproduces its
 outputs.
 
+Every float prints as `repr` prints it and every integer as `str` does.
+A chunk of CSV_BLOCK_ROWS (1920) rows or more whose columns are all float64
+or integer arrays or ranges (`grid`, `sample`) is formatted by numpy, 1920
+rows at a time (see `gkm._csvtext`): each float is either certified to
+have repr's digits or printed by `repr` itself, so the bytes are the same.
+Shorter chunks and other columns (every other command) print value by
+value with `repr` and `str`.
+
 A CSV longer than CSV_CHUNK_ROWS (65 536) rows is formatted by one forked
 process per usable CPU and written in chunk order; `verify` and
 `conj-verify` run their suites the same way (see `gkm.verify`).  The bytes
 are those the serial loop writes; that loop handles outputs of one chunk,
 machines with one usable CPU and platforms without `fork`.  There is no
-setting for it.
+setting for either.
 
 Exit status is 0 on success and, for verify commands, 0 iff every check in
 the report passed; flag/validation problems exit with status 2.
@@ -38,6 +46,11 @@ SCHEMA_VERSION = verify.SCHEMA_VERSION
 
 # rows of a CSV output formatted and written at once
 CSV_CHUNK_ROWS = 1 << 16
+# rows of a chunk of numeric columns formatted at once by numpy; a shorter
+# chunk prints each value with repr or str.  1920 rows of two float columns
+# (64 bytes a row) keep every array of a block below 128 KiB, which glibc
+# serves from its heap rather than by a fresh mmap.
+CSV_BLOCK_ROWS = 1920
 
 _CONJ_SUITES = ("conjugate", "markov", "trivariate")
 
@@ -98,7 +111,16 @@ def _column_text(col):
 def _format_rows(chunk) -> str:
     """CSV text of the rows of equal-length column slices, one line each.
     A numpy column is converted with `.tolist()`: its elements print as
-    Python numbers."""
+    Python numbers.  A chunk of CSV_BLOCK_ROWS rows or more whose columns
+    are all float64 or integer arrays or ranges is formatted by
+    `_csvtext.format_rows` instead, with the same bytes."""
+    if len(chunk[0]) >= CSV_BLOCK_ROWS:
+        # loaded by the first output this long, so the other commands and
+        # `import gkm.cli` do without it
+        from . import _csvtext
+
+        if all(map(_csvtext.supported, chunk)):
+            return _csvtext.format_rows(chunk, CSV_BLOCK_ROWS)
     return "\n".join(map(",".join, zip(*map(_column_text, chunk)))) + "\n"
 
 

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import oracle
-from .chebyshev import SERIES_ORDER_CAP, _check_x, _unwrap, u_all
+from .chebyshev import SERIES_BLOCK, SERIES_ORDER_CAP, _check_x, _unwrap, u_all
 from .errors import (
     DegenerateParameters,
     InternalInconsistency,
@@ -31,10 +31,6 @@ from .symfun import elementary_all
 
 # Partial-fraction closed forms are refused below this parameter separation.
 DISTINCTNESS_TOL = 1e-6
-
-# density_series sums the U series over slices of the points holding at most
-# this many basis values (8 MB of doubles), whatever the number of points.
-SERIES_BLOCK = 1 << 20
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gkm import USeries, eval_U, eval_U_signed, gauss_chebU_rule
-from gkm.chebyshev import u_all
+from gkm.chebyshev import SERIES_BLOCK, u_all
 from gkm.errors import DomainError
 
 
@@ -226,3 +226,45 @@ def test_recurrence_result_is_not_the_callers_array(fn, k):
     assert r is not x
     r[...] = 7.0
     assert np.array_equal(x, keep)
+
+
+def _series_ref(coeffs, x):
+    """The series as one contraction over the whole basis."""
+    x = np.asarray(x, dtype=float)
+    r = np.tensordot(np.asarray(coeffs), u_all(len(coeffs) - 1, x), axes=(0, 0))
+    return r if r.shape else float(r)
+
+
+def test_useries_within_one_slice_is_one_contraction():
+    coeffs = np.random.default_rng(21).normal(size=81)
+    s = USeries(coeffs)
+    rng = np.random.default_rng(22)
+    n = SERIES_BLOCK // 81  # the most points one slice holds
+    for x in (0.3, -1.0, rng.uniform(-1, 1, 7), rng.uniform(-1, 1, (40, 25)), rng.uniform(-1, 1, n)):
+        got, want = s(x), _series_ref(coeffs, x)
+        assert type(got) is type(want) and np.array_equal(got, want)
+
+
+def test_useries_over_many_slices():
+    coeffs = np.random.default_rng(23).normal(size=81)
+    x = np.random.default_rng(24).uniform(-1, 1, (3 * (SERIES_BLOCK // 81) + 7,))
+    got = USeries(coeffs)(x)
+    assert got.shape == x.shape
+    np.testing.assert_allclose(got, _series_ref(coeffs, x), rtol=0, atol=1e-11)
+    # on a 2-d grid, the same values in the same places
+    m = x.size - x.size % 2
+    np.testing.assert_array_equal(USeries(coeffs)(x[:m].reshape(2, -1)), got[:m].reshape(2, -1))
+
+
+def test_useries_peak_memory_is_bounded():
+    # degree 80 on 10^5 points: the whole basis would be 65 MB
+    s = USeries(np.random.default_rng(25).normal(size=81))
+    x = np.random.default_rng(26).uniform(-1.0, 1.0, 100_000)
+    s(x)  # warm up
+    tracemalloc.start()
+    try:
+        s(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * SERIES_BLOCK + 3 * x.nbytes

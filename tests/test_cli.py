@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gkm import _pool, cli, conjugate, core, orthopoly, sampler, verify
+from gkm import _csvtext, _pool, cli, conjugate, core, orthopoly, sampler, verify
 from gkm.cli import SCHEMA_VERSION, main
 
 
@@ -254,6 +254,21 @@ CSV_COMMANDS = {
 def test_csv_bytes_match_row_writer(command, chunk, tmp_path, capsys, monkeypatch):
     if chunk:
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+    _check_csv_bytes(command, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("chunk, block", [(None, 64), (250, 100), (1000, 1000)])
+@pytest.mark.parametrize("command", ["grid", "sample"])
+def test_csv_bytes_match_row_writer_in_numpy_blocks(command, chunk, block, tmp_path, capsys, monkeypatch):
+    # blocks shorter than the 1001 rows: grid and sample go through _csvtext
+    # (a 1-row last chunk prints through repr)
+    if chunk:
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+    _check_csv_bytes(command, tmp_path, capsys)
+
+
+def _check_csv_bytes(command, tmp_path, capsys):
     argv, header, rows = CSV_COMMANDS[command]
     want = _csv(header, rows()).encode()
     out_path = tmp_path / "out.csv"
@@ -265,7 +280,7 @@ def test_csv_bytes_match_row_writer(command, chunk, tmp_path, capsys, monkeypatc
     assert out.encode() == want
 
 
-def test_write_csv_matches_row_writer_on_mixed_columns(tmp_path, capsys):
+def test_write_csv_matches_row_writer_on_mixed_columns(tmp_path, capsys, monkeypatch):
     n = 2 * cli.CSV_CHUNK_ROWS + 3
     values = [1e16, 5e-324, -0.0, 0.1, 1e-05, 1.0, -2.5e-300]
     kinds = [("Q", "B", "x")[i % 3] for i in range(n)]
@@ -277,6 +292,23 @@ def test_write_csv_matches_row_writer_on_mixed_columns(tmp_path, capsys):
     assert out_path.read_bytes() == want
     cli._write_csv(None, ["kind", "i", "v", "w"], kinds, range(n), floats, arr)
     assert capsys.readouterr().out.encode() == want
+    # numeric columns only, longer than a block: formatted by _csvtext, in
+    # several chunks, with certified values and values left to repr
+    ints = np.arange(n) * -7
+    want = _csv(["i", "w", "j"], list(zip(range(n), arr.tolist(), ints.tolist()))).encode()
+    calls = []
+    format_rows = _csvtext.format_rows
+
+    def spy(chunk, block_rows):
+        calls.append(len(chunk[0]))
+        return format_rows(chunk, block_rows)
+
+    _cpus(monkeypatch, 1)
+    monkeypatch.setattr(_csvtext, "format_rows", spy)
+    cli._write_csv(str(out_path), ["i", "w", "j"], range(n), arr, ints)
+    assert out_path.read_bytes() == want
+    # the 3-row last chunk is shorter than a block
+    assert calls == [cli.CSV_CHUNK_ROWS, cli.CSV_CHUNK_ROWS]
 
 
 # --- the forked writer against the serial one
@@ -337,6 +369,23 @@ def test_one_chunk_starts_no_pool(command, capsys, monkeypatch):
         # the same command over two chunks does start one
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 1000)
         with pytest.raises(RuntimeError, match="process pool"):
+            main(argv)
+
+
+def _no_numpy_format(*args, **kwargs):
+    raise RuntimeError("the numpy formatter was reached")
+
+
+@pytest.mark.parametrize("command", sorted(CSV_COMMANDS))
+def test_short_csv_never_reaches_the_numpy_formatter(command, capsys, monkeypatch):
+    # every command of fewer rows than one block prints through repr and str
+    monkeypatch.setattr(_csvtext, "format_rows", _no_numpy_format)
+    argv = CSV_COMMANDS[command][0]
+    assert run(capsys, *argv)[0] == 0
+    if command in ("grid", "sample"):
+        # the same command over one block does reach it
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 1000)
+        with pytest.raises(RuntimeError, match="numpy formatter"):
             main(argv)
 
 
