@@ -257,10 +257,10 @@ def supported(col) -> bool:
     return isinstance(col, np.ndarray) and col.ndim == 1 and (col.dtype == np.float64 or col.dtype.kind == "i")
 
 
-def format_rows(columns, block_rows: int) -> str:
+def format_rows(columns, block_rows: int) -> bytes:
     """The CSV rows of equal-length columns (each one `supported` takes),
-    block_rows rows at a time: the text repr gives each float and str each
-    integer."""
+    block_rows rows at a time, as ASCII bytes: the text repr gives each
+    float and str each integer."""
     n = len(columns[0])
     floats = [isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns]
     ends = np.cumsum([_FLOAT_WORDS if f else _INT_WORDS for f in floats])
@@ -278,5 +278,5 @@ def format_rows(columns, block_rows: int) -> str:
                     part = np.arange(part.start, part.stop, part.step, dtype=np.int64)
                 _int_cells(part.astype(np.int64, copy=False), block[:, end - _INT_WORDS:end], sep)
         text = block.view(np.uint8).reshape(-1)
-        parts.append(text[text != 0].tobytes().decode("ascii"))
-    return "".join(parts)
+        parts.append(text[text != 0].tobytes())
+    return b"".join(parts)

@@ -18,10 +18,13 @@ value with `repr` and `str`.
 
 A CSV longer than CSV_CHUNK_ROWS (65 536) rows is formatted by one forked
 process per usable CPU and written in chunk order; `verify` and
-`conj-verify` run their suites the same way (see `gkm.verify`).  The bytes
-are those the serial loop writes; that loop handles outputs of one chunk,
-machines with one usable CPU and platforms without `fork`.  There is no
-setting for either.
+`conj-verify` run their suites the same way (see `gkm.verify`).  A worker
+reads the columns from the memory it inherited: it receives a chunk's
+index and returns the chunk's bytes, which go to the binary file, or to
+`sys.stdout.buffer` once the text layer is flushed.  The bytes are those
+the serial loop writes; that loop handles outputs of one chunk, machines
+with one usable CPU and platforms without `fork`.  There is no setting for
+either.
 
 Exit status is 0 on success and, for verify commands, 0 iff every check in
 the report passed; flag/validation problems exit with status 2.
@@ -108,8 +111,9 @@ def _column_text(col):
     return map(str, col)
 
 
-def _format_rows(chunk) -> str:
-    """CSV text of the rows of equal-length column slices, one line each.
+def _format_rows(chunk) -> bytes:
+    """CSV text of the rows of equal-length column slices, one line each,
+    as ASCII bytes.
     A numpy column is converted with `.tolist()`: its elements print as
     Python numbers.  A chunk of CSV_BLOCK_ROWS rows or more whose columns
     are all float64 or integer arrays or ranges is formatted by
@@ -121,22 +125,30 @@ def _format_rows(chunk) -> str:
 
         if all(map(_csvtext.supported, chunk)):
             return _csvtext.format_rows(chunk, CSV_BLOCK_ROWS)
-    return "\n".join(map(",".join, zip(*map(_column_text, chunk)))) + "\n"
+    return ("\n".join(map(",".join, zip(*map(_column_text, chunk)))) + "\n").encode()
 
 
 def _write_csv(out: str | None, header: list, *columns) -> None:
     """Write a CSV file (stdout without `out`) from equal-length columns,
-    CSV_CHUNK_ROWS rows at a time.  More than one chunk is formatted by
-    forked workers (see the module docstring), with the serial loop's bytes."""
+    CSV_CHUNK_ROWS rows at a time, as bytes to a binary stream.  More than
+    one chunk is formatted by forked workers (see the module docstring),
+    with the serial loop's bytes."""
     n = len(columns[0])
-    chunks = ([col[lo:lo + CSV_CHUNK_ROWS] for col in columns] for lo in range(0, n, CSV_CHUNK_ROWS))
-    fh = open(out, "w") if out else sys.stdout
+
+    def chunk(lo):
+        return _format_rows([col[lo:lo + CSV_CHUNK_ROWS] for col in columns])
+
+    if out:
+        fh = open(out, "wb")
+    else:
+        # what is already written to the text layer goes first
+        sys.stdout.flush()
+        fh = sys.stdout.buffer
     try:
-        fh.write(f"# schema_version={SCHEMA_VERSION}\n{','.join(header)}\n")
-        # no forked worker may hold a copy of unwritten text; the fork
-        # start method flushes sys.stdout itself, but not an open file
+        fh.write(f"# schema_version={SCHEMA_VERSION}\n{','.join(header)}\n".encode())
+        # no forked worker may hold a copy of unwritten bytes
         fh.flush()
-        for text in _pool.fork_map(_format_rows, chunks, -(-n // CSV_CHUNK_ROWS)):
+        for text in _pool.fork_map(chunk, range(0, n, CSV_CHUNK_ROWS), -(-n // CSV_CHUNK_ROWS)):
             fh.write(text)
     finally:
         if out:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,6 +32,9 @@ from .symfun import elementary_all
 
 # Partial-fraction closed forms are refused below this parameter separation.
 DISTINCTNESS_TOL = 1e-6
+# The highest moment order: from k = 1015 on, the divisor (k + 1) 2^k of
+# `moment` is beyond the float range.
+MOMENT_ORDER_CAP = 1014
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -40,6 +44,18 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _index(k, name: str = "k") -> int:
+    """k as a Python int (through operator.index); InvalidParameters for a
+    non-integer or negative k."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise InvalidParameters(f"{name} must be an integer, got {k!r}") from None
+    if k < 0:
+        raise InvalidParameters(f"{name} must be non-negative, got {k}")
+    return k
 
 
 def _json_params(s: str, lists: tuple, reals: tuple = ()) -> dict:
@@ -67,13 +83,17 @@ def _json_params(s: str, lists: tuple, reals: tuple = ()) -> dict:
 class ParamSet:
     """Scale c and real parameter vector a of the density.
 
-    The operands every closed form shares (the float array of a, S_0..S_n,
+    A set is frozen, so it keeps what it has computed, each on first use:
+    the operands the closed forms share (the float array of a, S_0..S_n,
     the normalizer, the partial-fraction denominators with the normalizer
-    built from them, the table of B values, and orthopoly's polynomials P_m
-    and sums of B for U_i U_j) are computed on first use and kept on the
-    instance; cached arrays are read-only.  A getter that raises stores
-    nothing, so a coincident set refuses the partial-fraction forms on every
-    call.
+    built from them, and the table of B values), and the scalar closed forms
+    themselves (each moment, orthopoly's P_m and Gram entries, the sums of
+    B for U_i U_j, Q_n, and the B sequence of the generating function).
+    Each is computed once, and a later call returns the first call's bits;
+    memory grows only with the distinct indices asked for.  Kept arrays are
+    read-only, and the public functions hand out copies.  A computation that
+    raises stores nothing, so a coincident set refuses the partial-fraction
+    forms on every call.
     """
 
     a: tuple = field(default=())
@@ -148,17 +168,15 @@ class ParamSet:
             self.__dict__["_B_table"] = table
         return table
 
-    @cached_property
-    def _P(self) -> dict:
-        """orthopoly's P_m by m, filled by P_coeffs."""
-        return {}
-
-    @cached_property
-    def _UU(self) -> dict:
-        """The sums of _UU_sum by (lo, hi); refused, like the B table, for
-        coincident parameters."""
-        _require_distinct(self)
-        return {}
+    def _kept(self, name: str, key, make):
+        """The value kept under (name, key), from make() on the first
+        request; a make() that raises stores nothing."""
+        kept = self.__dict__
+        try:
+            return kept[name, key]
+        except KeyError:
+            value = kept[name, key] = make()
+            return value
 
     def to_json(self) -> str:
         return json.dumps({"c": self.c, "a": list(self.a)})
@@ -247,13 +265,13 @@ def density(p: ParamSet, x):
     x = _check_x(x, c)
     A = normalizer(p)
     if not x.shape:
-        # one point: operators on numpy scalars cost far less than ufunc
-        # calls into one-element buffers, and do the same operations
-        x = x[()]
-        den = np.pi
+        # one point: Python floats cost far less than ufunc calls into
+        # one-element buffers, and do the same IEEE operations in turn
+        x = float(x)
+        den = math.pi
         for aj in p.a:
             den = den * (c * (1.0 + aj * aj) - 2.0 * aj * x)
-        return float(2.0 * A * c ** (p.n - 2) * np.sqrt(np.maximum(c * c - x * x, 0.0)) / den)
+        return 2.0 * A * c ** (p.n - 2) * math.sqrt(max(c * c - x * x, 0.0)) / den
     # two buffers: den = pi * prod_j (c (1 + a_j^2) - 2 a_j x), with num as
     # the scratch for each factor, then num = 2 A c^(n-2) sqrt(c^2 - x^2)
     num = np.empty_like(x)
@@ -298,16 +316,14 @@ def _B_values(p: ParamSet, ks: np.ndarray) -> np.ndarray:
 
 def B_coeff(p: ParamSet, k: int) -> float:
     """B_{n,k}, the U_k coefficient of the density over the semicircle."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    k = _index(k)
     return float(_B_values(p, np.array([k]))[0])
 
 
 def B_prefix(p: ParamSet, K: int) -> BSeq:
     """B_{n,0}..B_{n,K} by the closed form, in a fresh array the caller may
     write to."""
-    if K < 0:
-        raise ValueError("K must be non-negative")
+    K = _index(K, "K")
     return BSeq(values=p._B(K)[: K + 1].copy())
 
 
@@ -353,11 +369,17 @@ def density_series(p: ParamSet, x, tol: float = 1e-10):
 
 
 def moment(p: ParamSet, k: int) -> float:
-    """k-th raw moment at scale c = 1 via the finite B-weighted binomial sum."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    """k-th raw moment at scale c = 1 via the finite B-weighted binomial sum,
+    kept on p; Unsupported above MOMENT_ORDER_CAP."""
+    k = _index(k)
     if p.c != 1.0:
         raise InvalidParameters("moment formula is at scale c = 1; scale by c^k externally")
+    if k > MOMENT_ORDER_CAP:
+        raise Unsupported(f"moment order {k} above {MOMENT_ORDER_CAP}: (k + 1) 2^k overflows a float")
+    return p._kept("moment", k, lambda: _moment(p, k))
+
+
+def _moment(p: ParamSet, k: int) -> float:
     total = 0.0
     for j, b in enumerate(p._B(k)[k::-2].tolist()):
         total += (k - 2 * j + 1) * math.comb(k + 1, j) * b
@@ -366,18 +388,13 @@ def moment(p: ParamSet, k: int) -> float:
 
 def _UU_sum(p: ParamSet, lo: int, hi: int) -> float:
     """B_lo + B_{lo+2} + ... + B_hi, the integral of U_i U_j against the
-    density with lo = |i - j| and hi = i + j; kept in p._UU."""
-    uu = p._UU
-    s = uu.get((lo, hi))
-    if s is None:
-        s = uu[lo, hi] = float(np.add.reduce(p._B(hi)[lo : hi + 1 : 2]))
-    return s
+    density with lo = |i - j| and hi = i + j; kept on p."""
+    return p._kept("UU", (lo, hi), lambda: float(np.add.reduce(p._B(hi)[lo : hi + 1 : 2])))
 
 
 def inner_UU(p: ParamSet, k: int, m: int) -> float:
     """integral of U_k U_m against the density, as a finite sum of B values."""
-    if k < 0 or m < 0:
-        raise ValueError("indices must be non-negative")
+    k, m = _index(k), _index(m, "m")
     return _UU_sum(p, abs(m - k), m + k)
 
 
@@ -406,7 +423,8 @@ def _products_skipping_each(a: list) -> list:
 
 def Q_poly(p: ParamSet) -> np.ndarray:
     """Coefficients (ascending in t) of the degree-max(n-2, 0) numerator of
-    the B-sequence generating function.
+    the B-sequence generating function, computed once per parameter set, in
+    a fresh array the caller may write to.
 
     The formally degree-(n-1) coefficient must cancel; the residual is
     checked before truncation.  The sum runs on Python floats in a fixed
@@ -414,6 +432,10 @@ def Q_poly(p: ParamSet) -> np.ndarray:
     coefficients of prod_{j != i} (1 - a_j t), one product and one sum per
     coefficient, with no fused multiply-add.
     """
+    return p._kept("Q_poly", None, lambda: _read_only(_Q(p))).copy()
+
+
+def _Q(p: ParamSet) -> np.ndarray:
     n = p.n
     if n <= 2:
         return np.array([1.0])
@@ -434,23 +456,29 @@ def Q_poly(p: ParamSet) -> np.ndarray:
 
 def B_from_genfun(p: ParamSet, K: int) -> BSeq:
     """B_{n,0}..B_{n,K} by formal power-series division of the generating
-    function Q_n(t) / prod_i (1 - a_i t).
+    function Q_n(t) / prod_i (1 - a_i t), in a fresh array the caller may
+    write to.
 
     The division runs on Python floats in a fixed order:
     B_k = q_k - d_1 B_{k-1} - d_2 B_{k-2} - ..., subtracted left to right.
+    B_k depends only on q and B_0..B_{k-1}, so the sequence is kept on p as
+    a prefix that grows on demand, and every K gets the bits of a division
+    run afresh to K.
     """
-    if K < 0:
-        raise ValueError("K must be non-negative")
-    q = Q_poly(p).tolist()
-    S = p._S
-    d = (S * (-1.0) ** np.arange(len(S))).tolist()  # coefficients of prod (1 - a_i t)
-    B = []
-    for k in range(K + 1):
+    K = _index(K, "K")
+    q, d, B = p._kept("B_from_genfun", None, lambda: _genfun_operands(p))
+    for k in range(len(B), K + 1):
         val = q[k] if k < len(q) else 0.0
         for j in range(1, min(k, len(d) - 1) + 1):
             val -= d[j] * B[k - j]
         B.append(val)
-    return BSeq(values=np.array(B))
+    return BSeq(values=np.array(B[: K + 1]))
+
+
+def _genfun_operands(p: ParamSet) -> tuple:
+    """q, the coefficients d of prod (1 - a_i t), and an empty B prefix."""
+    S = p._S
+    return Q_poly(p).tolist(), (S * (-1.0) ** np.arange(len(S))).tolist(), []
 
 
 def residual_an2(a) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import USeries
-from .core import ParamSet, _UU_sum
+from .core import ParamSet, _index, _UU_sum
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,8 @@ def P_coeffs(m: int, p: ParamSet) -> OrthoPoly:
     constant 1 - S_2 instead, an irrelevant rescaling of the same degree-0
     member).  Each P_m is built once per parameter set and kept on it.
     """
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    poly = p._P.get(m)
-    if poly is None:
-        poly = p._P[m] = _build_P(m, p)
-    return poly
+    m = _index(m, "m")
+    return p._kept("P", m, lambda: _build_P(m, p))
 
 
 def _build_P(m: int, p: ParamSet) -> OrthoPoly:
@@ -76,8 +72,15 @@ def P_recur_check(m: int, p: ParamSet, x) -> float:
 
 def gram(m: int, k: int, p: ParamSet) -> float:
     """integral of P_m P_k against the density, bilinearly through the exact
-    U-product expansion (no quadrature).  Each sum of B values is computed
-    once per parameter set and kept on it."""
+    U-product expansion (no quadrature).  Each entry, and each sum of B
+    values it reads, is computed once per parameter set and kept on it; the
+    entries (m, k) and (k, m) sum in different orders, so each is kept on
+    its own."""
+    m, k = _index(m, "m"), _index(k)
+    return p._kept("gram", (m, k), lambda: _gram(m, k, p))
+
+
+def _gram(m: int, k: int, p: ParamSet) -> float:
     cm = P_coeffs(m, p).series.coeffs
     ck = P_coeffs(k, p).series.coeffs
     if not cm or not ck:

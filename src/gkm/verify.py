@@ -474,12 +474,6 @@ _LONGEST_FIRST = (
 )
 
 
-def _run_suite(name: str) -> list:
-    # a worker receives the suite's name and looks the function up itself:
-    # the table may hold wrappers (a tracer's) that do not pickle
-    return _SUITE_FN[name]()
-
-
 def run_verify(suite: str | tuple = "all", tol: float | None = None) -> dict:
     """Execute one named suite, a tuple of suites (reported as their names
     joined by "+"), or all of them, and assemble the report.  More than one
@@ -494,7 +488,7 @@ def run_verify(suite: str | tuple = "all", tol: float | None = None) -> dict:
     # the suites are independent (each draws from its own seeds), and the
     # sort by check name below makes the report the same in any order
     order = sorted(names, key=_LONGEST_FIRST.index)
-    checks = [c for result in _pool.fork_map(_run_suite, order, len(order)) for c in result]
+    checks = [c for result in _pool.fork_map(lambda name: _SUITE_FN[name](), order, len(order)) for c in result]
     if tol is not None:
         for c in checks:
             c["tol"] = tol

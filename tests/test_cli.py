@@ -1,8 +1,10 @@
 import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -351,6 +353,33 @@ def test_forked_writer_matches_serial_on_mixed_columns(chunk, tmp_path, capsys, 
         got[cpus] = (out_path.read_bytes(), capsys.readouterr().out.encode())
     assert got[3] == got[1]
     assert got[1][0] == got[1][1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_csv_to_stdout_follows_the_text_already_written(cpus, tmp_path, monkeypatch):
+    # a text layer that holds what was printed before the CSV: it is
+    # written out first, and what is printed after follows the CSV
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 7)
+    _cpus(monkeypatch, cpus)
+    columns = (range(30), np.linspace(-1.0, 1.0, 30))
+    out_path = tmp_path / "out.csv"
+    cli._write_csv(str(out_path), ["i", "x"], *columns)
+    raw = io.BytesIO()
+    stdout = io.TextIOWrapper(raw, encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    print("before")
+    cli._write_csv(None, ["i", "x"], *columns)
+    print("after")
+    stdout.flush()
+    assert raw.getvalue() == b"before\n" + out_path.read_bytes() + b"after\n"
+
+
+def test_fork_map_pickles_neither_the_function_nor_the_items(monkeypatch):
+    # a lambda and a lock do not pickle; the forked workers inherit them
+    _cpus(monkeypatch, 2)
+    lock = threading.Lock()
+    items = [(lock, i) for i in range(5)]
+    assert list(_pool.fork_map(lambda item: item[1] * item[1], items, 5)) == [0, 1, 4, 9, 16]
 
 
 def _no_pool(*args, **kwargs):

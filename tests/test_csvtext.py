@@ -30,7 +30,7 @@ def _same(got: str, want: str) -> bool:
 
 
 def _format(arr, block=257) -> str:
-    return _csvtext.format_rows([arr], block)
+    return _csvtext.format_rows([arr], block).decode("ascii")
 
 
 def _ulps(x, n):
@@ -111,7 +111,7 @@ def test_ints_match_str():
                      -(10**17), 2**63 - 1, -(2**63), -(2**63) + 1])
     assert _format(ints) == "".join(f"{i}\n" for i in ints.tolist())
     assert _csvtext.format_rows([range(-5, 10**17 + 5, 10**16 - 1)], 3) == "".join(
-        f"{i}\n" for i in range(-5, 10**17 + 5, 10**16 - 1))
+        f"{i}\n" for i in range(-5, 10**17 + 5, 10**16 - 1)).encode()
 
 
 @PROPERTY
@@ -148,7 +148,7 @@ def test_rows_of_mixed_columns():
     cols = [range(n), rng.normal(size=n), np.arange(n, dtype=np.int32) * -3, rng.uniform(-1e-6, 1e-6, n)]
     want = "".join(",".join(map(str, row)) + "\n" for row in zip(*(c if isinstance(c, range) else c.tolist() for c in cols)))
     for block in (1, 64, 999, 1000, 5000):
-        assert _same(_csvtext.format_rows(cols, block), want)
+        assert _same(_csvtext.format_rows(cols, block).decode("ascii"), want)
 
 
 def test_supported_columns():

@@ -1,7 +1,7 @@
-"""The operands a ParamSet caches must not change any result.
+"""What a ParamSet keeps must not change any result.
 
-Every closed form is evaluated on a fresh instance (nothing cached yet), on
-the same instance again after all of them have run (everything cached), and
+Every closed form is evaluated on a fresh instance (nothing kept yet), on
+the same instance again after all of them have run (everything kept), and
 on an equal but distinct instance; the three answers must agree bit for bit.
 """
 
@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkm import (
     A_closed,
@@ -27,8 +29,8 @@ from gkm import (
     residual_id2,
 )
 from gkm.chebyshev import USeries
-from gkm.core import B_prefix, normalizer
-from gkm.errors import DegenerateParameters, GKMError
+from gkm.core import MOMENT_ORDER_CAP, B_prefix, normalizer
+from gkm.errors import DegenerateParameters, GKMError, InvalidParameters, Unsupported
 
 CLOSED_FORMS = {
     "normalizer": normalizer,
@@ -239,7 +241,8 @@ def test_coincident_set_stores_no_table():
                lambda q: gram(2, 1, q), lambda q: residual_id2(1, q)):
         with pytest.raises(DegenerateParameters):
             fn(p)
-    assert "_B_table" not in vars(p) and "_UU" not in vars(p)
+    assert "_B_table" not in vars(p)
+    assert not [key for key in vars(p) if isinstance(key, tuple) and key[0] != "P"]
 
 
 def test_B_prefix_results_never_share_a_buffer():
@@ -252,3 +255,132 @@ def test_B_prefix_results_never_share_a_buffer():
     assert not np.shares_memory(first, second)
     first[0] = 7.0
     assert B_prefix(p, 8).values[0] == second[0] != 7.0
+
+
+# --- the scalar closed forms kept on a set
+
+# each kept form, called with a drawn index i in [0, 40]
+KEPT_FORMS = {
+    "moment": lambda p, i: moment(p, i),
+    "gram": lambda p, i: gram(i % 7, i // 7 % 7, p),
+    "P_coeffs": lambda p, i: P_coeffs(i % 9, p),
+    "inner_UU": lambda p, i: inner_UU(p, i % 6, i // 6 % 6),
+    "Q_poly": lambda p, i: Q_poly(p),
+    "B_from_genfun": lambda p, i: B_from_genfun(p, i),
+    "B_prefix": lambda p, i: B_prefix(p, i),
+    "density": lambda p, i: density(p, i / 20.0 - 1.0),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.lists(st.floats(-0.9, 0.9), max_size=8),
+    st.lists(st.tuples(st.sampled_from(sorted(KEPT_FORMS)), st.integers(0, 40)), min_size=1, max_size=30),
+    st.randoms(use_true_random=False),
+)
+def test_kept_forms_in_any_order_have_the_fresh_instance_bits(a, calls, rnd):
+    fresh = [_call(lambda q: KEPT_FORMS[name](q, i), ParamSet(a=tuple(a))) for name, i in calls]
+    warm = ParamSet(a=tuple(a))
+    for _ in range(2):
+        assert [_call(lambda q: KEPT_FORMS[name](q, i), warm) for name, i in calls] == fresh
+    twin = ParamSet(a=tuple(a))
+    order = list(range(len(calls)))
+    rnd.shuffle(order)
+    for j in order:
+        name, i = calls[j]
+        assert _call(lambda q: KEPT_FORMS[name](q, i), twin) == fresh[j], (name, i)
+
+
+def test_gram_keeps_each_order_of_a_pair_on_its_own():
+    p = ParamSet(a=(0.7, -0.2, 0.45, 0.1, -0.6))
+    pairs = [(m, k) for m in range(7) for k in range(7)]
+    for m, k in pairs:
+        assert gram(m, k, p) == gram(m, k, ParamSet(a=p.a))
+    assert {key[1] for key in vars(p) if isinstance(key, tuple) and key[0] == "gram"} == set(pairs)
+
+
+def test_coincident_set_keeps_nothing_it_refuses():
+    p = ParamSet(a=(0.3, 0.3, -0.2))
+    refused = [lambda q: moment(q, 3), lambda q: gram(2, 1, q), lambda q: inner_UU(q, 1, 2),
+               Q_poly, lambda q: B_from_genfun(q, 5), lambda q: B_prefix(q, 4)]
+    for _ in range(3):
+        for fn in refused:
+            with pytest.raises(DegenerateParameters):
+                fn(p)
+    # only the polynomials P_m, which need no partial fractions, are kept
+    assert {key[0] for key in vars(p) if isinstance(key, tuple)} == {"P"}
+
+
+def test_returned_arrays_can_be_written_without_changing_later_results():
+    p = ParamSet(a=(0.6, -0.3, 0.15, 0.8))
+    for fn in (Q_poly, lambda q: B_from_genfun(q, 12).values, lambda q: B_prefix(q, 12).values):
+        first = fn(p)
+        want = first.copy()
+        assert first.flags.writeable
+        first[:] = 7.0
+        assert fn(p).tobytes() == want.tobytes()
+    # a longer genfun prefix extends the kept one, and a shorter one reads it
+    assert B_from_genfun(p, 30).values[:13].tobytes() == B_from_genfun(p, 12).values.tobytes()
+    assert B_from_genfun(p, 30).values.tobytes() == B_from_genfun(ParamSet(a=p.a), 30).values.tobytes()
+
+
+@pytest.mark.parametrize("p", _seeded_sets(), ids=lambda p: f"n={p.n},c={p.c}")
+def test_scalar_density_is_a_float_with_the_bits_of_the_array_path(p):
+    for x in np.linspace(-p.c, p.c, 17).tolist():
+        got = density(p, x)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == density(p, np.array([x]))[0].tobytes()
+        assert density(p, np.float64(x)) == got and type(density(p, np.float64(x))) is float
+
+
+INDEXED = {
+    "moment": lambda p, k: moment(p, k),
+    "B_coeff": lambda p, k: B_coeff(p, k),
+    "B_prefix": lambda p, k: B_prefix(p, k),
+    "B_from_genfun": lambda p, k: B_from_genfun(p, k),
+    "inner_UU": lambda p, k: inner_UU(p, k, 0),
+    "inner_UU_m": lambda p, k: inner_UU(p, 0, k),
+    "P_coeffs": lambda p, k: P_coeffs(k, p),
+    "gram": lambda p, k: gram(k, 0, p),
+    "gram_k": lambda p, k: gram(0, k, p),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED))
+@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2.0), "2", None, -1, np.int64(-3)])
+def test_an_index_that_is_not_a_non_negative_integer_is_invalid(name, bad):
+    p = ParamSet(a=(0.3, -0.5, 0.7))
+    with pytest.raises(InvalidParameters):
+        INDEXED[name](p, bad)
+    with pytest.raises(ValueError):  # callers that catch ValueError still do
+        INDEXED[name](p, bad)
+    # nothing was kept under the bad index
+    assert not [key for key in vars(p) if isinstance(key, tuple)]
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED))
+def test_numpy_integer_indices_give_the_int_results(name):
+    p = ParamSet(a=(0.3, -0.5, 0.7))
+    want = _bits(INDEXED[name](ParamSet(a=p.a), 3))
+    assert _bits(INDEXED[name](p, np.int64(3))) == want
+    assert _bits(INDEXED[name](p, 3)) == want
+    assert type(moment(p, np.int64(3))) is float
+
+
+def test_moment_above_the_order_cap_is_unsupported():
+    p = ParamSet(a=(0.3, -0.5, 0.7))
+    # the cap is the last order whose divisor (k + 1) 2^k is a float
+    float((MOMENT_ORDER_CAP + 1) * 2**MOMENT_ORDER_CAP)
+    with pytest.raises(OverflowError):
+        float((MOMENT_ORDER_CAP + 2) * 2 ** (MOMENT_ORDER_CAP + 1))
+    assert math.isfinite(moment(p, MOMENT_ORDER_CAP))
+    for k in (MOMENT_ORDER_CAP + 1, np.int64(2**63 - 1), 10**30):
+        with pytest.raises(Unsupported):
+            moment(p, k)
+    assert ("moment", MOMENT_ORDER_CAP + 1) not in vars(p)
+
+
+def test_moment_at_order_1000_is_the_semicircle_catalan_moment():
+    # C_500 / 4^500, the 1000th moment of the semicircle on [-1, 1]
+    catalan = math.comb(1000, 500) // 501
+    assert moment(ParamSet(), 1000) == pytest.approx(catalan / 2**1000, rel=1e-13)
