@@ -3,7 +3,10 @@
 `format_rows` writes the rows of float64, integer and `range` columns a
 block of rows at a time.  A block is one array of little-endian 64-bit
 words: every value has a fixed-width cell of NUL-padded ASCII ending in its
-`,` or `\\n`, and one boolean mask over the bytes drops the NULs.
+`,` or `\\n`, and a boolean mask over the bytes drops the NULs, into the
+text of the whole call.  The cells, the mask and the text are allocated
+once per call; at BLOCK_ROWS rows every other array of a block is at most
+64 KiB.
 
 A float is certified, or left to `repr`.  `|x|` is scaled by a power of ten,
 as a double-double product, to `z = |x|·10^k` in [10^16, 10^17).  The
@@ -37,6 +40,13 @@ _WORD = np.dtype("<u8")
 _EXP_BITS = np.uint64(0x7FF0000000000000)
 _FRAC_BITS = np.uint64(0x000FFFFFFFFFFFFF)
 _ZEROS = np.uint64(0x3030303030303030)
+
+# rows whose cells are filled at once: every per-value temporary of a block
+# (64 KiB) stays below 128 KiB, which glibc serves from its heap rather than
+# by a fresh mmap
+BLOCK_ROWS = 8192
+# bytes of cells whose NULs are dropped at once
+_PIECE_BYTES = 1 << 16
 
 # Cells, in words.  A float: sign and "0.000" prefix in word 0, then 18
 # bytes of digits with their dot, "e±XX" and the separator in the last byte.
@@ -264,8 +274,13 @@ def format_rows(columns, block_rows: int) -> bytes:
     n = len(columns[0])
     floats = [isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns]
     ends = np.cumsum([_FLOAT_WORDS if f else _INT_WORDS for f in floats])
+    # the workspace of every block: its cells, the mask of their non-NUL
+    # bytes, and the text of all the rows
     buf = np.empty((min(block_rows, n), int(ends[-1])), _WORD)
-    parts = []
+    cell_bytes = buf.view(np.uint8).reshape(-1)
+    mask = np.empty(cell_bytes.size, bool)
+    text = np.empty(n * buf.shape[1] * _WORD.itemsize, np.uint8)
+    size = 0
     for lo in range(0, n, block_rows):
         block = buf[:min(block_rows, n - lo)]
         for c, (col, f, end) in enumerate(zip(columns, floats, ends)):
@@ -277,6 +292,12 @@ def format_rows(columns, block_rows: int) -> bytes:
                 if isinstance(part, range):
                     part = np.arange(part.start, part.stop, part.step, dtype=np.int64)
                 _int_cells(part.astype(np.int64, copy=False), block[:, end - _INT_WORDS:end], sep)
-        text = block.view(np.uint8).reshape(-1)
-        parts.append(text[text != 0].tobytes())
-    return b"".join(parts)
+        cells = cell_bytes[:block.nbytes]
+        keep = np.not_equal(cells, 0, out=mask[:cells.size])
+        # the NULs dropped a piece at a time: each piece of text is a fresh
+        # array below 128 KiB
+        for a in range(0, cells.size, _PIECE_BYTES):
+            piece = cells[a:a + _PIECE_BYTES][keep[a:a + _PIECE_BYTES]]
+            text[size:size + piece.size] = piece
+            size += piece.size
+    return text[:size].tobytes()

@@ -2,7 +2,9 @@
 
 The workers are forked, not spawned, so they start with every module and
 cache the calling process already holds; gkm starts no thread that would
-make the fork unsafe.
+make the fork unsafe.  `fork_map` returns each call's result to the caller;
+`fork_write` has each worker write its own result's bytes to a file
+descriptor, taking turns in item order, and returns nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _workers(max_workers: int) -> int:
+    return min(max_workers, usable_cpus()) if hasattr(os, "fork") else 1
+
+
 def fork_map(fn, items, max_workers: int):
     """Yield fn(item) for each item of the sequence `items`, in order.
 
@@ -27,7 +33,7 @@ def fork_map(fn, items, max_workers: int):
     With one worker, or without `os.fork`, the calls run here one after
     another.  A call's exception is raised here when its result is reached.
     """
-    workers = min(max_workers, usable_cpus()) if hasattr(os, "fork") else 1
+    workers = _workers(max_workers)
     if workers <= 1:
         yield from map(fn, items)
         return
@@ -38,6 +44,73 @@ def fork_map(fn, items, max_workers: int):
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_set_job, initargs=(fn, items)) as pool:
         yield from pool.map(_call, range(len(items)))
+
+
+def fork_write(fd: int, fn, items, max_workers: int) -> None:
+    """Write the bytes fn(item) of each item of the sequence `items` to the
+    file descriptor fd, in order.
+
+    The calls run as in `fork_map`, and each worker writes the bytes it made
+    itself, once the items before it are written: the workers share this
+    process's open file description, and so its offset.  Nothing but None
+    comes back.  A call that raises writes nothing and stops every later
+    item from writing; its exception is raised here, the first in item
+    order.  With one worker the bytes are written here, item by item.
+    """
+    if _workers(max_workers) <= 1:
+        for item in items:
+            _write_all(fd, fn(item))
+        return
+    # made before the fork, so that every worker shares it
+    turns = _Turns()
+
+    def job(i):
+        try:
+            data = fn(items[i])
+        except BaseException:
+            turns.take(i, None)
+            raise
+        turns.take(i, lambda: _write_all(fd, data))
+
+    for _ in fork_map(job, range(len(items)), max_workers):
+        pass
+
+
+def _write_all(fd: int, data) -> None:
+    """os.write the bytes data to fd, again after a partial write, until
+    every byte is out."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+class _Turns:
+    """Turns 0, 1, 2, ... that forked processes take in order."""
+
+    def __init__(self):
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        self._cond = ctx.Condition()
+        # the turn that may be taken next; -1 once a turn has failed
+        self._next = ctx.RawValue("q", 0)
+
+    def take(self, i: int, act) -> None:
+        """Wait until turns 0..i-1 are over, then take turn i: call act(),
+        unless it is None or a turn before failed.  Turn i fails when act is
+        None or raises, and every later turn is then over at once, without
+        its act."""
+        with self._cond:
+            self._cond.wait_for(lambda: self._next.value in (i, -1))
+            if self._next.value == -1:
+                return
+            self._next.value = -1
+            try:
+                if act is not None:
+                    act()
+                    self._next.value = i + 1
+            finally:
+                self._cond.notify_all()
 
 
 # in a worker, the (fn, items) of the fork_map that started it

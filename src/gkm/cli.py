@@ -10,21 +10,23 @@ outputs.
 
 Every float prints as `repr` prints it and every integer as `str` does.
 A chunk of CSV_BLOCK_ROWS (1920) rows or more whose columns are all float64
-or integer arrays or ranges (`grid`, `sample`) is formatted by numpy, 1920
-rows at a time (see `gkm._csvtext`): each float is either certified to
+or integer arrays or ranges (`grid`, `sample`) is formatted by numpy, in
+blocks of rows (see `gkm._csvtext`): each float is either certified to
 have repr's digits or printed by `repr` itself, so the bytes are the same.
 Shorter chunks and other columns (every other command) print value by
 value with `repr` and `str`.
 
 A CSV longer than CSV_CHUNK_ROWS (65 536) rows is formatted by one forked
-process per usable CPU and written in chunk order; `verify` and
-`conj-verify` run their suites the same way (see `gkm.verify`).  A worker
-reads the columns from the memory it inherited: it receives a chunk's
-index and returns the chunk's bytes, which go to the binary file, or to
-`sys.stdout.buffer` once the text layer is flushed.  The bytes are those
-the serial loop writes; that loop handles outputs of one chunk, machines
-with one usable CPU and platforms without `fork`.  There is no setting for
-either.
+process per usable CPU; `verify` and `conj-verify` run their suites the
+same way (see `gkm.verify`).  A worker reads the columns from the memory it
+inherited: it receives a chunk's index, formats the chunk, and writes its
+bytes itself to the output's file descriptor once the chunks before it are
+written (see `gkm._pool.fork_write`), so the chunks land in order and
+nothing but None comes back.  The file descriptor is the binary file's,
+or `sys.stdout`'s once its text layer is flushed.  The bytes are those the
+serial loop writes; that loop handles outputs of one chunk, machines with
+one usable CPU, platforms without `fork`, and a `sys.stdout` without a
+file descriptor (one in memory).  There is no setting for either.
 
 Exit status is 0 on success and, for verify commands, 0 iff every check in
 the report passed; flag/validation problems exit with status 2.
@@ -49,10 +51,8 @@ SCHEMA_VERSION = verify.SCHEMA_VERSION
 
 # rows of a CSV output formatted and written at once
 CSV_CHUNK_ROWS = 1 << 16
-# rows of a chunk of numeric columns formatted at once by numpy; a shorter
-# chunk prints each value with repr or str.  1920 rows of two float columns
-# (64 bytes a row) keep every array of a block below 128 KiB, which glibc
-# serves from its heap rather than by a fresh mmap.
+# the fewest rows of a chunk of numeric columns that numpy formats; a
+# shorter chunk prints each value with repr or str
 CSV_BLOCK_ROWS = 1920
 
 _CONJ_SUITES = ("conjugate", "markov", "trivariate")
@@ -124,15 +124,15 @@ def _format_rows(chunk) -> bytes:
         from . import _csvtext
 
         if all(map(_csvtext.supported, chunk)):
-            return _csvtext.format_rows(chunk, CSV_BLOCK_ROWS)
+            return _csvtext.format_rows(chunk, _csvtext.BLOCK_ROWS)
     return ("\n".join(map(",".join, zip(*map(_column_text, chunk)))) + "\n").encode()
 
 
 def _write_csv(out: str | None, header: list, *columns) -> None:
     """Write a CSV file (stdout without `out`) from equal-length columns,
-    CSV_CHUNK_ROWS rows at a time, as bytes to a binary stream.  More than
-    one chunk is formatted by forked workers (see the module docstring),
-    with the serial loop's bytes."""
+    CSV_CHUNK_ROWS rows at a time, as bytes.  To a file descriptor, more
+    than one chunk is formatted and written by forked workers (see the
+    module docstring), with the serial loop's bytes."""
     n = len(columns[0])
 
     def chunk(lo):
@@ -146,13 +146,28 @@ def _write_csv(out: str | None, header: list, *columns) -> None:
         fh = sys.stdout.buffer
     try:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n{','.join(header)}\n".encode())
-        # no forked worker may hold a copy of unwritten bytes
+        # no forked worker may hold a copy of unwritten bytes, and the
+        # chunks written to the descriptor follow the header
         fh.flush()
-        for text in _pool.fork_map(chunk, range(0, n, CSV_CHUNK_ROWS), -(-n // CSV_CHUNK_ROWS)):
-            fh.write(text)
+        starts = range(0, n, CSV_CHUNK_ROWS)
+        fd = _fileno(fh)
+        if fd is None:
+            for lo in starts:
+                fh.write(chunk(lo))
+        else:
+            _pool.fork_write(fd, chunk, starts, len(starts))
     finally:
         if out:
             fh.close()
+
+
+def _fileno(fh) -> int | None:
+    """The file descriptor under the binary stream fh, or None for a stream
+    without one (in memory)."""
+    try:
+        return fh.fileno()
+    except (AttributeError, OSError):
+        return None
 
 
 def _cheb_grid(c: float, npts: int) -> np.ndarray:

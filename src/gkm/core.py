@@ -170,7 +170,9 @@ class ParamSet:
 
     def _kept(self, name: str, key, make):
         """The value kept under (name, key), from make() on the first
-        request; a make() that raises stores nothing."""
+        request; a make() that raises stores nothing.  Values are kept in
+        the instance dict, where moment, inner_UU, P_coeffs and gram look
+        them up before their checks."""
         kept = self.__dict__
         try:
             return kept[name, key]
@@ -262,9 +264,12 @@ def _semicircle(cc: float, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
 def density(p: ParamSet, x):
     """Density value(s) at x in [-c, c]."""
     c = p.c
-    x = _check_x(x, c)
+    # a float (np.float64 too) inside [-c, c] needs no array round trip;
+    # _check_x raises for any other bad point, NaN included
+    if not (isinstance(x, float) and -c <= x <= c):
+        x = _check_x(x, c)
     A = normalizer(p)
-    if not x.shape:
+    if isinstance(x, float) or not x.shape:
         # one point: Python floats cost far less than ufunc calls into
         # one-element buffers, and do the same IEEE operations in turn
         x = float(x)
@@ -371,6 +376,13 @@ def density_series(p: ParamSet, x, tol: float = 1e-10):
 def moment(p: ParamSet, k: int) -> float:
     """k-th raw moment at scale c = 1 via the finite B-weighted binomial sum,
     kept on p; Unsupported above MOMENT_ORDER_CAP."""
+    # a kept value passed every check below when it was made; only an exact
+    # int may look it up, as 2.0 and np.float64(2.0) hash like 2 and are refused
+    if type(k) is int:
+        try:
+            return p.__dict__["moment", k]
+        except KeyError:
+            pass
     k = _index(k)
     if p.c != 1.0:
         raise InvalidParameters("moment formula is at scale c = 1; scale by c^k externally")
@@ -394,6 +406,13 @@ def _UU_sum(p: ParamSet, lo: int, hi: int) -> float:
 
 def inner_UU(p: ParamSet, k: int, m: int) -> float:
     """integral of U_k U_m against the density, as a finite sum of B values."""
+    if type(k) is int and type(m) is int:
+        # kept, as in moment; a negative index gives lo > hi or hi < 0,
+        # which no kept sum has
+        try:
+            return p.__dict__["UU", (abs(m - k), m + k)]
+        except KeyError:
+            pass
     k, m = _index(k), _index(m, "m")
     return _UU_sum(p, abs(m - k), m + k)
 

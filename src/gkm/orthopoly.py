@@ -41,6 +41,12 @@ def P_coeffs(m: int, p: ParamSet) -> OrthoPoly:
     constant 1 - S_2 instead, an irrelevant rescaling of the same degree-0
     member).  Each P_m is built once per parameter set and kept on it.
     """
+    if type(m) is int:
+        # kept, as in core.moment
+        try:
+            return p.__dict__["P", m]
+        except KeyError:
+            pass
     m = _index(m, "m")
     return p._kept("P", m, lambda: _build_P(m, p))
 
@@ -76,6 +82,12 @@ def gram(m: int, k: int, p: ParamSet) -> float:
     values it reads, is computed once per parameter set and kept on it; the
     entries (m, k) and (k, m) sum in different orders, so each is kept on
     its own."""
+    if type(m) is int and type(k) is int:
+        # kept, as in core.moment
+        try:
+            return p.__dict__["gram", (m, k)]
+        except KeyError:
+            pass
     m, k = _index(m, "m"), _index(k)
     return p._kept("gram", (m, k), lambda: _gram(m, k, p))
 

@@ -53,9 +53,12 @@ class _MonotoneCubic:
     The interval is found through a guide table over M = 4 (N - 1) buckets of
     equal width: b(q) = clip(floor((q - x_0) (M / (x_last - x_0))), 0, M - 1)
     is monotone in q in floating point, so the guide[b(q)] interior knots
-    whose own bucket is below b(q) all lie at or below q, and stepping on
-    from there while the next knot is <= q gives the count of interior knots
-    <= q, which is the interval.
+    whose own bucket is below b(q) all lie at or below q, and those whose
+    bucket is above it all lie above q.  Where bucket b(q) holds at most one
+    interior knot, one comparison with the knot after them gives the count
+    of interior knots <= q, which is the interval; where it holds more (the
+    CDF values of an inverse table crowd near 0 and 1), a binary search
+    over the interior knots does.  NaN goes to bucket 0 and interval 0.
     """
 
     def __init__(self, x, y):
@@ -90,9 +93,12 @@ class _MonotoneCubic:
         buckets = 4 * (x.size - 1)
         self._scale = buckets / (x[-1] - x[0])
         self._top = buckets - 1.0
-        self._guide = np.searchsorted(self._bucket(x[1:-1]), np.arange(buckets))
-        # the NaN after the last interior knot ends every walk: NaN <= q is False
-        self._knots = np.append(x[1:-1], np.nan)
+        guide = np.searchsorted(self._bucket(x[1:-1]), np.arange(buckets + 1))
+        self._guide = guide[:-1]
+        # per bucket, the knot after those below it (NaN after the last
+        # interior knot: NaN <= q is False), and whether it holds two or more
+        self._next = np.append(x[1:-1], np.nan).take(self._guide)
+        self._crowded = np.diff(guide) > 1
 
     def _bucket(self, q):
         b = q - self._x[0]
@@ -101,12 +107,19 @@ class _MonotoneCubic:
         np.fmin(b, self._top, out=b)
         return b.astype(np.intp)
 
+    def _interval(self, q):
+        """The interval of each point of q: the count of interior knots <= q."""
+        b = self._bucket(q)
+        i = self._guide.take(b)
+        i += self._next.take(b) <= q
+        crowded = np.flatnonzero(self._crowded.take(b))
+        if crowded.size:
+            # fmax takes NaN to -inf, which is below every knot
+            i[crowded] = np.searchsorted(self._x[1:-1], np.fmax(q.take(crowded), -np.inf), side="right")
+        return i
+
     def _block(self, q, out):
-        i = self._guide.take(self._bucket(q))
-        walk = np.flatnonzero(self._knots.take(i) <= q)
-        while walk.size:
-            i[walk] += 1
-            walk = walk[self._knots.take(i[walk]) <= q[walk]]
+        i = self._interval(q)
         c0, c1, c2, c3 = self._coef
         s = q - self._x.take(i)
         ss = s * s

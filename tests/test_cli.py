@@ -262,11 +262,12 @@ def test_csv_bytes_match_row_writer(command, chunk, tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("chunk, block", [(None, 64), (250, 100), (1000, 1000)])
 @pytest.mark.parametrize("command", ["grid", "sample"])
 def test_csv_bytes_match_row_writer_in_numpy_blocks(command, chunk, block, tmp_path, capsys, monkeypatch):
-    # blocks shorter than the 1001 rows: grid and sample go through _csvtext
-    # (a 1-row last chunk prints through repr)
+    # blocks shorter than the 1001 rows: grid and sample go through _csvtext,
+    # in blocks of that many rows (a 1-row last chunk prints through repr)
     if chunk:
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
     monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+    monkeypatch.setattr(_csvtext, "BLOCK_ROWS", block)
     _check_csv_bytes(command, tmp_path, capsys)
 
 
@@ -387,18 +388,21 @@ def _no_pool(*args, **kwargs):
 
 
 @pytest.mark.parametrize("command", sorted(CSV_COMMANDS))
-def test_one_chunk_starts_no_pool(command, capsys, monkeypatch):
+def test_one_chunk_starts_no_pool(command, tmp_path, capsys, monkeypatch):
     import concurrent.futures
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     _cpus(monkeypatch, 4)
-    argv = CSV_COMMANDS[command][0]
+    argv = CSV_COMMANDS[command][0] + ["--out", str(tmp_path / "out.csv")]
     assert run(capsys, *argv)[0] == 0
     if command in ("grid", "sample"):
         # the same command over two chunks does start one
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 1000)
         with pytest.raises(RuntimeError, match="process pool"):
             main(argv)
+        # except to a stdout without a file descriptor, which takes the
+        # serial loop
+        assert run(capsys, *CSV_COMMANDS[command][0])[0] == 0
 
 
 def _no_numpy_format(*args, **kwargs):
@@ -435,6 +439,99 @@ def test_forked_cli_writes_each_byte_once(tmp_path, monkeypatch):
     forked = tmp_path / "forked.csv"
     subprocess.run(cmd + ["--out", str(forked)], env=env, capture_output=True, check=True)
     assert forked.read_bytes() == want
+
+
+# --- the forked workers write their own chunks, taking turns
+
+# _write_csv in a fresh interpreter, with three forked workers whatever the
+# machine: 20 rows of `i` in chunks of 4 rows, to the file argv[1] or to
+# stdout for "-"; the chunk starting at row argv[2] raises on reading
+_WRITER = """
+import sys
+from gkm import _pool, cli
+
+class Column:
+    def __len__(self):
+        return 20
+
+    def __getitem__(self, rows):
+        if rows.start == int(sys.argv[2]):
+            raise ValueError(f"chunk at row {rows.start} cannot be read")
+        return range(rows.start, min(rows.stop, 20))
+
+_pool.usable_cpus = lambda: 3
+cli.CSV_CHUNK_ROWS = 4
+try:
+    cli._write_csv(None if sys.argv[1] == "-" else sys.argv[1], ["i"], Column())
+except ValueError as exc:
+    print(exc, file=sys.stderr)
+"""
+
+
+def _run_python(code: str, *args: str):
+    """The (stdout, stderr) of code run by a fresh interpreter; it and its
+    workers are killed, and the test fails, if it has not finished within a
+    minute."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-c", code, *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        return proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, 9)
+        proc.communicate()
+        pytest.fail("the forked writer hung")
+
+
+def _rows(stop: int) -> bytes:
+    return f"# schema_version={SCHEMA_VERSION}\ni\n".encode() + b"".join(b"%d\n" % i for i in range(stop))
+
+
+@pytest.mark.parametrize("bad_row", [0, 8, 16])
+def test_a_failed_chunk_raises_and_no_later_chunk_is_written(bad_row, tmp_path):
+    out_path = tmp_path / "out.csv"
+    out, err = _run_python(_WRITER, str(out_path), str(bad_row))
+    assert err.decode() == f"chunk at row {bad_row} cannot be read\n"
+    assert out_path.read_bytes() == _rows(bad_row)
+    out, err = _run_python(_WRITER, "-", str(bad_row))
+    assert err.decode() == f"chunk at row {bad_row} cannot be read\n"
+    assert out == _rows(bad_row)
+
+
+def test_forked_chunks_to_a_pipe_and_a_file_have_the_serial_bytes(tmp_path):
+    out_path = tmp_path / "out.csv"
+    assert _run_python(_WRITER, str(out_path), "-1") == (b"", b"")
+    assert out_path.read_bytes() == _rows(20)
+    assert _run_python(_WRITER, "-", "-1") == (_rows(20), b"")
+
+
+def test_fork_write_writes_in_item_order_whatever_finishes_first():
+    # more workers than CPUs, and the later an item, the sooner it is made
+    code = (
+        "import time\n"
+        "from gkm import _pool\n"
+        "_pool.usable_cpus = lambda: 8\n"
+        "_pool.fork_write(1, lambda i: (time.sleep(0.004 * (24 - i)), b'%d;' % i)[1], range(24), 24)\n"
+    )
+    assert _run_python(code) == (b"".join(b"%d;" % i for i in range(24)), b"")
+
+
+def test_stdout_without_a_file_descriptor_takes_the_serial_loop(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 7)
+    columns = (range(30), np.linspace(-1.0, 1.0, 30))
+    out_path = tmp_path / "out.csv"
+    cli._write_csv(str(out_path), ["i", "x"], *columns)
+
+    def no_fork_write(*args):
+        raise RuntimeError("fork_write was reached")
+
+    _cpus(monkeypatch, 3)
+    monkeypatch.setattr(_pool, "fork_write", no_fork_write)
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8"))
+    cli._write_csv(None, ["i", "x"], *columns)
+    assert raw.getvalue() == out_path.read_bytes()
 
 
 def test_write_csv_prints_numpy_scalars_in_lists_as_numbers(capsys):

@@ -151,6 +151,17 @@ def test_rows_of_mixed_columns():
         assert _same(_csvtext.format_rows(cols, block).decode("ascii"), want)
 
 
+@pytest.mark.parametrize("piece", [1, 7, 64, 1000])
+def test_nuls_dropped_in_pieces_of_any_size(piece, monkeypatch):
+    # a piece ends anywhere in a cell, or covers a whole block
+    rng = np.random.default_rng(4)
+    cols = [range(300), rng.normal(size=300)]
+    want = _csvtext.format_rows(cols, 64)
+    monkeypatch.setattr(_csvtext, "_PIECE_BYTES", piece)
+    for block in (1, 64, 300):
+        assert _csvtext.format_rows(cols, block) == want
+
+
 def test_supported_columns():
     assert all(map(_csvtext.supported, [range(3), np.zeros(3), np.arange(3), np.arange(3, dtype=np.int8)]))
     for col in ([0.5], (1, 2), np.zeros(3, np.float32), np.zeros((2, 2)), np.array(["a"]), range(2**63, 2**63 + 2)):

@@ -30,7 +30,7 @@ from gkm import (
 )
 from gkm.chebyshev import USeries
 from gkm.core import MOMENT_ORDER_CAP, B_prefix, normalizer
-from gkm.errors import DegenerateParameters, GKMError, InvalidParameters, Unsupported
+from gkm.errors import DegenerateParameters, DomainError, GKMError, InvalidParameters, Unsupported
 
 CLOSED_FORMS = {
     "normalizer": normalizer,
@@ -331,6 +331,14 @@ def test_scalar_density_is_a_float_with_the_bits_of_the_array_path(p):
         assert type(got) is float
         assert np.float64(got).tobytes() == density(p, np.array([x]))[0].tobytes()
         assert density(p, np.float64(x)) == got and type(density(p, np.float64(x))) is float
+    # a bad point raises what the array path raises
+    for bad in (math.nan, np.float64(math.nan), math.inf, -math.inf, math.nextafter(p.c, 2 * p.c), 1e300):
+        for x in (bad, -bad):
+            with pytest.raises(DomainError) as got:
+                density(p, x)
+            with pytest.raises(DomainError) as want:
+                density(p, np.array([x]))
+            assert str(got.value) == str(want.value) == f"x outside [-{p.c}, {p.c}]"
 
 
 INDEXED = {
@@ -356,6 +364,17 @@ def test_an_index_that_is_not_a_non_negative_integer_is_invalid(name, bad):
         INDEXED[name](p, bad)
     # nothing was kept under the bad index
     assert not [key for key in vars(p) if isinstance(key, tuple)]
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED))
+@pytest.mark.parametrize("bad", [2.0, np.float64(2.0), 2.5, -2, np.int64(-2)])
+def test_a_kept_value_is_reached_by_no_bad_index(name, bad):
+    # 2.0 and np.float64(2.0) hash like the kept index 2
+    p = ParamSet(a=(0.3, -0.5, 0.7))
+    for k in range(4):
+        INDEXED[name](p, k)
+    with pytest.raises(InvalidParameters):
+        INDEXED[name](p, bad)
 
 
 @pytest.mark.parametrize("name", sorted(INDEXED))

@@ -180,3 +180,31 @@ def test_monotone_cubic_has_the_bits_of_pchip_on_drawn_tables(a, c, N, xq, uq):
     xq = np.concatenate([np.array(xq), c * np.array(uq)])
     _assert_same_bits(t.cdf(xq), PchipInterpolator(t.xs, t.Fs)(xq))
     _assert_same_bits(t.inverse(np.array(uq)), PchipInterpolator(t.Fs, t.xs)(np.array(uq)))
+
+
+_LOOKUP_TABLES = [build_cdf(ParamSet(a=(a,))) for a in (0.5, -0.99, 0.999999)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    st.sampled_from(range(len(_LOOKUP_TABLES))),
+    st.booleans(),
+    st.lists(st.one_of(st.floats(-1.5, 1.5), st.integers(0, 2047), st.floats(0.0, 1e-6), st.floats(1 - 1e-6, 1.0)),
+             min_size=1, max_size=60),
+)
+def test_interval_lookup_counts_the_interior_knots_at_or_below(table, inverse, picks):
+    # the knots crowd near 0 and 1 in an inverse table and near -1 and 1 in
+    # a CDF table; an integer pick is a knot itself, one below or one above
+    t = _LOOKUP_TABLES[table]
+    f = t.inverse if inverse else t.cdf
+    x = t.Fs if inverse else t.xs
+    q = np.array([x[p] if isinstance(p, int) else p for p in picks], dtype=float)
+    q = np.concatenate([q, np.nextafter(q, -np.inf), np.nextafter(q, np.inf)])
+    assert np.array_equal(f._interval(q), np.searchsorted(x[1:-1], q, side="right"))
+
+
+def test_interval_lookup_of_nan_and_infinities():
+    for t in _LOOKUP_TABLES:
+        for f, x in ((t.cdf, t.xs), (t.inverse, t.Fs)):
+            got = f._interval(np.array([np.nan, -np.inf, np.inf]))
+            assert got.tolist() == [0, 0, x.size - 2]
