@@ -41,6 +41,6 @@ mass = integrate_2d(lambda x, y: f2M(x, y, rho), 1e-9).value
 xy = integrate_2d(lambda x, y: f2M(x, y, rho) * x * y, 1e-10).value
 print(f"  mass {mass:.10f}   E[XY] {xy:.10f}  (rho/4 = {rho / 4})")
 
-print("\nTrivariate density integrates to one (tensor quadrature + quasi-MC):")
+print("\nTrivariate density integrates to one (periodic trapezoid rule on two shifted grids):")
 res = integrate_3d(lambda a, b, c: g3(a, b, c, 0.5, -0.4, 0.3), 1e-7)
 print(f"  mass {res.value:.8f}  (error estimate {res.abs_error_estimate:.1e})")

@@ -10,11 +10,12 @@ semicircle weight (2/pi) sqrt(1 - x^2).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InvalidParameters
 
 # U-series truncation orders (core.series_truncation_order,
 # conjugate.poisson_mehler_order) above this are refused as Unsupported;
@@ -44,6 +45,18 @@ def _unwrap(r):
     return r if r.shape else float(r)
 
 
+def _index(k, name: str = "k") -> int:
+    """k as a Python int (through operator.index); InvalidParameters for a
+    non-integer or negative k."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise InvalidParameters(f"{name} must be an integer, got {k!r}") from None
+    if k < 0:
+        raise InvalidParameters(f"{name} must be non-negative, got {k}")
+    return k
+
+
 def u_all(kmax: int, x, out=None):
     """Values U_0(x)..U_kmax(x), stacked along the first axis.
 
@@ -51,6 +64,7 @@ def u_all(kmax: int, x, out=None):
     will do); the rows are computed in it, with no temporary, and it is
     returned.
     """
+    kmax = _index(kmax, "kmax")
     x = _check_x(x)
     if out is None:
         out = np.empty((kmax + 1,) + x.shape)
@@ -71,8 +85,7 @@ def u_all(kmax: int, x, out=None):
 def eval_U(k: int, x):
     """U_k(x) by the forward recurrence U_j = 2x U_{j-1} - U_{j-2}; k >= 0,
     |x| <= 1.  Plain operators, so a 0-d x steps on numpy scalars."""
-    if k < 0:
-        raise ValueError("k must be non-negative; use eval_U_signed")
+    k = _index(k)
     x = _check_x(x)
     twox = 2.0 * x
     prev, cur = np.ones_like(x), twox

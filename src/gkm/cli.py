@@ -111,9 +111,9 @@ def _column_text(col):
     return map(str, col)
 
 
-def _format_rows(chunk) -> bytes:
+def _format_rows(chunk):
     """CSV text of the rows of equal-length column slices, one line each,
-    as ASCII bytes.
+    as ASCII bytes (bytes, or the uint8 array of `_csvtext.format_rows`).
     A numpy column is converted with `.tolist()`: its elements print as
     Python numbers.  A chunk of CSV_BLOCK_ROWS rows or more whose columns
     are all float64 or integer arrays or ranges is formatted by

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import oracle
-from .chebyshev import SERIES_BLOCK, SERIES_ORDER_CAP, _check_x, _unwrap, u_all
+from .chebyshev import SERIES_BLOCK, SERIES_ORDER_CAP, _check_x, _index, _unwrap, u_all
 from .errors import (
     DegenerateParameters,
     InternalInconsistency,
@@ -44,18 +43,6 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _index(k, name: str = "k") -> int:
-    """k as a Python int (through operator.index); InvalidParameters for a
-    non-integer or negative k."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise InvalidParameters(f"{name} must be an integer, got {k!r}") from None
-    if k < 0:
-        raise InvalidParameters(f"{name} must be non-negative, got {k}")
-    return k
 
 
 def _json_params(s: str, lists: tuple, reals: tuple = ()) -> dict:
@@ -292,8 +279,8 @@ def density(p: ParamSet, x):
 def density_classical_km(v: float, x):
     """The classical Kesten-McKay density with parameter v > 1 on
     [-2 sqrt(v-1), 2 sqrt(v-1)]."""
-    if v <= 1.0:
-        raise InvalidParameters("v must exceed 1")
+    if not 1.0 < v < math.inf:
+        raise InvalidParameters(f"v must lie in (1, inf), got {v!r}")
     half_width = 2.0 * math.sqrt(v - 1.0)
     x = _check_x(x, half_width)
     return _unwrap(v * np.sqrt(np.maximum(4.0 * (v - 1.0) - x * x, 0.0)) / (2.0 * np.pi * (v * v - x * x)))

@@ -34,4 +34,6 @@ class NonConvergence(GKMError, ArithmeticError):
 
 
 class EstimatorDisagreement(GKMError, ArithmeticError):
-    """Tensor quadrature and Monte-Carlo estimates differ beyond error bars."""
+    """Two independent estimates of one quantity differ beyond their error
+    bars.  The package raises none: the oracle reports grids that never
+    agree as NonConvergence."""

@@ -1,40 +1,31 @@
 """Independent quadrature used to validate every closed form in the package.
 
-All 1D integrals go through the substitution x = cos(theta), which removes
-the sqrt(1 - x^2) endpoint singularity.  For a g that is smooth (analytic)
-on [-1, 1], the integrand in theta is then a smooth, even, 2pi-periodic
-function, so its integral over [0, pi] is half the one over a full period,
-and there the plain trapezoid rule converges geometrically (Trefethen and
-Weideman, SIAM Review 56, 2014).  The rule runs on two grids, each shifted
-by a fixed offset drawn from Philox(MC_SEED), and doubles both until they
-agree with each other and with the level before: a high mode that one grid
-aliases to a constant shows up as a disagreement.  The 2D/3D routines
-tensorize the same substitution with Simpson panels.  The 3D one is
-confirmed by a rank-1 Korobov lattice rule (Sloan and Joe, Lattice Methods
-for Multiple Integration, 1994) on the periodized integrand: after
-x_i = cos(2 pi u_i) it is smooth and 1-periodic in each u_i, where lattice
-rules converge far faster than Monte Carlo.  Eight random shifts of the
-lattice, drawn from Philox(MC_SEED), give independent estimates whose spread
-is the error bar.
+One rule, _periodic_trapezoid, does every integral, in dim = 1, 2 or 3
+variables.  The substitution x_i = cos(theta_i) removes the sqrt(1 - x^2)
+endpoint singularities: for an integrand smooth on [-1, 1]^dim that carries
+them, the integrand in theta is smooth, even and 2pi-periodic in each angle,
+and there the tensor trapezoid rule over full periods converges geometrically
+(Trefethen and Weideman, SIAM Review 56, 2014).  The rule runs on two grids,
+each shifted in every axis by a fixed offset drawn from Philox(MC_SEED), and
+doubles both until they agree with each other and with the level before.
+Each shifted grid is a shifted lattice rule (Sloan and Joe, Lattice Methods
+for Multiple Integration, 1994), so a high mode that one grid aliases to a
+constant shows up as a disagreement.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .errors import EstimatorDisagreement, NonConvergence
+from .errors import NonConvergence
 
-BUDGET_1D = 10_000_000
-BUDGET_CELLS_3D = 100_000_000
+BUDGET = 10_000_000  # evaluations per integral, in every dimension
 MC_SEED = 20150601  # fixed so acceptance runs are reproducible
-# the lattice confirming a 3D tensor estimate: 8191 points with the Korobov
-# generator (1, 739, 739**2 mod 8191), each under 8 random shifts
-_LATTICE_POINTS = 8191
-_LATTICE_GENERATOR = (1, 739, 739 * 739 % _LATTICE_POINTS)
-_LATTICE_SHIFTS = 8
+_BLOCK = 1 << 13  # points per call of F in 2D/3D: 64 KiB arrays, below glibc's mmap threshold
 
 
 @dataclass(frozen=True)
@@ -45,31 +36,56 @@ class IntegrationResult:
 
 
 @cache
-def _shifts() -> np.ndarray:
-    """The two fixed offsets of the trapezoid grids in theta, drawn once, on
-    first use, so that `import gkm` does not load numpy.random."""
-    return 2.0 * np.pi * np.random.Generator(np.random.Philox(MC_SEED)).random(2)
+def _shifts(dim: int) -> np.ndarray:
+    """The fixed offsets in theta of the two trapezoid grids, one row per
+    grid and one column per axis, drawn once per dim, on first use, so that
+    `import gkm` does not load numpy.random."""
+    return 2.0 * np.pi * np.random.Generator(np.random.Philox(MC_SEED)).random((2, dim))
 
 
-def _periodic_trapezoid(F, tol: float) -> IntegrationResult:
-    """Half the integral over one period of an even, 2pi-periodic F, i.e. its
-    integral over [0, pi], by the trapezoid rule on the grids _shifts() + 2 pi j / N
-    for N = 32, 64, ... (each doubling adds the midpoints), within BUDGET_1D
-    evaluations.  Accepted when the two grids agree and the last two levels
-    agree, each to tol."""
+@cache
+def _halves(dim: int) -> np.ndarray:
+    """The offsets, in steps, of the points a doubling adds to a grid, one
+    column each: the corners of the unit cell but the origin, halved."""
+    return 0.5 * np.indices((2,) * dim).reshape(dim, -1)[:, 1:]
 
-    def sums(offset, n):
-        theta = _shifts()[:, None] + (2.0 * np.pi / n) * (np.arange(n) + offset)
-        return (np.pi / n) * F(theta.ravel()).reshape(2, n).sum(axis=1)
 
-    n = 32
-    t = sums(0.0, n)
-    evals = 2 * n
+def _periodic_trapezoid(F, tol: float, dim: int = 1) -> IntegrationResult:
+    """2^-dim times the integral over one period in each of its dim angles of
+    an even, 2pi-periodic F, i.e. its integral over [0, pi]^dim, by the tensor
+    trapezoid rule on the grids _shifts(dim) + 2 pi j / N, j in {0..N-1}^dim,
+    for N = 64 >> dim, 2 N, ... (each doubling adds the _halves(dim) offsets
+    of the grid before), within BUDGET evaluations.  Accepted when the two
+    grids agree and the last two levels agree, each to tol.
+
+    F takes one array of angles per axis, broadcastable against each other;
+    in 1D it is one flat array.
+    """
+    shifts = _shifts(dim).T[:, :, None, None]
+
+    def sums(offsets, n):
+        # angles[i, g, o, j]: axis i of grid g at offset o, point j
+        angles = shifts + (2.0 * np.pi / n) * (np.arange(n) + offsets[:, None, :, None])
+        if dim == 1:
+            return (np.pi / n) * F(angles[0].ravel()).reshape(2, -1).sum(axis=1)
+        rows = max(1, _BLOCK // (2 * n ** (dim - 1)))
+        total = 0.0
+        for o in range(offsets.shape[1]):
+            axes = [a[:, o].reshape((2,) + (1,) * i + (n,) + (1,) * (dim - 1 - i)) for i, a in enumerate(angles)]
+            for lo in range(0, n, rows):
+                total = total + F(axes[0][:, lo:lo + rows], *axes[1:]).reshape(2, -1).sum(axis=1)
+        return (np.pi / n) ** dim * total
+
+    halves = _halves(dim)
+    n = 64 >> dim
+    t = sums(np.zeros((dim, 1)), n)
+    evals = 2 * n ** dim
     while True:
-        if evals + 2 * n > BUDGET_1D:
-            raise NonConvergence(f"evaluation budget {BUDGET_1D} exhausted")
-        new = 0.5 * (t + sums(0.5, n))
-        evals += 2 * n
+        added = 2 * halves.shape[1] * n ** dim
+        if evals + added > BUDGET:
+            raise NonConvergence(f"evaluation budget {BUDGET} exhausted")
+        new = 0.5 ** dim * (t + sums(halves, n))
+        evals += added
         n *= 2
         err = max(abs(new[0] - new[1]), 0.5 * abs(new.sum() - t.sum()))
         if err <= tol:
@@ -92,6 +108,16 @@ def integrate_weighted(g, tol: float = 1e-11) -> IntegrationResult:
     return _periodic_trapezoid(F, tol)
 
 
+def _over_cube(h, dim: int, tol: float) -> IntegrationResult:
+    """integral over [-1, 1]^dim of h(x_1, ..., x_dim), as 2^-dim times the
+    full-period integral of h(cos theta_1, ...) prod_i |sin theta_i|."""
+
+    def F(*theta):
+        return h(*(np.cos(t) for t in theta)) * math.prod(np.abs(np.sin(t)) for t in theta)
+
+    return _periodic_trapezoid(F, tol, dim)
+
+
 def integrate_plain(g, tol: float = 1e-11) -> IntegrationResult:
     """integral_{-1}^{1} g(x) dx through the same cos substitution, as half
     the full-period integral of the even extension g(cos theta) |sin theta|.
@@ -101,11 +127,22 @@ def integrate_plain(g, tol: float = 1e-11) -> IntegrationResult:
     h smooth; then it is sin(theta)^2 h(cos theta), smooth and periodic, and
     the rule converges geometrically.
     """
+    return _over_cube(g, 1, tol)
 
-    def F(theta):
-        return g(np.cos(theta)) * np.abs(np.sin(theta))
 
-    return _periodic_trapezoid(F, tol)
+def integrate_2d(h, tol: float = 1e-9) -> IntegrationResult:
+    """integral over [-1,1]^2 of h(x, y), h taking broadcastable arrays.
+
+    As in integrate_plain, the rule converges geometrically when h is
+    sqrt(1-x^2) sqrt(1-y^2) times a smooth function.  A jump of h can go
+    undetected, its error the same on both grids and at both levels.
+    """
+    return _over_cube(h, 2, tol)
+
+
+def integrate_3d(h, tol: float = 1e-7) -> IntegrationResult:
+    """integral over [-1,1]^3 of h(x, y, z), as integrate_2d."""
+    return _over_cube(h, 3, tol)
 
 
 def unnormalized_factor(p):
@@ -144,90 +181,3 @@ def normalizer_numeric(p) -> float:
     """1 / integral of the unnormalized density (the closed constant A set to 1),
     for either parameter-set flavor."""
     return 1.0 / integrate_weighted(unnormalized_factor(p)).value
-
-
-def _panels(n: int):
-    """cos(theta), sin(theta) and the Simpson weights of n panels on [0, pi]."""
-    theta = np.linspace(0.0, np.pi, n + 1)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return np.cos(theta), np.sin(theta), w / 3.0 * (np.pi / n)
-
-
-def _simpson_2d(h, x, s, w) -> float:
-    vals = h(x[:, None], x[None, :]) * s[:, None] * s[None, :]
-    return float(w @ vals @ w)
-
-
-def _refine(rule, dim: int, tol: float, n_max: int) -> IntegrationResult:
-    """Double the panel count of `rule(n)` (a tensor rule on (n + 1)**dim
-    points) from 16 until the Richardson difference is below tol."""
-    n = 16
-    prev = rule(n)
-    evals = (n + 1) ** dim
-    while True:
-        n *= 2
-        cur = rule(n)
-        evals += (n + 1) ** dim
-        err = abs(cur - prev) / 15.0
-        if err <= tol:
-            return IntegrationResult(value=cur, abs_error_estimate=err, evaluations=evals)
-        if (2 * n + 1) ** dim > BUDGET_CELLS_3D or n > n_max:
-            raise NonConvergence(f"{dim}D panel refinement exhausted before tolerance")
-        prev = cur
-
-
-def integrate_2d(h, tol: float = 1e-9) -> IntegrationResult:
-    """integral over [-1,1]^2 of h(x, y), by tensorized cos substitution with
-    panel doubling until the Richardson difference is below tol."""
-    return _refine(lambda n: _simpson_2d(h, *_panels(n)), 2, tol, 8192)
-
-
-def _tensor_simpson_3d(h, npanels: int) -> float:
-    x, s, w = _panels(npanels)
-    acc = 0.0
-    # slab at a time along the first axis to bound memory, on one grid
-    for i in range(npanels + 1):
-        acc += w[i] * s[i] * _simpson_2d(lambda y, z: h(x[i], y, z), x, s, w)
-    return acc
-
-
-@cache
-def _lattice():
-    """The nodes x, y, z in [-1, 1] of every shifted lattice point, shift
-    after shift, and the Jacobian pi^3 |prod_i sin(2 pi u_i)| of the map
-    x_i = cos(2 pi u_i) from [0, 1)^3 (which covers [-1, 1]^3 twice over in
-    each axis), built once, on first use, and read-only."""
-    n = _LATTICE_POINTS
-    k = np.arange(n)[:, None] * np.array(_LATTICE_GENERATOR) % n
-    shifts = np.random.Generator(np.random.Philox(MC_SEED)).random((_LATTICE_SHIFTS, 1, 3))
-    theta = 2.0 * np.pi * ((k / n + shifts) % 1.0)
-    jac = np.pi ** 3 * np.abs(np.prod(np.sin(theta), axis=-1))
-    nodes = [np.cos(theta[..., i]).ravel() for i in range(3)] + [jac.ravel()]
-    for a in nodes:
-        a.flags.writeable = False
-    return nodes
-
-
-def integrate_3d(h, tol: float = 1e-7) -> IntegrationResult:
-    """integral over [-1,1]^3 of h(x, y, z).
-
-    Tensor Simpson under the cos substitution, refined by doubling, then
-    confirmed by the shifted lattice rule of _lattice(), all of whose points
-    go to h in one call; raises if the two estimators disagree beyond
-    combined error bars (three standard errors of the mean of the shifts,
-    the tensor's error estimate and tol).  The value and error estimate
-    returned are the tensor's.
-    """
-    t = _refine(lambda n: _tensor_simpson_3d(h, n), 3, tol, 512)
-
-    x, y, z, jac = _lattice()
-    batches = (h(x, y, z) * jac).reshape(_LATTICE_SHIFTS, -1).mean(axis=1)
-    mc = float(batches.mean())
-    mc_sigma = float(batches.std(ddof=1) / np.sqrt(_LATTICE_SHIFTS))
-    if abs(t.value - mc) > 3.0 * mc_sigma + t.abs_error_estimate + tol:
-        raise EstimatorDisagreement(
-            f"tensor {t.value} vs quasi-MC {mc} (sigma {mc_sigma}, tensor err {t.abs_error_estimate})"
-        )
-    return IntegrationResult(t.value, t.abs_error_estimate, t.evaluations + jac.size)

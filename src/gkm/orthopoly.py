@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import USeries
-from .core import ParamSet, _index, _UU_sum
+from .chebyshev import USeries, _index
+from .core import ParamSet, _UU_sum
 
 
 @dataclass(frozen=True)

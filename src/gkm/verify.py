@@ -465,10 +465,11 @@ SUITES = tuple(_SUITE_FN)
 
 # The order in which the workers take the suites: longest first, so that
 # sampling, a third of the work, does not start last.  The measured costs of
-# one traced `verify --suite all` round, in reference-loop units: sampling
-# 2.28, orthogonality 1.44, genfun 0.96, normalization 0.68, trivariate 0.62,
-# identities 0.38, conjugate 0.20, markov 0.11.  On two CPUs the slowest
-# worker then needs about 3.3 of the 6.7; in SUITES order, about 4.4.
+# one traced `verify --suite all` round, in reference-loop units (medians of
+# three rounds on one CPU): sampling 2.18, orthogonality 1.81, genfun 1.09,
+# normalization 0.71, trivariate 0.47, identities 0.45, conjugate 0.24,
+# markov 0.15.  On two CPUs the slowest worker then needs about 3.6 of the
+# 7.1; in SUITES order, about 4.6.
 _LONGEST_FIRST = (
     "sampling", "orthogonality", "genfun", "normalization", "trivariate", "identities", "conjugate", "markov",
 )

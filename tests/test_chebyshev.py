@@ -5,7 +5,7 @@ import pytest
 
 from gkm import USeries, eval_U, eval_U_signed, gauss_chebU_rule
 from gkm.chebyshev import SERIES_BLOCK, u_all
-from gkm.errors import DomainError
+from gkm.errors import DomainError, InvalidParameters
 
 
 def test_eval_U_small_values():
@@ -144,6 +144,20 @@ def test_u_all_into_column_sliced_slab_view():
     u_all(80, x, out=view)
     assert np.array_equal(view, _u_all_ref(80, x))
     assert np.isnan(slab[:, 300:]).all()
+
+
+@pytest.mark.parametrize("k", [2.5, -1, np.float64(3.0), "2"])
+def test_orders_that_are_not_non_negative_integers_are_invalid(k):
+    with pytest.raises(InvalidParameters, match="must be"):
+        eval_U(k, 0.3)
+    with pytest.raises(InvalidParameters, match="must be"):
+        u_all(k, 0.3)
+
+
+def test_integer_orders_of_numpy_types_are_accepted():
+    x = np.linspace(-1.0, 1.0, 7)
+    assert np.array_equal(eval_U(np.int64(5), x), eval_U(5, x))
+    assert np.array_equal(u_all(np.int32(5), x), u_all(5, x))
 
 
 def test_u_all_out_shape_is_checked():

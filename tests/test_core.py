@@ -130,6 +130,12 @@ def test_density_classical_km():
         density_classical_km(2.0, 2.1)
 
 
+@pytest.mark.parametrize("v", [1.0, 0.5, -math.inf, math.inf, math.nan])
+def test_density_classical_km_rejects_v_outside_one_to_infinity(v):
+    with pytest.raises(InvalidParameters, match=r"^v must lie in \(1, inf\)"):
+        density_classical_km(v, 0.0)
+
+
 def test_classical_km_is_the_symmetric_pair_member():
     # v = 1 + 1/a^2, scale c = 2/a maps the (a, -a) member onto Eq-free form
     a = 0.5

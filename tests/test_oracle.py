@@ -10,7 +10,7 @@ import gkm
 
 from gkm import ParamSet, density, eval_U, gauss_chebU_rule, oracle
 from gkm.conjugate import f2M, g3
-from gkm.errors import EstimatorDisagreement, NonConvergence
+from gkm.errors import NonConvergence
 from gkm.oracle import (
     integrate_2d,
     integrate_3d,
@@ -60,9 +60,9 @@ def test_error_estimates_are_honest():
 
 
 def test_budget_exhaustion_raises(monkeypatch):
-    assert oracle.BUDGET_1D == 10_000_000
+    assert oracle.BUDGET == 10_000_000
     # a smaller budget runs out on the same path in a fraction of the time
-    monkeypatch.setattr(oracle, "BUDGET_1D", 100_000)
+    monkeypatch.setattr(oracle, "BUDGET", 100_000)
     rng = np.random.default_rng(42)
 
     def noisy(x):
@@ -113,7 +113,7 @@ def test_integrate_3d():
 
 
 def test_import_does_not_load_scipy_stats():
-    # the 3D confirmation and the sampling suite run on numpy alone
+    # the 2D/3D quadrature and the sampling suite run on numpy alone
     src = str(Path(gkm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
@@ -128,9 +128,10 @@ def test_import_does_not_load_scipy_stats():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_panel_refinement_exhaustion_raises(dim, monkeypatch):
-    # a cell budget below the 32-panel grid stops at the first refinement
-    monkeypatch.setattr(oracle, "BUDGET_CELLS_3D", 1000)
-    with pytest.raises(NonConvergence, match=f"^{dim}D panel refinement exhausted before tolerance$"):
+    # the 2D and 3D rules double their panels within the one budget, which
+    # stops them at tol 0 after a few levels when set to 10^4 evaluations
+    monkeypatch.setattr(oracle, "BUDGET", 10_000)
+    with pytest.raises(NonConvergence, match="^evaluation budget 10000 exhausted$"):
         if dim == 2:
             integrate_2d(lambda x, y: f2M(x, y, 0.5), 0.0)
         else:
@@ -138,58 +139,59 @@ def test_panel_refinement_exhaustion_raises(dim, monkeypatch):
 
 
 @pytest.mark.parametrize("r", [(0.0, 0.0, 0.0), (0.5, -0.4, 0.3), (0.6, 0.6, 0.0), (0.8, -0.7, 0.75)])
-def test_lattice_catches_a_relative_error_of_1e_6(r, monkeypatch):
-    # the three verify sets and a harder one: the lattice's error bars are
-    # below 1e-7 on all four, where scrambled Sobol's 3 sigma (2e-5 and up)
-    # let this error through
+def test_lattice_catches_a_relative_error_of_1e_6(r):
+    # the three verify sets and a harder one.  Each shifted tensor grid is a
+    # shifted lattice rule; an error of 1e-6 planted in one grid's sum keeps
+    # the two grids apart at every level, so no level is accepted
     def h(a, b, c):
         return g3(a, b, c, *r)
 
     assert integrate_3d(h, 1e-7).value == pytest.approx(1.0, abs=1e-7)
-    refine = oracle._refine
 
-    def off(*args):
-        t = refine(*args)
-        return oracle.IntegrationResult(t.value * (1.0 + 1e-6), t.abs_error_estimate, t.evaluations)
+    def planted(a, b, c):
+        # the rule hands h both grids at once, along the leading axis of each
+        # argument: scale the values of the first grid
+        v = h(a, b, c)
+        assert v.shape[0] == 2
+        v[0] *= 1.0 + 1e-6
+        return v
 
-    monkeypatch.setattr(oracle, "_refine", off)
-    with pytest.raises(EstimatorDisagreement, match="^tensor .* vs quasi-MC "):
-        integrate_3d(h, 1e-7)
+    with pytest.raises(NonConvergence, match="^evaluation budget 10000000 exhausted$"):
+        integrate_3d(planted, 1e-7)
+
+
+_INTEGRATE = {1: integrate_plain, 2: integrate_2d, 3: integrate_3d}
+
+
+def _mode(dim, k):
+    # sqrt(1 - x^2) T_k(x) becomes sin(theta)^2 cos(k theta) after
+    # x = cos(theta): the modes k and k +- 2, with integral 0 for k > 2; in
+    # dim variables, the product of one such factor per variable
+    def m(x):
+        return np.sqrt(1.0 - x * x) * np.cos(k * np.arccos(x))
+
+    return {1: m, 2: lambda x, y: m(x) * m(y), 3: lambda x, y, z: m(x) * m(y) * m(z)}[dim]
+
+
+@pytest.mark.parametrize("dim, k", [(2, 30), (2, 32), (2, 64), (3, 14), (3, 16), (3, 32)])
+def test_high_modes_are_not_aliased_in_2d_and_3d(dim, k):
+    assert abs(_INTEGRATE[dim](_mode(dim, k), 1e-11).value) <= 1e-11
+
+
+@pytest.mark.parametrize("dim, k", [(1, 64), (2, 32), (3, 16)])
+def test_unshifted_grids_would_report_an_aliased_mode(dim, k, monkeypatch):
+    # the control of the aliasing tests: on unshifted grids of 64 >> dim and
+    # twice as many points per axis, the mode k is a constant on both levels,
+    # which agree, so the rule stops with a wrong value
+    monkeypatch.setattr(oracle, "_shifts", lambda dim: np.zeros((2, dim)))
+    assert _INTEGRATE[dim](_mode(dim, k), 1e-11).value == pytest.approx((np.pi / 2) ** dim, rel=1e-12)
 
 
 def test_tensor_evaluation_counts():
-    # every (n + 1)**dim grid from 16 panels up to convergence, plus the
-    # 8 x 8191 shifted lattice points in 3D
-    assert integrate_2d(lambda x, y: f2M(x, y, 0.0), 1e-9).evaluations == 1378
-    assert integrate_2d(lambda x, y: f2M(x, y, 0.5), 1e-9).evaluations == 5603
-    assert integrate_2d(lambda x, y: f2M(x, y, 0.5) * x * y, 1e-10).evaluations == 5603
-    assert integrate_3d(lambda a, b, c: g3(a, b, c, 0.0, 0.0, 0.0), 1e-7).evaluations == 106378
-    assert integrate_3d(lambda a, b, c: g3(a, b, c, 0.5, -0.4, 0.3), 1e-7).evaluations == 106378
-
-
-def _former_tensor_simpson_3d(h, npanels):
-    # the slab loop integrate_3d used to run, with its own grid per call
-    theta = np.linspace(0.0, np.pi, npanels + 1)
-    x = np.cos(theta)
-    s = np.sin(theta)
-    w = np.ones(npanels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w = w / 3.0 * (np.pi / npanels)
-    acc = 0.0
-    for i in range(npanels + 1):
-        vals = h(x[i], x[:, None], x[None, :]) * s[:, None] * s[None, :]
-        acc += w[i] * s[i] * float(w @ vals @ w)
-    return acc
-
-
-@pytest.mark.parametrize("r", [(0.0, 0.0, 0.0), (0.5, -0.4, 0.3), (0.2, 0.6, -0.1)])
-def test_integrate_3d_has_the_bits_of_the_former_slab_loop(r):
-    def h(a, b, c):
-        return g3(a, b, c, *r)
-
-    want = oracle._refine(lambda n: _former_tensor_simpson_3d(h, n), 3, 1e-7, 512)
-    got = integrate_3d(h, 1e-7)
-    assert got.value == want.value
-    assert got.abs_error_estimate == want.abs_error_estimate
-    assert got.evaluations == want.evaluations + oracle._LATTICE_SHIFTS * oracle._LATTICE_POINTS
+    # two grids of n**dim points each at the accepted level n
+    assert integrate_2d(lambda x, y: f2M(x, y, 0.0), 1e-9).evaluations == 2 * 32 ** 2
+    assert integrate_2d(lambda x, y: f2M(x, y, 0.5), 1e-9).evaluations == 2 * 64 ** 2
+    assert integrate_2d(lambda x, y: f2M(x, y, 0.5) * x * y, 1e-10).evaluations == 2 * 128 ** 2
+    assert integrate_3d(lambda a, b, c: g3(a, b, c, 0.0, 0.0, 0.0), 1e-7).evaluations == 2 * 16 ** 3
+    assert integrate_3d(lambda a, b, c: g3(a, b, c, 0.5, -0.4, 0.3), 1e-7).evaluations == 2 * 32 ** 3
+    assert integrate_3d(lambda a, b, c: g3(a, b, c, 0.6, 0.6, 0.0), 1e-7).evaluations == 2 * 64 ** 3
