@@ -33,7 +33,7 @@ from .core import (
     residual_id2,
 )
 from .oracle import IntegrationResult, integrate_2d, integrate_3d, integrate_weighted, normalizer_numeric
-from .orthopoly import OrthoPoly, P_coeffs, P_eval, P_recur_check, gram
+from .orthopoly import OrthoPoly, P_coeffs, P_recur_check, gram
 from .sampler import CdfTable, build_cdf, ks_statistic, sample
 from .symfun import elementary_all
 

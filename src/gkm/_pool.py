@@ -3,8 +3,8 @@
 The workers are forked, not spawned, so they start with every module and
 cache the calling process already holds; gkm starts no thread that would
 make the fork unsafe.  `fork_map` returns each call's result to the caller;
-`fork_write` has each worker write its own result's bytes to a file
-descriptor, taking turns in item order, and returns nothing.
+`fork_write` has each worker write its own result's bytes to a stream,
+taking turns in item order, and returns nothing.
 """
 
 from __future__ import annotations
@@ -20,20 +20,20 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _workers(max_workers: int) -> int:
-    return min(max_workers, usable_cpus()) if hasattr(os, "fork") else 1
+def _workers(items) -> int:
+    return min(len(items), usable_cpus()) if hasattr(os, "fork") else 1
 
 
-def fork_map(fn, items, max_workers: int):
+def fork_map(fn, items):
     """Yield fn(item) for each item of the sequence `items`, in order.
 
-    At most min(max_workers, usable_cpus()) forked processes make the calls.
-    They read `fn` and `items` from the memory they inherited, so only each
+    min(len(items), usable_cpus()) forked processes make the calls.  They
+    read `fn` and `items` from the memory they inherited, so only each
     item's index and its result are pickled, and `fn` may be any callable.
     With one worker, or without `os.fork`, the calls run here one after
     another.  A call's exception is raised here when its result is reached.
     """
-    workers = _workers(max_workers)
+    workers = _workers(items)
     if workers <= 1:
         yield from map(fn, items)
         return
@@ -46,21 +46,26 @@ def fork_map(fn, items, max_workers: int):
         yield from pool.map(_call, range(len(items)))
 
 
-def fork_write(fd: int, fn, items, max_workers: int) -> None:
+def fork_write(fh, fn, items) -> None:
     """Write the bytes fn(item) of each item of the sequence `items` to the
-    file descriptor fd, in order.
+    binary stream fh, in order.
 
     The calls run as in `fork_map`, and each worker writes the bytes it made
-    itself, once the items before it are written: the workers share this
-    process's open file description, and so its offset.  Nothing but None
-    comes back.  A call that raises writes nothing and stops every later
-    item from writing; its exception is raised here, the first in item
-    order.  With one worker the bytes are written here, item by item.
+    itself to fh's file descriptor, once the items before it are written:
+    the workers share this process's open file description, and so its
+    offset.  Nothing but None comes back.  A call that raises writes nothing
+    and stops every later item from writing; its exception is raised here,
+    the first in item order.  With one worker, or to a stream without a file
+    descriptor (one in memory), fh.write writes the bytes here, item by item.
     """
-    if _workers(max_workers) <= 1:
+    fd = _fileno(fh)
+    if fd is None or _workers(items) <= 1:
         for item in items:
-            _write_all(fd, fn(item))
+            fh.write(fn(item))
         return
+    # no forked worker may hold a copy of unwritten bytes, and the items
+    # written to the descriptor follow what fh was given before
+    fh.flush()
     # made before the fork, so that every worker shares it
     turns = _Turns()
 
@@ -72,8 +77,17 @@ def fork_write(fd: int, fn, items, max_workers: int) -> None:
             raise
         turns.take(i, lambda: _write_all(fd, data))
 
-    for _ in fork_map(job, range(len(items)), max_workers):
+    for _ in fork_map(job, range(len(items))):
         pass
+
+
+def _fileno(fh) -> int | None:
+    """The file descriptor under the binary stream fh, or None for a stream
+    without one (in memory)."""
+    try:
+        return fh.fileno()
+    except (AttributeError, OSError):
+        return None
 
 
 def _write_all(fd: int, data) -> None:

@@ -45,14 +45,14 @@ def _unwrap(r):
     return r if r.shape else float(r)
 
 
-def _index(k, name: str = "k") -> int:
+def _index(k, name: str = "k", signed: bool = False) -> int:
     """k as a Python int (through operator.index); InvalidParameters for a
-    non-integer or negative k."""
+    non-integer k, or a negative one unless `signed`."""
     try:
         k = operator.index(k)
     except TypeError:
         raise InvalidParameters(f"{name} must be an integer, got {k!r}") from None
-    if k < 0:
+    if k < 0 and not signed:
         raise InvalidParameters(f"{name} must be non-negative, got {k}")
     return k
 
@@ -96,6 +96,7 @@ def eval_U(k: int, x):
 
 def eval_U_signed(k: int, x):
     """U_k(x) extended to negative index: U_{-1} = 0, U_{-m-2} = -U_m."""
+    k = _index(k, signed=True)
     if k >= 0:
         return eval_U(k, x)
     x = _check_x(x)
@@ -155,8 +156,9 @@ def gauss_chebU_rule(N: int) -> tuple:
 
     Nodes cos(i pi/(N+1)), weights (2/(N+1)) sin^2(i pi/(N+1)), i = 1..N.
     """
+    N = _index(N, "N")
     if N < 1:
-        raise ValueError("N must be positive")
+        raise InvalidParameters("N must be positive")
     i = np.arange(1, N + 1)
     theta = i * np.pi / (N + 1)
     nodes = np.cos(theta)

@@ -21,10 +21,9 @@ process per usable CPU; `verify` and `conj-verify` run their suites the
 same way (see `gkm.verify`).  A worker reads the columns from the memory it
 inherited: it receives a chunk's index, formats the chunk, and writes its
 bytes itself to the output's file descriptor once the chunks before it are
-written (see `gkm._pool.fork_write`), so the chunks land in order and
-nothing but None comes back.  The file descriptor is the binary file's,
-or `sys.stdout`'s once its text layer is flushed.  The bytes are those the
-serial loop writes; that loop handles outputs of one chunk, machines with
+written (see `gkm._pool.fork_write`, which takes the binary stream: the
+file's, or `sys.stdout.buffer` once the text layer is flushed).  The bytes
+are those of fork_write's serial loop, which handles outputs of one chunk,
 one usable CPU, platforms without `fork`, and a `sys.stdout` without a
 file descriptor (one in memory).  There is no setting for either.
 
@@ -130,9 +129,8 @@ def _format_rows(chunk):
 
 def _write_csv(out: str | None, header: list, *columns) -> None:
     """Write a CSV file (stdout without `out`) from equal-length columns,
-    CSV_CHUNK_ROWS rows at a time, as bytes.  To a file descriptor, more
-    than one chunk is formatted and written by forked workers (see the
-    module docstring), with the serial loop's bytes."""
+    CSV_CHUNK_ROWS rows at a time, as bytes, through `_pool.fork_write`
+    (see the module docstring)."""
     n = len(columns[0])
 
     def chunk(lo):
@@ -146,28 +144,10 @@ def _write_csv(out: str | None, header: list, *columns) -> None:
         fh = sys.stdout.buffer
     try:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n{','.join(header)}\n".encode())
-        # no forked worker may hold a copy of unwritten bytes, and the
-        # chunks written to the descriptor follow the header
-        fh.flush()
-        starts = range(0, n, CSV_CHUNK_ROWS)
-        fd = _fileno(fh)
-        if fd is None:
-            for lo in starts:
-                fh.write(chunk(lo))
-        else:
-            _pool.fork_write(fd, chunk, starts, len(starts))
+        _pool.fork_write(fh, chunk, range(0, n, CSV_CHUNK_ROWS))
     finally:
         if out:
             fh.close()
-
-
-def _fileno(fh) -> int | None:
-    """The file descriptor under the binary stream fh, or None for a stream
-    without one (in memory)."""
-    try:
-        return fh.fileno()
-    except (AttributeError, OSError):
-        return None
 
 
 def _cheb_grid(c: float, npts: int) -> np.ndarray:

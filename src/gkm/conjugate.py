@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,8 @@ def _check_rho(**rhos):
 
 @dataclass(frozen=True)
 class ConjParamSet:
-    """k conjugate pairs (rho_i, y_i) with |rho_i| < 1, |y_i| <= 1."""
+    """k conjugate pairs (rho_i, y_i) with |rho_i| < 1, |y_i| <= 1; frozen,
+    so it keeps its normalizer, computed on first use."""
 
     rho: tuple = field(default=())
     y: tuple = field(default=())
@@ -53,6 +55,21 @@ class ConjParamSet:
     @property
     def k(self) -> int:
         return len(self.rho)
+
+    def _g(self, x):
+        """The density's factor 1/prod_i w(x, y_i, rho_i), one division per
+        pair in turn (see oracle.unnormalized_factor)."""
+        r = np.ones_like(x)
+        for ri, yi in zip(np.asarray(self.rho), np.asarray(self.y)):
+            r = r / w_eval(x, yi, ri)
+        return r
+
+    @cached_property
+    def _A(self) -> float:
+        """The normalizer, by the route `normalizer` documents."""
+        if self.k <= 3:
+            return A2k_closed(self)
+        return oracle.normalizer_numeric(self)
 
     def complex_a(self) -> np.ndarray:
         """Equivalent length-2k complex a-vector (consistency tests only)."""
@@ -124,9 +141,9 @@ def A2k_closed(p: ConjParamSet) -> float:
 
 
 def normalizer(p: ConjParamSet) -> float:
-    if p.k <= 3:
-        return A2k_closed(p)
-    return oracle.normalizer_numeric(p)
+    """The closed normalizer A2k_closed up to three pairs, the numeric
+    oracle beyond; computed once per parameter set."""
+    return p._A
 
 
 def fM_density(p: ConjParamSet, x):

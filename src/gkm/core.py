@@ -117,6 +117,14 @@ class ParamSet:
         """Elementary symmetric values S_0..S_n of a."""
         return _read_only(elementary_all(self._a))
 
+    def _g(self, x):
+        """The density's factor 1/prod_j (1 + a_j^2 - 2 a_j x) at scale 1,
+        one division per a_j in turn (see oracle.unnormalized_factor)."""
+        r = np.ones_like(x)
+        for aj in self._a:
+            r = r / (1.0 + aj * aj - 2.0 * aj * x)
+        return r
+
     @cached_property
     def _A(self) -> float:
         """The normalizer, by the route `normalizer` documents."""
@@ -321,11 +329,13 @@ def B_prefix(p: ParamSet, K: int) -> BSeq:
 
 def series_truncation_order(amax: float, tol: float) -> int:
     """Smallest K with the tail bound amax^{K+1} (K+2) / (1 - amax) < tol
-    (uses |U_k| <= k + 1 on [-1, 1]); 0 < tol < inf.  Unsupported above
-    SERIES_ORDER_CAP."""
+    (uses |U_k| <= k + 1 on [-1, 1]); 0 <= amax < 1 and 0 < tol < inf.
+    Unsupported above SERIES_ORDER_CAP."""
     # written as "not (...)" so that NaN is rejected too
     if not (0.0 < tol < math.inf):
         raise InvalidParameters(f"tol must be positive and finite, got {tol}")
+    if not (0.0 <= amax < 1.0):
+        raise InvalidParameters(f"amax must lie in [0, 1), got {amax}")
     if amax == 0.0:
         return 0
     K = 0
@@ -409,21 +419,14 @@ def inner_UU(p: ParamSet, k: int, m: int) -> float:
 def _products_skipping_each(a: list) -> list:
     """For i = 0..n-1, the coefficients of prod_{j != i} (1 - a_j t), on
     Python floats: each factor updates c_m - a_j c_{m-1} from the top down,
-    in the order of j.  The products share the factors before i, which are
-    applied once, to a common prefix."""
-    n = len(a)
-    prefix = [1.0] + [0.0] * (n - 1)
+    in the order of j."""
     products = []
-    for i in range(n):
-        coeffs = prefix.copy()
-        # factor j > i is the j-th one applied when factor i is skipped
-        for j in range(i + 1, n):
-            for m in range(j, 0, -1):
-                coeffs[m] = coeffs[m] - a[j] * coeffs[m - 1]
+    for i in range(len(a)):
+        coeffs = [1.0] + [0.0] * (len(a) - 1)
+        for m_top, aj in enumerate(a[:i] + a[i + 1:], 1):
+            for m in range(m_top, 0, -1):
+                coeffs[m] = coeffs[m] - aj * coeffs[m - 1]
         products.append(coeffs)
-        if i + 1 < n:
-            for m in range(i + 1, 0, -1):
-                prefix[m] = prefix[m] - a[i] * prefix[m - 1]
     return products
 
 
@@ -492,7 +495,7 @@ def residual_an2(a) -> float:
     a = np.asarray(a, dtype=float)
     n = len(a)
     if n < 2:
-        raise ValueError("identity needs n >= 2")
+        raise InvalidParameters("identity needs n >= 2")
     p = ParamSet(a=tuple(a))
     return float(np.sum(p._a ** (n - 2) / p._pf_den))
 
@@ -505,7 +508,7 @@ def residual_id(k: int, a) -> float:
     a = np.asarray(a, dtype=float)
     n = len(a)
     if not 1 <= k <= n - 1:
-        raise ValueError("k must satisfy 1 <= k <= n - 1")
+        raise InvalidParameters("k must satisfy 1 <= k <= n - 1")
     if np.any(a == 0.0):
         raise ZeroParameter("g(x) = (1 + x^2)/(2x) is undefined at 0")
     # (a_j - a_i) is exactly -(a_i - a_j), so these are the denominators' bits
@@ -525,10 +528,10 @@ def residual_id2(m: int, p: ParamSet) -> float:
     B_{n,-k} = -B_{n,k-2}.
     """
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InvalidParameters("m must be >= 1")
     n = p.n
     if n < 2:
-        raise ValueError("identity needs n >= 2")
+        raise InvalidParameters("identity needs n >= 2")
     S = p._S
     L = max(m, n - m - 2)
     B = p._B(L)[: L + 1].tolist()

@@ -146,38 +146,13 @@ def integrate_3d(h, tol: float = 1e-7) -> IntegrationResult:
 
 
 def unnormalized_factor(p):
-    """The factor g(x) of a density A g(x) (2/pi) sqrt(1 - x^2) at scale 1:
-    1/prod_j (1 + a_j^2 - 2 a_j x), or 1/prod_i w(x, y_i, rho_i).
-
-    Accepts either parameter-set flavor: real a-vectors (attribute `a`) or
-    conjugate pairs (attributes `rho`, `y`).
-    """
-    if hasattr(p, "rho"):
-        # imported here because conjugate imports this module
-        from .conjugate import w_eval
-
-        rho = np.asarray(p.rho, dtype=float)
-        y = np.asarray(p.y, dtype=float)
-
-        def g(x):
-            r = np.ones_like(x)
-            for ri, yi in zip(rho, y):
-                r = r / w_eval(x, yi, ri)
-            return r
-
-    else:
-        a = np.asarray(p.a, dtype=float)
-
-        def g(x):
-            r = np.ones_like(x)
-            for ai in a:
-                r = r / (1.0 + ai * ai - 2.0 * ai * x)
-            return r
-
-    return g
+    """The factor g(x) of a density A g(x) (2/pi) sqrt(1 - x^2) at scale 1,
+    the parameter set's own `_g`: 1/prod_j (1 + a_j^2 - 2 a_j x) for a
+    ParamSet, 1/prod_i w(x, y_i, rho_i) for a ConjParamSet."""
+    return p._g
 
 
 def normalizer_numeric(p) -> float:
     """1 / integral of the unnormalized density (the closed constant A set to 1),
     for either parameter-set flavor."""
-    return 1.0 / integrate_weighted(unnormalized_factor(p)).value
+    return 1.0 / integrate_weighted(p._g).value

@@ -23,6 +23,7 @@ import numpy as np
 
 from .chebyshev import USeries, _index
 from .core import ParamSet, _UU_sum
+from .errors import InvalidParameters
 
 
 @dataclass(frozen=True)
@@ -60,19 +61,14 @@ def _build_P(m: int, p: ParamSet) -> OrthoPoly:
     return OrthoPoly(m=m, series=USeries.from_signed(pairs))
 
 
-def P_eval(m: int, p: ParamSet, x):
-    """Value of P_m at x in [-1, 1]."""
-    return P_coeffs(m, p)(x)
-
-
 def P_recur_check(m: int, p: ParamSet, x) -> float:
     """2x P_m - P_{m+1} - P_{m-1}; vanishes for m >= n."""
     if m < p.n or m < 1:
-        raise ValueError("three-term recurrence requires m >= n >= 1")
+        raise InvalidParameters("three-term recurrence requires m >= n >= 1")
     return float(
-        2.0 * np.asarray(x, dtype=float) * P_eval(m, p, x)
-        - P_eval(m + 1, p, x)
-        - P_eval(m - 1, p, x)
+        2.0 * np.asarray(x, dtype=float) * P_coeffs(m, p)(x)
+        - P_coeffs(m + 1, p)(x)
+        - P_coeffs(m - 1, p)(x)
     )
 
 

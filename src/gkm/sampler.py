@@ -20,7 +20,9 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .chebyshev import _index
 from .core import ParamSet, density
+from .errors import DomainError, InvalidParameters
 
 # 99% asymptotic critical value of the Kolmogorov statistic: D * sqrt(n) < 1.628
 KS_CRIT_99 = 1.628
@@ -173,8 +175,9 @@ def build_cdf(p: ParamSet, N: int = 2048) -> CdfTable:
     variable (the transformed integrand is smooth); the table is renormalized
     so F at the right endpoint is exactly one.
     """
+    N = _index(N, "N")
     if N < 64:
-        raise ValueError("N must be at least 64")
+        raise InvalidParameters("N must be at least 64")
     c = p.c
     # theta decreasing from pi to 0 makes xs = c cos(theta) increasing
     theta = np.pi * (1.0 - np.arange(N) / (N - 1))
@@ -199,9 +202,13 @@ def build_cdf(p: ParamSet, N: int = 2048) -> CdfTable:
 
 
 def sample(t: CdfTable, count: int, seed: int) -> np.ndarray:
-    """count inverse-transform draws; reproducible from (seed) alone."""
+    """count inverse-transform draws; reproducible from (seed) alone.
+    count and seed are integers, count >= 1 and 0 <= seed < 2^128."""
+    count, seed = _index(count, "count"), _index(seed, "seed")
     if count < 1:
-        raise ValueError("count must be positive")
+        raise InvalidParameters("count must be positive")
+    if seed >> 128:
+        raise InvalidParameters(f"seed must be below 2^128, got {seed}")
     gen = np.random.Generator(np.random.Philox(key=seed))
     u = gen.random(count)
     x = t.inverse(u)
@@ -209,10 +216,14 @@ def sample(t: CdfTable, count: int, seed: int) -> np.ndarray:
 
 
 def ks_statistic(samples, t: CdfTable) -> float:
-    """Sup-norm distance between the empirical CDF and the table's CDF."""
+    """Sup-norm distance between the empirical CDF and the table's CDF;
+    DomainError for a sample that is not finite."""
     s = np.sort(np.asarray(samples, dtype=float))
     if s.size == 0:
-        raise ValueError("samples must be nonempty")
+        raise InvalidParameters("samples must be nonempty")
+    # sorted, -inf comes first and inf and NaN come last
+    if not (np.isfinite(s[0]) and np.isfinite(s[-1])):
+        raise DomainError("samples must be finite")
     F = t.cdf(np.clip(s, t.xs[0], t.xs[-1], out=s))
     np.clip(F, 0.0, 1.0, out=F)
     # i / n and (i - 1) / n for i = 1..n

@@ -15,9 +15,12 @@ CPU, e.g. with `taskset -c 0`, to trace them).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import _pool, conjugate, core, oracle, orthopoly, sampler
+from .errors import InvalidParameters
 from .chebyshev import eval_U, gauss_chebU_rule, u_all
 from .symfun import delta_all, elementary_all
 
@@ -480,16 +483,20 @@ def run_verify(suite: str | tuple = "all", tol: float | None = None) -> dict:
     joined by "+"), or all of them, and assemble the report.  More than one
     suite runs in forked workers (see the module docstring).
 
-    If tol is given it replaces every check's default tolerance.
+    If tol is given it replaces every check's default tolerance; it must
+    satisfy 0 <= tol < inf.  InvalidParameters for an unknown suite name.
     """
     names = SUITES if suite == "all" else (suite,) if isinstance(suite, str) else tuple(suite)
     for name in names:
         if name not in _SUITE_FN:
-            raise ValueError(f"unknown suite {name!r}; choose from {('all',) + SUITES}")
+            raise InvalidParameters(f"unknown suite {name!r}; choose from {('all',) + SUITES}")
+    # written as "not (...)" so that NaN is rejected too
+    if tol is not None and not (0.0 <= tol < math.inf):
+        raise InvalidParameters(f"tol must be non-negative and finite, got {tol}")
     # the suites are independent (each draws from its own seeds), and the
     # sort by check name below makes the report the same in any order
     order = sorted(names, key=_LONGEST_FIRST.index)
-    checks = [c for result in _pool.fork_map(lambda name: _SUITE_FN[name](), order, len(order)) for c in result]
+    checks = [c for result in _pool.fork_map(lambda name: _SUITE_FN[name](), order) for c in result]
     if tol is not None:
         for c in checks:
             c["tol"] = tol

@@ -282,3 +282,17 @@ def test_useries_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8 * SERIES_BLOCK + 3 * x.nbytes
+
+
+@pytest.mark.parametrize("k", [-1.0, -2.5, -3.0, 2.5, "2"])
+def test_eval_U_signed_names_the_index_it_was_given(k):
+    # the message names the k the caller gave, not the reflected index -k - 2
+    with pytest.raises(InvalidParameters, match=f"k must be an integer, got {k!r}$"):
+        eval_U_signed(k, 0.3)
+    assert eval_U_signed(np.int64(-3), 0.3) == eval_U_signed(-3, 0.3)
+
+
+@pytest.mark.parametrize("N", [0, -2, 2.5])
+def test_gauss_rule_needs_a_positive_integer_size(N):
+    with pytest.raises(InvalidParameters):
+        gauss_chebU_rule(N)

@@ -151,6 +151,14 @@ def test_verify_tol_override_fails(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_tol_outside_zero_to_infinity_exits_2(tol, capsys):
+    # a usage error, not a report whose checks all fail
+    code, out, err = run(capsys, "verify", "--suite", "identities", "--tol", tol)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: tol must be non-negative and finite")
+
+
 def test_sample(tmp_path, capsys):
     out_path = tmp_path / "draws.csv"
     code, _, _ = run(
@@ -380,7 +388,7 @@ def test_fork_map_pickles_neither_the_function_nor_the_items(monkeypatch):
     _cpus(monkeypatch, 2)
     lock = threading.Lock()
     items = [(lock, i) for i in range(5)]
-    assert list(_pool.fork_map(lambda item: item[1] * item[1], items, 5)) == [0, 1, 4, 9, 16]
+    assert list(_pool.fork_map(lambda item: item[1] * item[1], items)) == [0, 1, 4, 9, 16]
 
 
 def _no_pool(*args, **kwargs):
@@ -509,10 +517,10 @@ def test_forked_chunks_to_a_pipe_and_a_file_have_the_serial_bytes(tmp_path):
 def test_fork_write_writes_in_item_order_whatever_finishes_first():
     # more workers than CPUs, and the later an item, the sooner it is made
     code = (
-        "import time\n"
+        "import sys, time\n"
         "from gkm import _pool\n"
         "_pool.usable_cpus = lambda: 8\n"
-        "_pool.fork_write(1, lambda i: (time.sleep(0.004 * (24 - i)), b'%d;' % i)[1], range(24), 24)\n"
+        "_pool.fork_write(sys.stdout.buffer, lambda i: (time.sleep(0.004 * (24 - i)), b'%d;' % i)[1], range(24))\n"
     )
     assert _run_python(code) == (b"".join(b"%d;" % i for i in range(24)), b"")
 
@@ -523,11 +531,10 @@ def test_stdout_without_a_file_descriptor_takes_the_serial_loop(tmp_path, monkey
     out_path = tmp_path / "out.csv"
     cli._write_csv(str(out_path), ["i", "x"], *columns)
 
-    def no_fork_write(*args):
-        raise RuntimeError("fork_write was reached")
+    import concurrent.futures
 
     _cpus(monkeypatch, 3)
-    monkeypatch.setattr(_pool, "fork_write", no_fork_write)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     raw = io.BytesIO()
     monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8"))
     cli._write_csv(None, ["i", "x"], *columns)

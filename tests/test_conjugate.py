@@ -17,6 +17,7 @@ from gkm import (
     w_eval,
     wigner_density,
 )
+from gkm import conjugate, oracle
 from gkm.chebyshev import SERIES_ORDER_CAP
 from gkm.conjugate import poisson_mehler_order
 from gkm.errors import DomainError, InvalidParameters, Unsupported
@@ -245,3 +246,20 @@ def test_poisson_mehler_order_above_the_cap_is_unsupported():
     with pytest.raises(Unsupported):
         poisson_mehler(0.1, 0.2, 0.9999, 1e-12)
     assert poisson_mehler_order(0.999, 1e-12) <= SERIES_ORDER_CAP
+
+
+def test_the_numeric_normalizer_of_four_pairs_is_computed_once(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return normalizer_numeric(p)
+
+    monkeypatch.setattr(oracle, "normalizer_numeric", counted)
+    p = ConjParamSet(rho=(0.3, -0.4, 0.5, 0.2), y=(0.1, 0.2, -0.3, 0.9))
+    values = [fM_density(p, x) for x in (-0.9, -0.3, 0.0, 0.4, 0.8)]
+    assert calls == [p]
+    assert conjugate.normalizer(p) == normalizer_numeric(p)
+    # a fresh, equal set computes it again, with the same bits
+    assert fM_density(ConjParamSet(rho=p.rho, y=p.y), 0.4) == values[3]
+    assert len(calls) == 2

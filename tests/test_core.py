@@ -364,20 +364,22 @@ def _former_poly_from_roots_factors(a, skip):
     return coeffs
 
 
-def _former_products_one_by_one(a):
-    """The former Python-float products prod_{j != skip} (1 - a_j t), each
-    built from scratch, as a fixed reference."""
+def _former_shared_prefix_products(a):
+    """The former Python-float products prod_{j != i} (1 - a_j t), which
+    applied the factors before i once, to a common prefix, as a fixed
+    reference."""
+    n = len(a)
+    prefix = [1.0] + [0.0] * (n - 1)
     products = []
-    for skip in range(len(a)):
-        coeffs = [1.0] + [0.0] * (len(a) - 1)
-        pos = 0
-        for j, aj in enumerate(a):
-            if j == skip:
-                continue
-            pos += 1
-            for m in range(pos, 0, -1):
-                coeffs[m] = coeffs[m] - aj * coeffs[m - 1]
+    for i in range(n):
+        coeffs = prefix.copy()
+        for j in range(i + 1, n):
+            for m in range(j, 0, -1):
+                coeffs[m] = coeffs[m] - a[j] * coeffs[m - 1]
         products.append(coeffs)
+        if i + 1 < n:
+            for m in range(i + 1, 0, -1):
+                prefix[m] = prefix[m] - a[i] * prefix[m - 1]
     return products
 
 
@@ -390,7 +392,7 @@ def test_shared_prefix_products_have_the_bits_of_the_products_one_by_one():
                 a[rng.integers(n)] = (0.0, -0.0)[i % 2]  # a zero factor keeps its sign
             a = a.tolist()
             got = _products_skipping_each(a)
-            want = _former_products_one_by_one(a)
+            want = _former_shared_prefix_products(a)
             assert len(got) == n
             assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
 
@@ -557,3 +559,22 @@ def test_series_order_above_the_cap_is_unsupported():
     with pytest.raises(Unsupported):
         density_series(ParamSet(a=(0.9999,)), 0.3)
     assert series_truncation_order(0.999, 1e-10) <= SERIES_ORDER_CAP
+
+
+@pytest.mark.parametrize("amax", [1.0, 2.0, math.inf, math.nan, -0.5])
+def test_series_truncation_order_needs_amax_in_zero_to_one(amax):
+    # the tail bound needs 0 <= amax < 1, and NaN fails that test too
+    with pytest.raises(InvalidParameters, match="amax"):
+        series_truncation_order(amax, 1e-10)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: residual_an2((0.3,)),
+    lambda: residual_id(0, (0.2, 0.5)),
+    lambda: residual_id(2, (0.2, 0.5)),
+    lambda: residual_id2(0, ParamSet(a=(0.2, 0.5))),
+    lambda: residual_id2(1, ParamSet(a=(0.2,))),
+])
+def test_identity_residuals_outside_their_range_are_invalid(call):
+    with pytest.raises(InvalidParameters):
+        call()

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from gkm import P_coeffs, P_eval, P_recur_check, ParamSet, elementary_all, eval_U, gram
+from gkm import P_coeffs, P_recur_check, ParamSet, elementary_all, eval_U, gram
 from gkm.chebyshev import USeries, eval_U_signed
 from gkm.core import B_prefix
+from gkm.errors import InvalidParameters
 
 
 def test_P1_one_parameter():
     poly = P_coeffs(1, ParamSet(a=(0.4,)))
     assert poly.series.coeffs == (-0.4, 1.0)  # 2x - a
-    assert P_eval(1, ParamSet(a=(0.4,)), 0.5) == pytest.approx(0.6)
+    assert P_coeffs(1, ParamSet(a=(0.4,)))(0.5) == pytest.approx(0.6)
 
 
 def test_P2_two_parameters():
@@ -23,18 +24,18 @@ def test_P1_four_parameters():
     S = elementary_all(p.a)
     x = 0.23
     expect = 2.0 * x * (1.0 - S[4]) - S[1] + S[3]
-    assert P_eval(1, p, x) == pytest.approx(expect, abs=1e-14)
+    assert P_coeffs(1, p)(x) == pytest.approx(expect, abs=1e-14)
 
 
 def test_P0_is_one():
-    assert P_eval(0, ParamSet(a=(0.3, -0.5)), 0.77) == 1.0
+    assert P_coeffs(0, ParamSet(a=(0.3, -0.5)))(0.77) == 1.0
 
 
 def test_P3_direct_expansion():
     p = ParamSet(a=(0.2, 0.3))
     x = 0.1
     expect = eval_U(3, x) - 0.5 * eval_U(2, x) + 0.06 * eval_U(1, x)
-    assert P_eval(3, p, x) == pytest.approx(expect, abs=1e-14)
+    assert P_coeffs(3, p)(x) == pytest.approx(expect, abs=1e-14)
 
 
 def test_fold_back_matches_signed_evaluation():
@@ -49,7 +50,7 @@ def test_fold_back_matches_signed_evaluation():
                 (-1.0) ** j * S[j] * eval_U_signed(m - j, x)
                 for j in range(min(n, 2 * m + 2) + 1)
             )
-            assert P_eval(m, p, x) == pytest.approx(direct, abs=1e-13)
+            assert P_coeffs(m, p)(x) == pytest.approx(direct, abs=1e-13)
 
 
 def test_degree_never_collapses():
@@ -58,7 +59,7 @@ def test_degree_never_collapses():
         p = ParamSet(a=tuple(rng.uniform(-0.9, 0.9, n)))
         for m in range(8):
             xs = np.cos(np.pi * (np.arange(m + 2) + 0.5) / (m + 2))
-            fit = np.polynomial.polynomial.polyfit(xs, P_eval(m, p, xs), m)
+            fit = np.polynomial.polynomial.polyfit(xs, P_coeffs(m, p)(xs), m)
             assert abs(fit[m]) > 1e-8
 
 
@@ -67,8 +68,10 @@ def test_recurrence_holds_for_high_degree():
     assert abs(P_recur_check(2, ParamSet(a=(0.2, 0.3)), -0.7)) <= 1e-13
     p3 = ParamSet(a=(0.1, -0.6, 0.4))
     assert abs(P_recur_check(5, p3, 0.81)) <= 1e-12
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameters, match="m >= n >= 1"):
         P_recur_check(2, p3, 0.0)
+    with pytest.raises(InvalidParameters, match="m >= n >= 1"):
+        P_recur_check(0, ParamSet(), 0.0)
 
 
 def test_gram_values():
@@ -104,9 +107,10 @@ def test_specialization_single_parameter():
     for m in range(1, 8):
         x = 0.3 + 0.05 * m
         expect = eval_U(m, x) - a * eval_U(m - 1, x)
-        assert P_eval(m, p, x) == pytest.approx(expect, abs=1e-13)
+        assert P_coeffs(m, p)(x) == pytest.approx(expect, abs=1e-13)
 
 
 def test_negative_degree_rejected():
     with pytest.raises(ValueError):
         P_coeffs(-1, ParamSet(a=(0.2,)))
+

@@ -11,6 +11,7 @@ from scipy.interpolate import PchipInterpolator
 
 import gkm
 from gkm import CdfTable, ParamSet, build_cdf, ks_statistic, moment, sample
+from gkm.errors import DomainError, InvalidParameters
 from gkm.oracle import integrate_weighted
 from gkm.sampler import KS_CRIT_99
 
@@ -36,7 +37,7 @@ def test_cdf_matches_oracle_mass():
 
 
 def test_cdf_requires_minimum_grid():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameters, match="at least 64"):
         build_cdf(ParamSet(), 32)
 
 
@@ -208,3 +209,37 @@ def test_interval_lookup_of_nan_and_infinities():
         for f, x in ((t.cdf, t.xs), (t.inverse, t.Fs)):
             got = f._interval(np.array([np.nan, -np.inf, np.inf]))
             assert got.tolist() == [0, 0, x.size - 2]
+
+
+# --- typed errors at the entry points
+
+@pytest.mark.parametrize("count, seed, message", [
+    (2.5, 0, "count must be an integer"),
+    (0, 0, "count must be positive"),
+    (10, -1, "seed must be non-negative"),
+    (10, 0.5, "seed must be an integer"),
+    (10, 1 << 128, "seed must be below 2"),
+])
+def test_sample_rejects_bad_counts_and_seeds(count, seed, message):
+    t = build_cdf(ParamSet(a=(0.3,)), 64)
+    with pytest.raises(InvalidParameters, match=message):
+        sample(t, count, seed)
+    # the largest seed Philox takes
+    assert sample(t, 3, (1 << 128) - 1).shape == (3,)
+
+
+@pytest.mark.parametrize("N", [100.5, np.float64(128.0)])
+def test_build_cdf_needs_an_integer_size(N):
+    # refused, not truncated to a table of int(N) + 1 points
+    with pytest.raises(InvalidParameters, match="N must be an integer"):
+        build_cdf(ParamSet(), N)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ks_statistic_rejects_samples_that_are_not_finite(bad):
+    t = build_cdf(ParamSet(a=(0.3,)), 64)
+    for samples in ([bad], [0.1, bad, -0.2]):
+        with pytest.raises(DomainError, match="finite"):
+            ks_statistic(samples, t)
+    with pytest.raises(InvalidParameters, match="nonempty"):
+        ks_statistic([], t)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gkm import ParamSet, _pool, verify
-from gkm.errors import NonConvergence
+from gkm.errors import InvalidParameters, NonConvergence
 
 
 def test_draw_params_with_no_parameters_draws_nothing():
@@ -35,8 +35,8 @@ def test_longest_first_is_a_permutation_of_the_suites():
 def test_suites_are_submitted_longest_first(monkeypatch):
     submitted = []
 
-    def fake_fork_map(fn, items, max_workers):
-        submitted.append((list(items), max_workers))
+    def fake_fork_map(fn, items):
+        submitted.append(list(items))
         return map(fn, items)
 
     monkeypatch.setattr(_pool, "fork_map", fake_fork_map)
@@ -44,7 +44,7 @@ def test_suites_are_submitted_longest_first(monkeypatch):
         monkeypatch.setitem(verify._SUITE_FN, name, lambda name=name: [verify._check(f"{name}/c", 0.0, 0.0)])
     verify.run_verify(CONJ_SUITES)
     verify.run_verify("all")
-    assert submitted == [(["trivariate", "conjugate", "markov"], 3), (list(verify._LONGEST_FIRST), 8)]
+    assert submitted == [["trivariate", "conjugate", "markov"], list(verify._LONGEST_FIRST)]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
@@ -76,3 +76,20 @@ def test_a_suite_that_raises_raises_in_the_caller(cpus, monkeypatch):
     monkeypatch.setitem(verify._SUITE_FN, "markov", fails)
     with pytest.raises(NonConvergence, match="evaluation budget exhausted"):
         verify.run_verify(("identities", "markov", "conjugate"))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+def test_a_tolerance_outside_zero_to_infinity_is_invalid(tol, monkeypatch):
+    # refused before any suite runs
+    monkeypatch.setitem(verify._SUITE_FN, "identities", _no_suite)
+    with pytest.raises(InvalidParameters, match="tol"):
+        verify.run_verify("identities", tol)
+
+
+def test_an_unknown_suite_is_invalid():
+    with pytest.raises(InvalidParameters, match="unknown suite 'nope'"):
+        verify.run_verify(("identities", "nope"))
+
+
+def _no_suite():
+    raise AssertionError("a suite ran")
