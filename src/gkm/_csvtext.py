@@ -267,12 +267,12 @@ def supported(col) -> bool:
     return isinstance(col, np.ndarray) and col.ndim == 1 and (col.dtype == np.float64 or col.dtype.kind == "i")
 
 
-def format_rows(columns, block_rows: int) -> np.ndarray:
+def format_rows(columns) -> np.ndarray:
     """The CSV rows of equal-length columns (each one `supported` takes),
-    block_rows rows at a time, as ASCII bytes: the text repr gives each
+    BLOCK_ROWS rows at a time, as ASCII bytes: the text repr gives each
     float and str each integer.  The bytes are a uint8 view of the text
     buffer, not a copy; any writer of bytes-like objects takes it."""
-    n = len(columns[0])
+    n, block_rows = len(columns[0]), BLOCK_ROWS
     floats = [isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns]
     ends = np.cumsum([_FLOAT_WORDS if f else _INT_WORDS for f in floats])
     # the workspace of every block: its cells, the mask of their non-NUL

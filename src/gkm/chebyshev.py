@@ -5,7 +5,8 @@ numerically benign on the whole interval (the trigonometric form loses
 digits near the endpoints and is kept only as a test oracle).  The module
 also provides the signed-index convention U_{-1} = 0, U_{-m-2} = -U_m,
 finite series over the U basis, and the Gauss quadrature rule for the
-semicircle weight (2/pi) sqrt(1 - x^2).
+semicircle weight (2/pi) sqrt(1 - x^2).  `_u_sum` is the package's one
+sliced U-series sum, and `_truncation_order` its one order search.
 """
 
 from __future__ import annotations
@@ -15,17 +16,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameters
+from .errors import DomainError, InvalidParameters, Unsupported
 
-# U-series truncation orders (core.series_truncation_order,
-# conjugate.poisson_mehler_order) above this are refused as Unsupported;
-# each order is one row of the basis the series is summed over.
+# _truncation_order refuses orders above this as Unsupported; each order is
+# one row of the basis a series is summed over.
 SERIES_ORDER_CAP = 100_000
 
-# core.density_series and USeries sum a U series over slices of the points
-# holding at most this many basis values (8 MB of doubles), whatever the
-# number of points.
+# _u_sum sums a U series over slices of the points holding at most this
+# many basis values (8 MB of doubles), whatever the number of points.
 SERIES_BLOCK = 1 << 20
+
+
+def _truncation_order(r: float, bound, tol: float, what: str) -> int:
+    """Smallest K with bound(K) < tol, for a series with ratio 0 <= r < 1:
+    0 when r = 0; Unsupported above SERIES_ORDER_CAP, naming `what`."""
+    if r == 0.0:
+        return 0
+    K = 0
+    while bound(K) >= tol:
+        K += 1
+        if K > SERIES_ORDER_CAP:
+            raise Unsupported(f"series order above {SERIES_ORDER_CAP}: {what}, tol={tol}")
+    return K
 
 
 def _check_x(x, c=1.0):
@@ -47,8 +59,10 @@ def _unwrap(r):
 
 def _index(k, name: str = "k", signed: bool = False) -> int:
     """k as a Python int (through operator.index); InvalidParameters for a
-    non-integer k, or a negative one unless `signed`."""
+    non-integer k (a bool too), or a negative one unless `signed`."""
     try:
+        if isinstance(k, bool):
+            raise TypeError
         k = operator.index(k)
     except TypeError:
         raise InvalidParameters(f"{name} must be an integer, got {k!r}") from None
@@ -69,7 +83,7 @@ def u_all(kmax: int, x, out=None):
     if out is None:
         out = np.empty((kmax + 1,) + x.shape)
     elif out.shape != (kmax + 1,) + x.shape:
-        raise ValueError(f"out has shape {out.shape}, expected {(kmax + 1,) + x.shape}")
+        raise InvalidParameters(f"out has shape {out.shape}, expected {(kmax + 1,) + x.shape}")
     # rows are indexed as out[j, ...], a view even when x is 0-d
     out[0, ...] = 1.0
     if kmax >= 1:
@@ -105,6 +119,22 @@ def eval_U_signed(k: int, x):
     return -eval_U(-k - 2, x)
 
 
+def _u_sum(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k c[k] U_k(x) for non-empty c and float x in [-1, 1], in x's shape,
+    by one contraction per slice of at most SERIES_BLOCK basis values.  Each
+    slice's basis fills a contiguous prefix of one reused slab, so tensordot
+    sees the layout of a fresh basis and gives its bits."""
+    flat = x.reshape(-1)
+    s = np.empty(flat.size)
+    step = max(SERIES_BLOCK // c.size, 1)
+    slab = np.empty(c.size * min(step, flat.size))
+    for lo in range(0, flat.size, step):
+        xs = flat[lo:lo + step]
+        basis = u_all(c.size - 1, xs, out=slab[:c.size * xs.size].reshape(c.size, xs.size))
+        s[lo:lo + step] = np.tensordot(c, basis, axes=(0, 0))
+    return s.reshape(x.shape)
+
+
 @dataclass(frozen=True)
 class USeries:
     """Finite coefficient sequence over the U basis; index j is the U_j weight."""
@@ -115,25 +145,9 @@ class USeries:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
     def __call__(self, x):
-        """The series at x, summed over slices of the points that hold at
-        most SERIES_BLOCK basis values; within one slice, one contraction
-        over all of them."""
+        """The series at x (see _u_sum)."""
         x = _check_x(x)
-        if not self.coeffs:
-            return _unwrap(np.zeros_like(x))
-        c = np.asarray(self.coeffs)
-        if c.size * x.size <= SERIES_BLOCK:
-            return _unwrap(np.tensordot(c, u_all(c.size - 1, x), axes=(0, 0)))
-        flat = x.reshape(-1)
-        s = np.empty(flat.size)
-        step = max(SERIES_BLOCK // c.size, 1)
-        # one slab for every slice's basis, as in core.density_series
-        slab = np.empty(c.size * step)
-        for lo in range(0, flat.size, step):
-            xs = flat[lo:lo + step]
-            basis = u_all(c.size - 1, xs, out=slab[:c.size * xs.size].reshape(c.size, xs.size))
-            s[lo:lo + step] = np.tensordot(c, basis, axes=(0, 0))
-        return s.reshape(x.shape)
+        return _unwrap(_u_sum(np.asarray(self.coeffs), x) if self.coeffs else np.zeros_like(x))
 
     @staticmethod
     def from_signed(pairs) -> "USeries":

@@ -123,7 +123,7 @@ def _format_rows(chunk):
         from . import _csvtext
 
         if all(map(_csvtext.supported, chunk)):
-            return _csvtext.format_rows(chunk, _csvtext.BLOCK_ROWS)
+            return _csvtext.format_rows(chunk)
     return ("\n".join(map(",".join, zip(*map(_column_text, chunk)))) + "\n").encode()
 
 

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import oracle
-from .chebyshev import SERIES_ORDER_CAP, _check_x, _unwrap, u_all
+from .chebyshev import _check_x, _truncation_order, _unwrap, u_all
 from .core import _json_params
 from .errors import InvalidParameters, Unsupported
 
@@ -172,14 +172,7 @@ def poisson_mehler_order(rho: float, tol: float) -> int:
     if not (0.0 < tol < math.inf):
         raise InvalidParameters(f"tol must be positive and finite, got {tol}")
     r = abs(rho)
-    if r == 0.0:
-        return 0
-    J = 0
-    while (J + 1) ** 2 * r ** J / (1.0 - r) >= tol:
-        J += 1
-        if J > SERIES_ORDER_CAP:
-            raise Unsupported(f"series order above {SERIES_ORDER_CAP}: rho={rho}, tol={tol}")
-    return J
+    return _truncation_order(r, lambda J: (J + 1) ** 2 * r ** J / (1.0 - r), tol, f"rho={rho}")
 
 
 def poisson_mehler(x, y, rho: float, tol: float = 1e-12):

@@ -6,7 +6,7 @@ This module provides the normalizing constant (partial-fraction closed form
 and the cancellation-free low-order specials), the U-basis expansion
 coefficients B_{n,k}, raw moments, the generating-function route to the
 B sequence, and the rational-symmetric identity residuals used as exact
-self-checks.
+self-checks; `density_series` sums through `chebyshev`'s sliced U-series sum.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from . import oracle
-from .chebyshev import SERIES_BLOCK, SERIES_ORDER_CAP, _check_x, _index, _unwrap, u_all
+# u_all stays bound here: perfbench/selftest.py asserts core.u_all is chebyshev.u_all (ROADMAP item 14)
+from .chebyshev import _check_x, _index, _truncation_order, _u_sum, _unwrap, u_all
 from .errors import (
     DegenerateParameters,
     InternalInconsistency,
@@ -336,14 +337,7 @@ def series_truncation_order(amax: float, tol: float) -> int:
         raise InvalidParameters(f"tol must be positive and finite, got {tol}")
     if not (0.0 <= amax < 1.0):
         raise InvalidParameters(f"amax must lie in [0, 1), got {amax}")
-    if amax == 0.0:
-        return 0
-    K = 0
-    while amax ** (K + 1) * (K + 2) / (1.0 - amax) >= tol:
-        K += 1
-        if K > SERIES_ORDER_CAP:
-            raise Unsupported(f"series order above {SERIES_ORDER_CAP}: amax={amax}, tol={tol}")
-    return K
+    return _truncation_order(amax, lambda K: amax ** (K + 1) * (K + 2) / (1.0 - amax), tol, f"amax={amax}")
 
 
 def density_series(p: ParamSet, x, tol: float = 1e-10):
@@ -354,20 +348,10 @@ def density_series(p: ParamSet, x, tol: float = 1e-10):
     x = _check_x(x)
     amax = max((abs(ai) for ai in p.a), default=0.0)
     K = series_truncation_order(amax, tol)
-    B = B_prefix(p, K).values
-    flat = x.reshape(-1)
-    s = np.empty(flat.size)
-    step = max(SERIES_BLOCK // (K + 1), 1)
-    # one slab for every slice's basis; each slice takes a contiguous prefix,
-    # so tensordot sees the layout of a fresh basis and gives the same bits
-    slab = np.empty((K + 1) * min(step, flat.size))
-    for lo in range(0, flat.size, step):
-        xs = flat[lo:lo + step]
-        basis = u_all(K, xs, out=slab[:(K + 1) * xs.size].reshape(K + 1, xs.size))
-        s[lo:lo + step] = np.tensordot(B, basis, axes=(0, 0))
-    w = _semicircle(1.0, flat, np.empty_like(flat))
+    s = _u_sum(B_prefix(p, K).values, x)
+    w = _semicircle(1.0, x, np.empty_like(x))
     np.multiply(2.0 / np.pi, w, out=w)
-    return _unwrap(np.multiply(w, s, out=s).reshape(x.shape))
+    return _unwrap(np.multiply(w, s, out=s))
 
 
 def moment(p: ParamSet, k: int) -> float:

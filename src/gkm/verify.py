@@ -484,9 +484,12 @@ def run_verify(suite: str | tuple = "all", tol: float | None = None) -> dict:
     suite runs in forked workers (see the module docstring).
 
     If tol is given it replaces every check's default tolerance; it must
-    satisfy 0 <= tol < inf.  InvalidParameters for an unknown suite name.
+    satisfy 0 <= tol < inf.  InvalidParameters for an unknown suite name or
+    an empty tuple, which would pass with no check run.
     """
     names = SUITES if suite == "all" else (suite,) if isinstance(suite, str) else tuple(suite)
+    if not names:
+        raise InvalidParameters(f"no suite to run; choose from {('all',) + SUITES}")
     for name in names:
         if name not in _SUITE_FN:
             raise InvalidParameters(f"unknown suite {name!r}; choose from {('all',) + SUITES}")

@@ -1,11 +1,24 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from gkm import USeries, eval_U, eval_U_signed, gauss_chebU_rule
-from gkm.chebyshev import SERIES_BLOCK, u_all
-from gkm.errors import DomainError, InvalidParameters
+from gkm import (
+    P_coeffs,
+    ParamSet,
+    USeries,
+    build_cdf,
+    eval_U,
+    eval_U_signed,
+    gauss_chebU_rule,
+    moment,
+    sample,
+)
+from gkm.chebyshev import SERIES_BLOCK, SERIES_ORDER_CAP, u_all
+from gkm.conjugate import poisson_mehler_order
+from gkm.core import B_prefix, series_truncation_order
+from gkm.errors import DomainError, InvalidParameters, Unsupported
 
 
 def test_eval_U_small_values():
@@ -161,10 +174,26 @@ def test_integer_orders_of_numpy_types_are_accepted():
 
 
 def test_u_all_out_shape_is_checked():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameters):
         u_all(5, np.zeros(4), out=np.empty((5, 4)))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameters):
         u_all(5, 0.1, out=np.empty((6, 1)))
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_], ids=["True", "False", "np.True_"])
+@pytest.mark.parametrize("call", [
+    lambda b: eval_U(b, 0.3),
+    lambda b: u_all(b, 0.3),
+    lambda b: B_prefix(ParamSet(a=(0.3, -0.2)), b),
+    lambda b: moment(ParamSet(a=(0.3,)), b),
+    lambda b: P_coeffs(b, ParamSet(a=(0.3,))),
+    lambda b: sample(build_cdf(ParamSet(a=(0.3,)), 64), b, 7),
+    lambda b: sample(build_cdf(ParamSet(a=(0.3,)), 64), 5, b),
+], ids=["eval_U", "u_all", "B_prefix", "moment", "P_coeffs", "sample_count", "sample_seed"])
+def test_bool_indices_are_invalid(call, flag):
+    # True used to count as 1: eval_U(True, 0.3) gave 0.6
+    with pytest.raises(InvalidParameters, match="must be an integer"):
+        call(flag)
 
 
 def test_u_all_with_out_allocates_less_than_one_row():
@@ -296,3 +325,69 @@ def test_eval_U_signed_names_the_index_it_was_given(k):
 def test_gauss_rule_needs_a_positive_integer_size(N):
     with pytest.raises(InvalidParameters):
         gauss_chebU_rule(N)
+
+
+# --- the one truncation-order search, against copies of the two loops it replaced
+
+def _series_order_loop(amax, tol):
+    if not (0.0 < tol < math.inf):
+        raise InvalidParameters(f"tol must be positive and finite, got {tol}")
+    if not (0.0 <= amax < 1.0):
+        raise InvalidParameters(f"amax must lie in [0, 1), got {amax}")
+    if amax == 0.0:
+        return 0
+    K = 0
+    while amax ** (K + 1) * (K + 2) / (1.0 - amax) >= tol:
+        K += 1
+        if K > SERIES_ORDER_CAP:
+            raise Unsupported(f"series order above {SERIES_ORDER_CAP}: amax={amax}, tol={tol}")
+    return K
+
+
+def _poisson_mehler_order_loop(rho, tol):
+    if not abs(rho) < 1.0:
+        raise InvalidParameters(f"|rho| must be < 1, got {rho}")
+    if not (0.0 < tol < math.inf):
+        raise InvalidParameters(f"tol must be positive and finite, got {tol}")
+    r = abs(rho)
+    if r == 0.0:
+        return 0
+    J = 0
+    while (J + 1) ** 2 * r ** J / (1.0 - r) >= tol:
+        J += 1
+        if J > SERIES_ORDER_CAP:
+            raise Unsupported(f"series order above {SERIES_ORDER_CAP}: rho={rho}, tol={tol}")
+    return J
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (InvalidParameters, Unsupported) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12])
+@pytest.mark.parametrize("r", [0.0, -0.0, 0.5, -0.5, 0.3, 0.9, 0.99, 0.999])
+def test_truncation_orders_are_those_of_the_former_loops(r, tol):
+    # amax = -0.5 is refused by both; rho = -0.5 is taken as |rho|
+    assert _outcome(series_truncation_order, r, tol) == _outcome(_series_order_loop, r, tol)
+    got = poisson_mehler_order(r, tol)
+    assert type(got) is int and got == _poisson_mehler_order_loop(r, tol)
+    if r == 0.0:
+        assert got == series_truncation_order(r, tol) == 0
+
+
+@pytest.mark.parametrize("r, tol", [
+    (0.9999, 1e-10), (0.99999, 1e-6),  # above the cap
+    (1.0, 1e-10), (2.0, 1e-10), (math.nan, 1e-10), (math.inf, 1e-10), (-1.0, 1e-10),
+    (0.5, 0.0), (0.5, -1.0), (0.5, math.nan), (0.5, math.inf),
+])
+def test_truncation_order_refusals_are_those_of_the_former_loops(r, tol):
+    for fn, ref in ((series_truncation_order, _series_order_loop), (poisson_mehler_order, _poisson_mehler_order_loop)):
+        want = _outcome(ref, r, tol)
+        assert isinstance(want, tuple)
+        with pytest.raises(want[0]) as e:
+            fn(r, tol)
+        assert type(e.value) is want[0] and str(e.value) == want[1]

@@ -310,9 +310,9 @@ def test_write_csv_matches_row_writer_on_mixed_columns(tmp_path, capsys, monkeyp
     calls = []
     format_rows = _csvtext.format_rows
 
-    def spy(chunk, block_rows):
+    def spy(chunk):
         calls.append(len(chunk[0]))
-        return format_rows(chunk, block_rows)
+        return format_rows(chunk)
 
     _cpus(monkeypatch, 1)
     monkeypatch.setattr(_csvtext, "format_rows", spy)

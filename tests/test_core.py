@@ -12,6 +12,7 @@ from gkm import (
     B_from_genfun,
     ParamSet,
     Q_poly,
+    USeries,
     density,
     density_classical_km,
     density_series,
@@ -21,8 +22,8 @@ from gkm import (
     residual_id,
     residual_id2,
 )
-from gkm.chebyshev import SERIES_ORDER_CAP, u_all
-from gkm.core import SERIES_BLOCK, B_prefix, _products_skipping_each, normalizer, series_truncation_order
+from gkm.chebyshev import SERIES_BLOCK, SERIES_ORDER_CAP, u_all
+from gkm.core import B_prefix, _products_skipping_each, normalizer, series_truncation_order
 from gkm.errors import (
     DegenerateParameters,
     DomainError,
@@ -269,6 +270,19 @@ def test_density_series_slices_keep_values_and_shape():
     assert np.array_equal(density_series(p, x.reshape(3, -1)), got.reshape(3, -1))
     r0 = density_series(p, np.float64(x[5]))
     assert isinstance(r0, float) and r0 == density_series(p, x[5:6])[0]
+
+
+def test_density_series_is_the_semicircle_times_the_useries_of_B():
+    # both sum through one sliced U-series sum, so the bits agree
+    p = ParamSet(a=(0.9, -0.3))
+    K = series_truncation_order(0.9, 1e-10)
+    series = USeries(B_prefix(p, K).values)
+    rng = np.random.default_rng(8)
+    step = SERIES_BLOCK // (K + 1)
+    for x in (np.float64(0.37), np.asarray(-1.0), rng.uniform(-1.0, 1.0, 3 * step + 55), rng.uniform(-1.0, 1.0, (9, 11))):
+        want = (2.0 / np.pi) * np.sqrt(1.0 - x * x) * series(x)
+        got = density_series(p, x)
+        assert np.shape(got) == np.shape(x) and np.array_equal(got, want)
 
 
 def _density_ref(p, x):

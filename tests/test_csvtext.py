@@ -29,8 +29,15 @@ def _same(got: str, want: str) -> bool:
     return True
 
 
+def _rows(cols, block) -> bytes:
+    """format_rows with BLOCK_ROWS set to block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_csvtext, "BLOCK_ROWS", block)
+        return bytes(_csvtext.format_rows(cols))
+
+
 def _format(arr, block=257) -> str:
-    return bytes(_csvtext.format_rows([arr], block)).decode("ascii")
+    return _rows([arr], block).decode("ascii")
 
 
 def _ulps(x, n):
@@ -110,7 +117,7 @@ def test_ints_match_str():
     ints = np.array([0, 1, -1, 9, 10, 99, 100, 2**53, 2**53 + 1, -(2**53) - 1, 10**16, 10**17 - 1, 10**17,
                      -(10**17), 2**63 - 1, -(2**63), -(2**63) + 1])
     assert _format(ints) == "".join(f"{i}\n" for i in ints.tolist())
-    assert bytes(_csvtext.format_rows([range(-5, 10**17 + 5, 10**16 - 1)], 3)) == "".join(
+    assert _rows([range(-5, 10**17 + 5, 10**16 - 1)], 3) == "".join(
         f"{i}\n" for i in range(-5, 10**17 + 5, 10**16 - 1)).encode()
 
 
@@ -148,7 +155,7 @@ def test_rows_of_mixed_columns():
     cols = [range(n), rng.normal(size=n), np.arange(n, dtype=np.int32) * -3, rng.uniform(-1e-6, 1e-6, n)]
     want = "".join(",".join(map(str, row)) + "\n" for row in zip(*(c if isinstance(c, range) else c.tolist() for c in cols)))
     for block in (1, 64, 999, 1000, 5000):
-        assert _same(bytes(_csvtext.format_rows(cols, block)).decode("ascii"), want)
+        assert _same(_rows(cols, block).decode("ascii"), want)
 
 
 @pytest.mark.parametrize("piece", [1, 7, 64, 1000])
@@ -156,10 +163,10 @@ def test_nuls_dropped_in_pieces_of_any_size(piece, monkeypatch):
     # a piece ends anywhere in a cell, or covers a whole block
     rng = np.random.default_rng(4)
     cols = [range(300), rng.normal(size=300)]
-    want = bytes(_csvtext.format_rows(cols, 64))
+    want = _rows(cols, 64)
     monkeypatch.setattr(_csvtext, "_PIECE_BYTES", piece)
     for block in (1, 64, 300):
-        assert bytes(_csvtext.format_rows(cols, block)) == want
+        assert _rows(cols, block) == want
 
 
 def test_supported_columns():

@@ -91,5 +91,11 @@ def test_an_unknown_suite_is_invalid():
         verify.run_verify(("identities", "nope"))
 
 
+def test_an_empty_tuple_of_suites_is_invalid():
+    # it used to report "pass": true with no check run
+    with pytest.raises(InvalidParameters, match="no suite"):
+        verify.run_verify(())
+
+
 def _no_suite():
     raise AssertionError("a suite ran")
