@@ -29,7 +29,11 @@ SERIES_BLOCK = 1 << 20
 
 def _truncation_order(r: float, bound, tol: float, what: str) -> int:
     """Smallest K with bound(K) < tol, for a series with ratio 0 <= r < 1:
-    0 when r = 0; Unsupported above SERIES_ORDER_CAP, naming `what`."""
+    0 when r = 0; InvalidParameters unless 0 < tol < inf, whatever r;
+    Unsupported above SERIES_ORDER_CAP, naming `what`."""
+    # written as "not (...)" so that NaN is rejected too
+    if not (0.0 < tol < np.inf):
+        raise InvalidParameters(f"tol must be positive and finite, got {tol}")
     if r == 0.0:
         return 0
     K = 0

@@ -54,8 +54,6 @@ CSV_CHUNK_ROWS = 1 << 16
 # shorter chunk prints each value with repr or str
 CSV_BLOCK_ROWS = 1920
 
-_CONJ_SUITES = ("conjugate", "markov", "trivariate")
-
 
 class ValidationError(ValueError):
     """A flag parsed but violated a parameter constraint."""
@@ -293,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("conj-verify", help="conjugate-branch suites only")
     sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--out", help="output path (default stdout)")
-    sp.set_defaults(fn=cmd_verify, suite=_CONJ_SUITES)
+    sp.set_defaults(fn=cmd_verify, suite=verify.CONJ_SUITES)
 
     return parser
 

@@ -11,7 +11,6 @@ and trivariate densities, and the Markov-kernel identities they satisfy.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -19,16 +18,8 @@ import numpy as np
 
 from . import oracle
 from .chebyshev import _check_x, _truncation_order, _unwrap, u_all
-from .core import _json_params
+from .core import _check_unit, _json_params, _reals
 from .errors import InvalidParameters, Unsupported
-
-
-def _check_rho(**rhos):
-    """InvalidParameters unless |rho| < 1 for each named rho; written as
-    "not (... < ...)" so that NaN is rejected too."""
-    for name, r in rhos.items():
-        if not abs(r) < 1.0:
-            raise InvalidParameters(f"|{name}| must be < 1, got {r}")
 
 
 @dataclass(frozen=True)
@@ -40,13 +31,13 @@ class ConjParamSet:
     y: tuple = field(default=())
 
     def __post_init__(self):
-        rho = tuple(float(r) for r in self.rho)
-        y = tuple(float(v) for v in self.y)
+        rho = _reals("rho", self.rho)
+        y = _reals("y", self.y)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "y", y)
         if len(rho) != len(y):
             raise InvalidParameters("rho and y must have the same length")
-        _check_rho(**{f"rho_{i + 1}": r for i, r in enumerate(rho)})
+        _check_unit(**{f"rho_{i + 1}": r for i, r in enumerate(rho)})
         # written as "not (... <= ...)" so that NaN is rejected too
         for i, v in enumerate(y):
             if not abs(v) <= 1.0:
@@ -66,7 +57,8 @@ class ConjParamSet:
 
     @cached_property
     def _A(self) -> float:
-        """The normalizer, by the route `normalizer` documents."""
+        """The normalizer: the closed A2k_closed up to three pairs, the
+        numeric oracle beyond."""
         if self.k <= 3:
             return A2k_closed(self)
         return oracle.normalizer_numeric(self)
@@ -140,17 +132,10 @@ def A2k_closed(p: ConjParamSet) -> float:
     raise Unsupported("closed normalizers stop at three pairs; use the numeric oracle")
 
 
-def normalizer(p: ConjParamSet) -> float:
-    """The closed normalizer A2k_closed up to three pairs, the numeric
-    oracle beyond; computed once per parameter set."""
-    return p._A
-
-
 def fM_density(p: ConjParamSet, x):
     """Density value(s) of the conjugate-pair distribution at x in [-1, 1]."""
     x = _check_x(x)
-    A = normalizer(p)
-    num = A * 2.0 * np.sqrt(np.maximum(1.0 - x * x, 0.0))
+    num = p._A * 2.0 * np.sqrt(np.maximum(1.0 - x * x, 0.0))
     den = np.pi * np.ones_like(x)
     for r, v in zip(p.rho, p.y):
         den = den * w_eval(x, v, r)
@@ -167,10 +152,7 @@ def wigner_density(x):
 def poisson_mehler_order(rho: float, tol: float) -> int:
     """Smallest J with (J+1)^2 |rho|^J / (1 - |rho|) < tol; 0 < tol < inf.
     Unsupported above SERIES_ORDER_CAP."""
-    _check_rho(rho=rho)
-    # written as "not (...)" so that NaN is rejected too
-    if not (0.0 < tol < math.inf):
-        raise InvalidParameters(f"tol must be positive and finite, got {tol}")
+    _check_unit(rho=rho)
     r = abs(rho)
     return _truncation_order(r, lambda J: (J + 1) ** 2 * r ** J / (1.0 - r), tol, f"rho={rho}")
 
@@ -187,7 +169,7 @@ def poisson_mehler(x, y, rho: float, tol: float = 1e-12):
 
 def f2M(x, y, rho: float):
     """Bivariate density with Wigner marginals and U-diagonal correlation."""
-    _check_rho(rho=rho)
+    _check_unit(rho=rho)
     x = _check_x(x)
     y = _check_x(y)
     r = (
@@ -201,7 +183,7 @@ def f2M(x, y, rho: float):
 
 def g3(y1, y2, y3, r1: float, r2: float, r3: float):
     """Trivariate density whose 2D marginals are the pairwise f2M densities."""
-    _check_rho(r1=r1, r2=r2, r3=r3)
+    _check_unit(r1=r1, r2=r2, r3=r3)
     y1 = _check_x(y1)
     y2 = _check_x(y2)
     y3 = _check_x(y3)
@@ -223,7 +205,7 @@ def g3(y1, y2, y3, r1: float, r2: float, r3: float):
 
 def transition_density(x, y, rho: float):
     """One-pair density viewed as the Markov transition kernel x | y."""
-    _check_rho(rho=rho)
+    _check_unit(rho=rho)
     x = _check_x(x)
     y = _check_x(y)
     r = (1.0 - rho * rho) * (2.0 / np.pi) * np.sqrt(np.maximum(1.0 - x * x, 0.0)) / w_eval(x, y, rho)
@@ -234,7 +216,7 @@ def chapman_residual(x: float, y2: float, r1: float, r2: float, tol: float = 1e-
     """Quadrature check of the Chapman-Kolmogorov composition: integrating the
     r1 kernel against the r2 kernel over the middle variable must reproduce
     the r1*r2 kernel."""
-    _check_rho(r1=r1, r2=r2)
+    _check_unit(r1=r1, r2=r2)
 
     def g(y1):
         # weight (2/pi) sqrt(1-y1^2) is supplied by integrate_weighted
@@ -256,7 +238,7 @@ def conditional_bridge(x: float, y1: float, y2: float, r1: float, r2: float) -> 
     common factors wigner_density(y2) and sqrt(1 - y1^2) are cancelled by
     hand, which leaves the Poisson kernels (1 - rho^2) / w of y1.
     """
-    _check_rho(r1=r1, r2=r2)
+    _check_unit(r1=r1, r2=r2)
     if abs(y1) < 1.0 and abs(y2) < 1.0:
         num = (
             transition_density(y1, x, r1)

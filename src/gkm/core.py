@@ -46,6 +46,23 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _check_unit(**values):
+    """InvalidParameters unless |v| < 1 for each named value v; written as
+    "not (... < ...)" so that NaN is rejected too."""
+    for name, v in values.items():
+        if not abs(v) < 1.0:
+            raise InvalidParameters(f"|{name}| must be < 1, got {v}")
+
+
+def _reals(name: str, values) -> tuple:
+    """values as a tuple of floats; InvalidParameters, naming the field,
+    unless it is an iterable of values float() takes."""
+    try:
+        return tuple(float(v) for v in values)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameters(f"{name} must be a sequence of reals, got {values!r}") from None
+
+
 def _json_params(s: str, lists: tuple, reals: tuple = ()) -> dict:
     """The JSON object s, with each key of `lists` a list of reals and each
     key of `reals` that it has a real, and no other key; InvalidParameters
@@ -88,15 +105,17 @@ class ParamSet:
     c: float = 1.0
 
     def __post_init__(self):
-        a = tuple(float(x) for x in self.a)
+        a = _reals("a", self.a)
+        try:
+            c = float(self.c)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidParameters(f"scale c must be a real, got {self.c!r}") from None
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "c", c)
         # written as "not (... < ...)" so that NaN is rejected too
-        if not (0.0 < self.c < math.inf):
-            raise InvalidParameters(f"scale c must be positive and finite, got {self.c}")
-        for i, ai in enumerate(a):
-            if not abs(ai) < 1.0:
-                raise InvalidParameters(f"|a_{i + 1}| must be < 1, got {ai}")
+        if not (0.0 < c < math.inf):
+            raise InvalidParameters(f"scale c must be positive and finite, got {c}")
+        _check_unit(**{f"a_{i + 1}": ai for i, ai in enumerate(a)})
 
     @property
     def n(self) -> int:
@@ -332,9 +351,6 @@ def series_truncation_order(amax: float, tol: float) -> int:
     """Smallest K with the tail bound amax^{K+1} (K+2) / (1 - amax) < tol
     (uses |U_k| <= k + 1 on [-1, 1]); 0 <= amax < 1 and 0 < tol < inf.
     Unsupported above SERIES_ORDER_CAP."""
-    # written as "not (...)" so that NaN is rejected too
-    if not (0.0 < tol < math.inf):
-        raise InvalidParameters(f"tol must be positive and finite, got {tol}")
     if not (0.0 <= amax < 1.0):
         raise InvalidParameters(f"amax must lie in [0, 1), got {amax}")
     return _truncation_order(amax, lambda K: amax ** (K + 1) * (K + 2) / (1.0 - amax), tol, f"amax={amax}")
@@ -489,6 +505,7 @@ def residual_id(k: int, a) -> float:
 
     sum_i a_i^{n-2} S_k(g applied to the others) / prod_{j != i} (a_j - a_i)(1 - a_i a_j).
     """
+    k = _index(k)
     a = np.asarray(a, dtype=float)
     n = len(a)
     if not 1 <= k <= n - 1:
@@ -511,6 +528,7 @@ def residual_id2(m: int, p: ParamSet) -> float:
     B at negative index follows the signed-U convention B_{n,-1} = 0,
     B_{n,-k} = -B_{n,k-2}.
     """
+    m = _index(m, "m")
     if m < 1:
         raise InvalidParameters("m must be >= 1")
     n = p.n

@@ -11,6 +11,11 @@ doubles both until they agree with each other and with the level before.
 Each shifted grid is a shifted lattice rule (Sloan and Joe, Lattice Methods
 for Multiple Integration, 1994), so a high mode that one grid aliases to a
 constant shows up as a disagreement.
+
+Tolerances: every integrator takes an absolute tol with 0 <= tol < inf and
+refuses any other (NaN, negative, infinite) with InvalidParameters before it
+evaluates its integrand.  tol = 0 runs until the BUDGET is spent and then
+raises NonConvergence.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import InvalidParameters, NonConvergence
 
 BUDGET = 10_000_000  # evaluations per integral, in every dimension
 MC_SEED = 20150601  # fixed so acceptance runs are reproducible
@@ -50,6 +55,13 @@ def _halves(dim: int) -> np.ndarray:
     return 0.5 * np.indices((2,) * dim).reshape(dim, -1)[:, 1:]
 
 
+def _check_tol(tol: float) -> None:
+    """InvalidParameters unless 0 <= tol < inf; written as "not (...)" so
+    that NaN is rejected too."""
+    if not (0.0 <= tol < math.inf):
+        raise InvalidParameters(f"tol must be non-negative and finite, got {tol}")
+
+
 def _periodic_trapezoid(F, tol: float, dim: int = 1) -> IntegrationResult:
     """2^-dim times the integral over one period in each of its dim angles of
     an even, 2pi-periodic F, i.e. its integral over [0, pi]^dim, by the tensor
@@ -61,6 +73,7 @@ def _periodic_trapezoid(F, tol: float, dim: int = 1) -> IntegrationResult:
     F takes one array of angles per axis, broadcastable against each other;
     in 1D it is one flat array.
     """
+    _check_tol(tol)
     shifts = _shifts(dim).T[:, :, None, None]
 
     def sums(offsets, n):

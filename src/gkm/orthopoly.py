@@ -19,9 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .chebyshev import USeries, _index
+from .chebyshev import USeries, _check_x, _index, _unwrap
 from .core import ParamSet, _UU_sum
 from .errors import InvalidParameters
 
@@ -61,15 +59,12 @@ def _build_P(m: int, p: ParamSet) -> OrthoPoly:
     return OrthoPoly(m=m, series=USeries.from_signed(pairs))
 
 
-def P_recur_check(m: int, p: ParamSet, x) -> float:
-    """2x P_m - P_{m+1} - P_{m-1}; vanishes for m >= n."""
+def P_recur_check(m: int, p: ParamSet, x):
+    """2x P_m - P_{m+1} - P_{m-1} at x, in x's shape; vanishes for m >= n."""
     if m < p.n or m < 1:
         raise InvalidParameters("three-term recurrence requires m >= n >= 1")
-    return float(
-        2.0 * np.asarray(x, dtype=float) * P_coeffs(m, p)(x)
-        - P_coeffs(m + 1, p)(x)
-        - P_coeffs(m - 1, p)(x)
-    )
+    x = _check_x(x)
+    return _unwrap(2.0 * x * P_coeffs(m, p)(x) - P_coeffs(m + 1, p)(x) - P_coeffs(m - 1, p)(x))
 
 
 def gram(m: int, k: int, p: ParamSet) -> float:

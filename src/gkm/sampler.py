@@ -71,7 +71,7 @@ class _MonotoneCubic:
             x.ndim == 1 and x.shape == y.shape and x.size >= 2
             and np.all(h > 0) and np.all(np.isfinite(h)) and np.all(np.isfinite(y))
         ):
-            raise ValueError("a monotone cubic needs two or more finite, strictly increasing knots with finite values")
+            raise InvalidParameters("a monotone cubic needs two or more finite, strictly increasing knots with finite values")
         m = np.diff(y) / h
         d = np.zeros_like(y)
         if x.size == 2:
@@ -217,8 +217,12 @@ def sample(t: CdfTable, count: int, seed: int) -> np.ndarray:
 
 def ks_statistic(samples, t: CdfTable) -> float:
     """Sup-norm distance between the empirical CDF and the table's CDF;
+    InvalidParameters for samples that are not one nonempty flat array,
     DomainError for a sample that is not finite."""
-    s = np.sort(np.asarray(samples, dtype=float))
+    s = np.asarray(samples, dtype=float)
+    if s.ndim != 1:
+        raise InvalidParameters(f"samples must be a 1-D array, got {s.ndim} dimensions")
+    s = np.sort(s)
     if s.size == 0:
         raise InvalidParameters("samples must be nonempty")
     # sorted, -inf comes first and inf and NaN come last

@@ -15,8 +15,6 @@ CPU, e.g. with `taskset -c 0`, to trace them).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import _pool, conjugate, core, oracle, orthopoly, sampler
@@ -454,28 +452,26 @@ def suite_sampling() -> list:
     return checks
 
 
-_SUITE_FN = {
-    "normalization": suite_normalization,
-    "identities": suite_identities,
-    "genfun": suite_genfun,
-    "orthogonality": suite_orthogonality,
-    "conjugate": suite_conjugate,
-    "markov": suite_markov,
-    "trivariate": suite_trivariate,
-    "sampling": suite_sampling,
-}
-SUITES = tuple(_SUITE_FN)
-
-# The order in which the workers take the suites: longest first, so that
+# Longest first: the workers take the suites in this order, so that
 # sampling, a third of the work, does not start last.  The measured costs of
 # one traced `verify --suite all` round, in reference-loop units (medians of
 # three rounds on one CPU): sampling 2.18, orthogonality 1.81, genfun 1.09,
 # normalization 0.71, trivariate 0.47, identities 0.45, conjugate 0.24,
 # markov 0.15.  On two CPUs the slowest worker then needs about 3.6 of the
-# 7.1; in SUITES order, about 4.6.
-_LONGEST_FIRST = (
-    "sampling", "orthogonality", "genfun", "normalization", "trivariate", "identities", "conjugate", "markov",
-)
+# 7.1; taken in the order they are defined above, about 4.6.
+_SUITE_FN = {
+    "sampling": suite_sampling,
+    "orthogonality": suite_orthogonality,
+    "genfun": suite_genfun,
+    "normalization": suite_normalization,
+    "trivariate": suite_trivariate,
+    "identities": suite_identities,
+    "conjugate": suite_conjugate,
+    "markov": suite_markov,
+}
+SUITES = tuple(_SUITE_FN)
+# the suites of `gkm conj-verify`
+CONJ_SUITES = ("conjugate", "markov", "trivariate")
 
 
 def run_verify(suite: str | tuple = "all", tol: float | None = None) -> dict:
@@ -493,12 +489,11 @@ def run_verify(suite: str | tuple = "all", tol: float | None = None) -> dict:
     for name in names:
         if name not in _SUITE_FN:
             raise InvalidParameters(f"unknown suite {name!r}; choose from {('all',) + SUITES}")
-    # written as "not (...)" so that NaN is rejected too
-    if tol is not None and not (0.0 <= tol < math.inf):
-        raise InvalidParameters(f"tol must be non-negative and finite, got {tol}")
+    if tol is not None:
+        oracle._check_tol(tol)
     # the suites are independent (each draws from its own seeds), and the
     # sort by check name below makes the report the same in any order
-    order = sorted(names, key=_LONGEST_FIRST.index)
+    order = sorted(names, key=SUITES.index)
     checks = [c for result in _pool.fork_map(lambda name: _SUITE_FN[name](), order) for c in result]
     if tol is not None:
         for c in checks:

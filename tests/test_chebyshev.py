@@ -391,3 +391,11 @@ def test_truncation_order_refusals_are_those_of_the_former_loops(r, tol):
         with pytest.raises(want[0]) as e:
             fn(r, tol)
         assert type(e.value) is want[0] and str(e.value) == want[1]
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_a_zero_ratio_still_refuses_a_bad_tolerance(tol):
+    # the order search checks tol before its r = 0 shortcut
+    for fn in (series_truncation_order, poisson_mehler_order):
+        with pytest.raises(InvalidParameters, match="tol must be positive and finite"):
+            fn(0.0, tol)

@@ -610,7 +610,7 @@ def test_main_reuses_one_parser_with_the_bytes_of_a_fresh_one(capsys, monkeypatc
 
 def test_conj_verify_suite_default_does_not_leak_into_verify(capsys):
     parser = cli._parser()
-    assert parser.parse_args(["conj-verify"]).suite == cli._CONJ_SUITES
+    assert parser.parse_args(["conj-verify"]).suite == verify.CONJ_SUITES
     assert parser.parse_args(["verify"]).suite == "all"
     code, out, _ = run(capsys, "verify", "--suite", "identities")
     assert code == 0

@@ -17,7 +17,7 @@ from gkm import (
     w_eval,
     wigner_density,
 )
-from gkm import conjugate, oracle
+from gkm import oracle
 from gkm.chebyshev import SERIES_ORDER_CAP
 from gkm.conjugate import poisson_mehler_order
 from gkm.errors import DomainError, InvalidParameters, Unsupported
@@ -259,7 +259,15 @@ def test_the_numeric_normalizer_of_four_pairs_is_computed_once(monkeypatch):
     p = ConjParamSet(rho=(0.3, -0.4, 0.5, 0.2), y=(0.1, 0.2, -0.3, 0.9))
     values = [fM_density(p, x) for x in (-0.9, -0.3, 0.0, 0.4, 0.8)]
     assert calls == [p]
-    assert conjugate.normalizer(p) == normalizer_numeric(p)
+    assert p._A == normalizer_numeric(p)
     # a fresh, equal set computes it again, with the same bits
     assert fM_density(ConjParamSet(rho=p.rho, y=p.y), 0.4) == values[3]
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"rho": 0.5, "y": 0.2}, "rho"), ({"rho": (0.5,), "y": 0.2}, "y"), ({"rho": ("x",), "y": (0.2,)}, "rho"),
+])
+def test_conj_paramset_fields_that_are_not_reals_are_invalid(kwargs, field):
+    with pytest.raises(InvalidParameters, match=f"^{field} must be a sequence of reals"):
+        ConjParamSet(**kwargs)

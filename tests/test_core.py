@@ -592,3 +592,22 @@ def test_series_truncation_order_needs_amax_in_zero_to_one(amax):
 def test_identity_residuals_outside_their_range_are_invalid(call):
     with pytest.raises(InvalidParameters):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: residual_id(1.0, (0.1, 0.2, 0.3)),
+    lambda: residual_id2(2.5, ParamSet(a=(0.1, 0.2))),
+])
+def test_identity_residuals_need_integer_indices(call):
+    # a bare IndexError and TypeError before
+    with pytest.raises(InvalidParameters, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"a": 0.5}, "a"), ({"a": ("x",)}, "a"), ({"a": (0.1, None)}, "a"), ({"c": None}, "c"), ({"c": "wide"}, "c"),
+])
+def test_paramset_fields_that_are_not_reals_are_invalid(kwargs, field):
+    # a bare TypeError or ValueError before
+    with pytest.raises(InvalidParameters, match=f"^(scale )?{field} must be"):
+        ParamSet(**kwargs)

@@ -8,9 +8,9 @@ import pytest
 
 import gkm
 
-from gkm import ParamSet, density, eval_U, gauss_chebU_rule, oracle
+from gkm import ParamSet, conjugate, density, eval_U, gauss_chebU_rule, oracle
 from gkm.conjugate import f2M, g3
-from gkm.errors import NonConvergence
+from gkm.errors import InvalidParameters, NonConvergence
 from gkm.oracle import (
     integrate_2d,
     integrate_3d,
@@ -195,3 +195,46 @@ def test_tensor_evaluation_counts():
     assert integrate_3d(lambda a, b, c: g3(a, b, c, 0.0, 0.0, 0.0), 1e-7).evaluations == 2 * 16 ** 3
     assert integrate_3d(lambda a, b, c: g3(a, b, c, 0.5, -0.4, 0.3), 1e-7).evaluations == 2 * 32 ** 3
     assert integrate_3d(lambda a, b, c: g3(a, b, c, 0.6, 0.6, 0.0), 1e-7).evaluations == 2 * 64 ** 3
+
+
+_BAD_TOLS = [float("nan"), -1e-9, float("inf")]
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLS)
+@pytest.mark.parametrize("integrate, dim", [
+    (integrate_weighted, 1), (integrate_plain, 1), (integrate_2d, 2), (integrate_3d, 3),
+])
+def test_a_tolerance_outside_zero_to_infinity_is_refused_before_any_evaluation(integrate, dim, tol):
+    # NaN used to spend the whole budget and inf to accept the first level
+    calls = []
+
+    def spy(*x):
+        calls.append(x)
+        return np.ones(np.broadcast_shapes(*map(np.shape, x)))
+
+    with pytest.raises(InvalidParameters, match="tol must be non-negative and finite"):
+        integrate(spy, tol)
+    assert calls == []
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLS)
+def test_chapman_residual_refuses_the_tolerance_before_any_evaluation(tol, monkeypatch):
+    calls = []
+    w_eval = conjugate.w_eval
+
+    def spy(*args):
+        calls.append(args)
+        return w_eval(*args)
+
+    monkeypatch.setattr(conjugate, "w_eval", spy)
+    with pytest.raises(InvalidParameters, match="tol"):
+        conjugate.chapman_residual(0.1, -0.2, 0.3, 0.4, tol)
+    assert calls == []
+    # a good tolerance goes through the spy
+    assert abs(conjugate.chapman_residual(0.1, -0.2, 0.3, 0.4, 1e-10)) <= 1e-8 and calls
+
+
+def test_a_tolerance_of_zero_runs_until_the_budget_is_spent(monkeypatch):
+    monkeypatch.setattr(oracle, "BUDGET", 10_000)
+    with pytest.raises(NonConvergence, match="budget 10000 exhausted"):
+        integrate_weighted(lambda x: np.ones_like(x), 0.0)

@@ -114,3 +114,18 @@ def test_negative_degree_rejected():
     with pytest.raises(ValueError):
         P_coeffs(-1, ParamSet(a=(0.2,)))
 
+
+
+def test_recurrence_residual_takes_the_shape_of_x():
+    # an array x used to raise a bare TypeError
+    p = ParamSet(a=(0.1, 0.2))
+    xs = np.array([0.1, 0.2, -0.7])
+    got = P_recur_check(3, p, xs)
+    assert isinstance(got, np.ndarray) and got.shape == (3,)
+    for x, r in zip(xs.tolist(), got.tolist()):
+        one = P_recur_check(3, p, x)
+        assert one == pytest.approx(r, abs=1e-15)
+        # a scalar x keeps the bits of the former float(...) of numpy scalars
+        former = 2.0 * np.asarray(x, dtype=float) * P_coeffs(3, p)(x) - P_coeffs(4, p)(x) - P_coeffs(2, p)(x)
+        assert type(one) is float and one == float(former)
+    assert P_recur_check(3, p, [[0.1], [0.2]]).shape == (2, 1)

@@ -243,3 +243,17 @@ def test_ks_statistic_rejects_samples_that_are_not_finite(bad):
             ks_statistic(samples, t)
     with pytest.raises(InvalidParameters, match="nonempty"):
         ks_statistic([], t)
+
+
+def test_ks_statistic_refuses_samples_that_are_not_flat():
+    # numpy's "truth value ... ambiguous" ValueError before
+    t = build_cdf(ParamSet(a=(0.3,)), 64)
+    for samples in (np.zeros((2, 2)), 0.1):
+        with pytest.raises(InvalidParameters, match="1-D"):
+            ks_statistic(samples, t)
+
+
+def test_a_cdf_table_with_repeated_knots_is_invalid():
+    t = CdfTable(xs=np.array([0.0, 0.0]), Fs=np.array([0.0, 1.0]))
+    with pytest.raises(InvalidParameters, match="strictly increasing"):
+        t.cdf(0.5)

@@ -20,16 +20,11 @@ def test_draw_params_with_no_parameters_draws_nothing():
 
 # --- the suites in forked workers
 
-CONJ_SUITES = ("conjugate", "markov", "trivariate")
+CONJ_SUITES = verify.CONJ_SUITES
 
 
 def _report_bytes(suite) -> bytes:
     return (json.dumps(verify.run_verify(suite), indent=2, sort_keys=True) + "\n").encode()
-
-
-def test_longest_first_is_a_permutation_of_the_suites():
-    assert len(verify._LONGEST_FIRST) == len(verify.SUITES)
-    assert sorted(verify._LONGEST_FIRST) == sorted(verify.SUITES)
 
 
 def test_suites_are_submitted_longest_first(monkeypatch):
@@ -44,7 +39,7 @@ def test_suites_are_submitted_longest_first(monkeypatch):
         monkeypatch.setitem(verify._SUITE_FN, name, lambda name=name: [verify._check(f"{name}/c", 0.0, 0.0)])
     verify.run_verify(CONJ_SUITES)
     verify.run_verify("all")
-    assert submitted == [["trivariate", "conjugate", "markov"], list(verify._LONGEST_FIRST)]
+    assert submitted == [["trivariate", "conjugate", "markov"], list(verify.SUITES)]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
