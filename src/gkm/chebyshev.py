@@ -29,10 +29,11 @@ SERIES_BLOCK = 1 << 20
 
 def _truncation_order(r: float, bound, tol: float, what: str) -> int:
     """Smallest K with bound(K) < tol, for a series with ratio 0 <= r < 1:
-    0 when r = 0; InvalidParameters unless 0 < tol < inf, whatever r;
+    0 when r = 0; InvalidParameters unless tol is a real with 0 < tol < inf,
+    whatever r;
     Unsupported above SERIES_ORDER_CAP, naming `what`."""
     # written as "not (...)" so that NaN is rejected too
-    if not (0.0 < tol < np.inf):
+    if not (0.0 < _real_or_nan(tol) < np.inf):
         raise InvalidParameters(f"tol must be positive and finite, got {tol}")
     if r == 0.0:
         return 0
@@ -45,12 +46,16 @@ def _truncation_order(r: float, bound, tol: float, what: str) -> int:
 
 
 def _check_x(x, c=1.0):
-    """x as a float array, or DomainError unless every point lies in [-c, c].
+    """x as a float array; InvalidParameters unless numpy takes it as one,
+    DomainError unless every point lies in [-c, c].
 
     min and max propagate NaN, which fails both comparisons, and allocate no
     temporary.
     """
-    x = np.asarray(x, dtype=float)
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidParameters(f"x must be real, got {type(x).__name__}") from None
     if not (x.size == 0 or (x.min() >= -c and x.max() <= c)):
         raise DomainError(f"x outside [-{c}, {c}]")
     return x
@@ -59,6 +64,17 @@ def _check_x(x, c=1.0):
 def _unwrap(r):
     """An array result as it is; a 0-d one as a Python float."""
     return r if r.shape else float(r)
+
+
+def _real_or_nan(v) -> float:
+    """v as a Python float; NaN, which every range check refuses, for text
+    and for a value float() does not take."""
+    if isinstance(v, (str, bytes)):
+        return np.nan
+    try:
+        return float(v)
+    except (TypeError, ValueError, OverflowError):
+        return np.nan
 
 
 def _index(k, name: str = "k", signed: bool = False) -> int:

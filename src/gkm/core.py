@@ -20,7 +20,7 @@ import numpy as np
 
 from . import oracle
 # u_all stays bound here: perfbench/selftest.py asserts core.u_all is chebyshev.u_all (ROADMAP item 14)
-from .chebyshev import _check_x, _index, _truncation_order, _u_sum, _unwrap, u_all
+from .chebyshev import _check_x, _index, _real_or_nan, _truncation_order, _u_sum, _unwrap, u_all
 from .errors import (
     DegenerateParameters,
     InternalInconsistency,
@@ -47,10 +47,11 @@ def _is_real(v) -> bool:
 
 
 def _check_unit(**values):
-    """InvalidParameters unless |v| < 1 for each named value v; written as
-    "not (... < ...)" so that NaN is rejected too."""
+    """InvalidParameters unless each named value v is a real with |v| < 1;
+    written as "not (... < ...)" so that NaN, and so text and None, are
+    rejected too."""
     for name, v in values.items():
-        if not abs(v) < 1.0:
+        if not abs(_real_or_nan(v)) < 1.0:
             raise InvalidParameters(f"|{name}| must be < 1, got {v}")
 
 
@@ -107,6 +108,8 @@ class ParamSet:
     def __post_init__(self):
         a = _reals("a", self.a)
         try:
+            if isinstance(self.c, (bool, np.bool_)):
+                raise TypeError
             c = float(self.c)
         except (TypeError, ValueError, OverflowError):
             raise InvalidParameters(f"scale c must be a real, got {self.c!r}") from None

@@ -26,6 +26,7 @@ from functools import cache
 
 import numpy as np
 
+from .chebyshev import _real_or_nan
 from .errors import InvalidParameters, NonConvergence
 
 BUDGET = 10_000_000  # evaluations per integral, in every dimension
@@ -56,9 +57,9 @@ def _halves(dim: int) -> np.ndarray:
 
 
 def _check_tol(tol: float) -> None:
-    """InvalidParameters unless 0 <= tol < inf; written as "not (...)" so
-    that NaN is rejected too."""
-    if not (0.0 <= tol < math.inf):
+    """InvalidParameters unless tol is a real with 0 <= tol < inf; written
+    as "not (...)" so that NaN, and so text and None, are rejected too."""
+    if not (0.0 <= _real_or_nan(tol) < math.inf):
         raise InvalidParameters(f"tol must be non-negative and finite, got {tol}")
 
 

@@ -6,7 +6,10 @@ cubic interpolation, so moment recovery is not biased by grid resolution.
 The interpolant is a numpy Fritsch-Carlson monotone cubic (Fritsch and
 Carlson, SIAM J. Numer. Anal. 17, 1980) that repeats the arithmetic of
 scipy's PchipInterpolator step by step and so returns its bits; a guide
-table (Chen and Asau, 1974) finds each point's interval.
+table (Chen and Asau, 1974) finds each point's interval.  The cubic runs
+over blocks of _BLOCK points, and every array of a block is computed,
+through out=, in one workspace allocated per call (`_workspace`): a call
+allocates its result and that workspace, and no block allocates.
 Uniform draws come from the Philox counter-based generator: the stream is a
 pure function of (seed, counter), so any run with the same seed reproduces
 the same samples bit for bit regardless of partitioning.
@@ -26,8 +29,9 @@ from .errors import DomainError, InvalidParameters
 
 # 99% asymptotic critical value of the Kolmogorov statistic: D * sqrt(n) < 1.628
 KS_CRIT_99 = 1.628
-# points a monotone cubic evaluates per pass: each temporary (64 KiB) stays in
-# cache and below glibc's default mmap threshold (128 KiB)
+# points a monotone cubic evaluates per pass: each row of its workspace
+# (64 KiB) stays in cache, and as no block allocates, glibc's heap does not
+# grow and shrink again block after block
 _BLOCK = 8192
 
 
@@ -95,44 +99,53 @@ class _MonotoneCubic:
         buckets = 4 * (x.size - 1)
         self._scale = buckets / (x[-1] - x[0])
         self._top = buckets - 1.0
-        guide = np.searchsorted(self._bucket(x[1:-1]), np.arange(buckets + 1))
+        inner = x[1:-1]
+        bucket = self._bucket(inner, np.empty_like(inner), np.empty(inner.size, np.intp))
+        guide = np.searchsorted(bucket, np.arange(buckets + 1))
         self._guide = guide[:-1]
         # per bucket, the knot after those below it (NaN after the last
         # interior knot: NaN <= q is False), and whether it holds two or more
-        self._next = np.append(x[1:-1], np.nan).take(self._guide)
+        self._next = np.append(inner, np.nan).take(self._guide)
         self._crowded = np.diff(guide) > 1
 
-    def _bucket(self, q):
-        b = q - self._x[0]
-        b *= self._scale
-        np.fmax(b, 0.0, out=b)  # NaN goes to bucket 0
-        np.fmin(b, self._top, out=b)
-        return b.astype(np.intp)
+    def _bucket(self, q, f, b):
+        """b <- the bucket of each point of q, through the float scratch f."""
+        np.subtract(q, self._x[0], out=f)
+        f *= self._scale
+        np.fmax(f, 0.0, out=f)  # NaN goes to bucket 0
+        np.fmin(f, self._top, out=f)
+        np.copyto(b, f, casting="unsafe")
+        return b
 
-    def _interval(self, q):
-        """The interval of each point of q: the count of interior knots <= q."""
-        b = self._bucket(q)
-        i = self._guide.take(b)
-        i += self._next.take(b) <= q
-        crowded = np.flatnonzero(self._crowded.take(b))
+    def _interval(self, q, work=None):
+        """The interval of each point of q: the count of interior knots <= q,
+        computed in `work` (see _workspace), or in a fresh one."""
+        f, k, m = work or _workspace(q.size)
+        b = self._bucket(q, f[0], k[0])
+        # take(out=) in its default mode "raise" writes through a buffered
+        # copy; the indices are in range, so "clip" changes no value
+        i = self._guide.take(b, out=k[1], mode="clip")
+        i += np.less_equal(self._next.take(b, out=f[0], mode="clip"), q, out=m)
+        crowded = np.flatnonzero(self._crowded.take(b, out=m, mode="clip"))
         if crowded.size:
             # fmax takes NaN to -inf, which is below every knot
             i[crowded] = np.searchsorted(self._x[1:-1], np.fmax(q.take(crowded), -np.inf), side="right")
         return i
 
-    def _block(self, q, out):
-        i = self._interval(q)
+    def _block(self, q, out, work):
+        i = self._interval(q, work)
+        f = work[0]
         c0, c1, c2, c3 = self._coef
-        s = q - self._x.take(i)
-        ss = s * s
-        r = c1.take(i)
+        s = np.subtract(q, self._x.take(i, out=f[0], mode="clip"), out=f[0])
+        ss = np.multiply(s, s, out=f[1])
+        r = c1.take(i, out=f[2], mode="clip")
         r *= s
-        r += c0.take(i)
-        t = c2.take(i)
+        r += c0.take(i, out=f[3], mode="clip")
+        t = c2.take(i, out=f[3], mode="clip")
         t *= ss
         r += t
         ss *= s
-        c3.take(i, out=t)
+        c3.take(i, out=t, mode="clip")
         t *= ss
         np.add(r, t, out=out)
 
@@ -140,11 +153,19 @@ class _MonotoneCubic:
         q = np.asarray(q, dtype=float)
         out = np.empty(q.shape)
         flat_q, flat_out = q.reshape(-1), out.reshape(-1)
+        work = _workspace(min(q.size, _BLOCK))
         # far outside the table the cubic overflows, silently as in scipy
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(0, q.size, _BLOCK):
-                self._block(flat_q[k:k + _BLOCK], flat_out[k:k + _BLOCK])
+                n = min(_BLOCK, q.size - k)
+                self._block(flat_q[k:k + n], flat_out[k:k + n], tuple(w[..., :n] for w in work))
         return out
+
+
+def _workspace(n):
+    """Scratch for blocks of up to n points, reused by every block of a call:
+    four float rows, two intp rows and one bool row."""
+    return np.empty((4, n)), np.empty((2, n), np.intp), np.empty(n, bool)
 
 
 @dataclass(frozen=True)
@@ -230,10 +251,21 @@ def ks_statistic(samples, t: CdfTable) -> float:
         raise DomainError("samples must be finite")
     F = t.cdf(np.clip(s, t.xs[0], t.xs[-1], out=s))
     np.clip(F, 0.0, 1.0, out=F)
-    # i / n and (i - 1) / n for i = 1..n
-    steps = np.arange(s.size + 1) / s.size
-    d_plus = np.max(steps[1:] - F)
-    d_minus = np.max(F - steps[:-1])
+    # the largest i / n - F_i and F_i - (i - 1) / n for i = 1..n, a block of
+    # i at a time in one reused buffer
+    n = s.size
+    d_plus = d_minus = -np.inf
+    ramp = np.arange(min(n, _BLOCK), dtype=float)
+    w = np.empty_like(ramp)
+    for k in range(0, n, _BLOCK):
+        Fk = F[k:k + _BLOCK]
+        wk = w[:Fk.size]
+        np.add(ramp[:Fk.size], k + 1, out=wk)
+        wk /= n
+        d_plus = max(d_plus, np.subtract(wk, Fk, out=wk).max())
+        np.add(ramp[:Fk.size], k, out=wk)
+        wk /= n
+        d_minus = max(d_minus, np.subtract(Fk, wk, out=wk).max())
     return float(max(d_plus, d_minus))
 
 

@@ -196,6 +196,14 @@ def test_bool_indices_are_invalid(call, flag):
         call(flag)
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_], ids=["True", "False", "np.True_"])
+def test_a_bool_scale_is_invalid(flag):
+    # True used to count as the scale c = 1.0, as it did as an index
+    for a in ((), (0.1,)):
+        with pytest.raises(InvalidParameters, match="scale c must be a real, got"):
+            ParamSet(a=a, c=flag)
+
+
 def test_u_all_with_out_allocates_less_than_one_row():
     x = np.random.default_rng(13).uniform(-1.0, 1.0, 100_000)
     buf = np.empty((81, x.size))

@@ -23,6 +23,7 @@ from gkm import (
     residual_id2,
 )
 from gkm.chebyshev import SERIES_BLOCK, SERIES_ORDER_CAP, u_all
+from gkm.conjugate import ConjParamSet, f2M, fM_density, poisson_mehler_order
 from gkm.core import B_prefix, _products_skipping_each, normalizer, series_truncation_order
 from gkm.errors import (
     DegenerateParameters,
@@ -31,7 +32,8 @@ from gkm.errors import (
     Unsupported,
     ZeroParameter,
 )
-from gkm.oracle import normalizer_numeric
+from gkm.oracle import integrate_weighted, normalizer_numeric
+from gkm.verify import run_verify
 
 
 def test_paramset_validation():
@@ -601,6 +603,24 @@ def test_identity_residuals_outside_their_range_are_invalid(call):
 def test_identity_residuals_need_integer_indices(call):
     # a bare IndexError and TypeError before
     with pytest.raises(InvalidParameters, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: integrate_weighted(lambda x: x, None), "tol must be"),
+    (lambda: run_verify("identities", "x"), "tol must be"),
+    (lambda: density_series(ParamSet(a=(0.3,)), 0.3, None), "tol must be"),
+    (lambda: f2M(0.1, 0.2, None), "rho"),
+    (lambda: poisson_mehler_order("x", 1e-3), "rho"),
+    (lambda: poisson_mehler_order("0.5", 1e-3), "rho"),
+    (lambda: density(ParamSet(a=(0.3,)), "x"), "x must be real"),
+    (lambda: fM_density(ConjParamSet(rho=(0.3,), y=(0.2,)), "x"), "x must be real"),
+], ids=["integrate_weighted", "run_verify", "density_series", "f2M", "poisson_mehler_order", "text_rho", "density",
+        "fM_density"])
+def test_non_numeric_inputs_are_invalid(call, message):
+    # a bare TypeError or ValueError before, from the comparison, abs or
+    # numpy's conversion inside the shared checks
+    with pytest.raises(InvalidParameters, match=message):
         call()
 
 

@@ -141,8 +141,8 @@ def test_every_value_through_the_fallback(monkeypatch):
     want = _format(v)
     real = _csvtext.certify
 
-    def reject(x):
-        ok, C, E = real(x)
+    def reject(x, ws=None):
+        ok, C, E = real(x, ws)
         return np.zeros_like(ok), np.zeros_like(C), E
 
     monkeypatch.setattr(_csvtext, "certify", reject)
@@ -189,3 +189,21 @@ def test_import_builds_no_table():
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}, check=True, capture_output=True)
+
+
+@pytest.mark.parametrize("block", [1000, _csvtext.BLOCK_ROWS - 1, _csvtext.BLOCK_ROWS + 1, 3 * _csvtext.BLOCK_ROWS + 7])
+def test_ragged_blocks_give_the_bytes_of_one_block(block):
+    # every block, the last one shorter, takes its arrays from one workspace
+    # per call: no value of one block or column leaks into the next
+    n = 3 * _csvtext.BLOCK_ROWS + 7
+    rng = np.random.default_rng(block)
+    v = rng.uniform(-2, 2, n)
+    v[::97] = rng.integers(0, 1 << 64, v[::97].size, dtype=np.uint64).view(np.float64)  # left to repr
+    ints = rng.integers(-(1 << 63), 1 << 63, n, dtype=np.int64) >> rng.integers(0, 64, n)
+    cols = [range(-n, 5 * n, 6), v, ints, np.round(rng.uniform(-2, 2, n), 3), ints.astype(np.int32), range(n)]
+    want = "".join(",".join(map(str, row)) + "\n" for row in zip(*(c if isinstance(c, range) else c.tolist() for c in cols)))
+    got = _rows(cols, block)
+    assert got == _rows(cols, n)
+    assert _same(got.decode("ascii"), want)
+    for col in cols:
+        assert _rows([col], block) == _rows([col], n)

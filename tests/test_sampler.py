@@ -13,7 +13,7 @@ import gkm
 from gkm import CdfTable, ParamSet, build_cdf, ks_statistic, moment, sample
 from gkm.errors import DomainError, InvalidParameters
 from gkm.oracle import integrate_weighted
-from gkm.sampler import KS_CRIT_99
+from gkm.sampler import _BLOCK, KS_CRIT_99
 
 
 def test_cdf_endpoints_and_symmetry():
@@ -257,3 +257,113 @@ def test_a_cdf_table_with_repeated_knots_is_invalid():
     t = CdfTable(xs=np.array([0.0, 0.0]), Fs=np.array([0.0, 1.0]))
     with pytest.raises(InvalidParameters, match="strictly increasing"):
         t.cdf(0.5)
+
+
+# --- one workspace per call, with the bits of the former per-block code
+
+def _former_interval(f, q):
+    # _MonotoneCubic._interval as it was, with a fresh array per step
+    b = q - f._x[0]
+    b *= f._scale
+    np.fmax(b, 0.0, out=b)
+    np.fmin(b, f._top, out=b)
+    b = b.astype(np.intp)
+    i = f._guide.take(b)
+    i += f._next.take(b) <= q
+    crowded = np.flatnonzero(f._crowded.take(b))
+    if crowded.size:
+        i[crowded] = np.searchsorted(f._x[1:-1], np.fmax(q.take(crowded), -np.inf), side="right")
+    return i
+
+
+def _former_cubic(f, q):
+    # _MonotoneCubic.__call__ as it was, block by block
+    q = np.asarray(q, dtype=float)
+    out = np.empty(q.shape)
+    flat_q, flat_out = q.reshape(-1), out.reshape(-1)
+    c0, c1, c2, c3 = f._coef
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(0, q.size, _BLOCK):
+            qk = flat_q[k:k + _BLOCK]
+            i = _former_interval(f, qk)
+            s = qk - f._x.take(i)
+            ss = s * s
+            r = c1.take(i)
+            r *= s
+            r += c0.take(i)
+            t = c2.take(i)
+            t *= ss
+            r += t
+            ss *= s
+            t = c3.take(i)
+            t *= ss
+            np.add(r, t, out=flat_out[k:k + _BLOCK])
+    return out
+
+
+def _former_ks_statistic(s, t):
+    # ks_statistic as it was, on the former cubic
+    s = np.sort(np.asarray(s, dtype=float))
+    F = np.clip(_former_cubic(t.cdf, np.clip(s, t.xs[0], t.xs[-1])), 0.0, 1.0)
+    steps = np.arange(s.size + 1) / s.size
+    return float(max(np.max(steps[1:] - F), np.max(F - steps[:-1])))
+
+
+# a table whose inverse crowds many knots into its first and last buckets
+_CROWDED = _LOOKUP_TABLES[2]
+
+
+@pytest.mark.parametrize("t", [_CROWDED, build_cdf(ParamSet(a=(0.7, -0.4, 0.2), c=1.3), 1024)], ids=["crowded", "spread"])
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_monotone_cubic_has_the_bits_of_the_former_block_loop(t, n):
+    rng = np.random.default_rng(n)
+    for f, x in ((t.cdf, t.xs), (t.inverse, t.Fs)):
+        lo, hi = x[0], x[-1]
+        span = hi - lo
+        q = rng.uniform(lo - 0.5 * span, hi + 0.5 * span, n)  # inside and outside the table
+        q[::5] = rng.choice(x, q[::5].size)  # on the knots
+        q[1::7] = rng.uniform(lo, lo + 1e-6 * span, q[1::7].size)  # where the knots crowd
+        q[-1] = hi
+        q[::11] = np.nan
+        q[2::13] = np.inf
+        q[3::17] = -np.inf
+        _assert_same_bits(f(q), _former_cubic(f, q))
+        _assert_same_bits(f(q.reshape(1, n)), _former_cubic(f, q.reshape(1, n)))
+        assert np.array_equal(f._interval(q), _former_interval(f, q))
+        for p in (q[0], np.array(q[-1]), 0.5 * (lo + hi)):
+            _assert_same_bits(f(p), _former_cubic(f, p))
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_sample_and_ks_have_the_bits_of_the_former_block_loop(n):
+    for t in (_CROWDED, build_cdf(ParamSet(a=(0.5, -0.3)))):
+        u = np.random.Generator(np.random.Philox(key=n)).random(n)
+        draws = sample(t, n, seed=n)
+        assert np.array_equal(draws, np.clip(_former_cubic(t.inverse, u), t.xs[0], t.xs[-1]))
+        for s in (draws, 1.5 * draws, np.zeros(n)):
+            assert ks_statistic(s, t) == _former_ks_statistic(s, t)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads glibc's heap behaviour through ru_minflt")
+def test_a_million_points_fault_in_few_pages():
+    # With glibc's mmap threshold fixed at 128 KiB (as the benchmark fixes
+    # it), fresh 64 KiB temporaries per block made glibc grow and trim its
+    # heap on every block: about 8 200 minor faults per call, against about
+    # 2 100 for the 8 MB result and the one workspace (fewer with huge pages)
+    src = str(Path(gkm.__file__).resolve().parents[1])
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from gkm import ParamSet, build_cdf\n"
+        "t = build_cdf(ParamSet(a=(0.7, -0.4, 0.2)))\n"
+        "u = np.random.default_rng(1).random(10**6)\n"
+        "for f, q in ((t.inverse, u), (t.cdf, 2.0 * u - 1.0)):\n"
+        "    f(q)\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    f(q)\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src, MALLOC_MMAP_THRESHOLD_="131072", OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    faults = [int(v) for v in out.stdout.split()]
+    assert len(faults) == 2 and max(faults) < 3000, faults
