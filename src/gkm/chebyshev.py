@@ -141,9 +141,11 @@ def eval_U_signed(k: int, x):
 
 def _u_sum(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_k c[k] U_k(x) for non-empty c and float x in [-1, 1], in x's shape,
-    by one contraction per slice of at most SERIES_BLOCK basis values.  Each
-    slice's basis fills a contiguous prefix of one reused slab, so tensordot
-    sees the layout of a fresh basis and gives its bits."""
+    by one np.dot(c, basis) per slice of at most SERIES_BLOCK basis values.
+    Each slice's basis fills a contiguous prefix of one reused slab, so dot
+    sees the layout of a fresh basis.  It makes the BLAS gemv call that
+    np.tensordot(c, basis, axes=(0, 0)) makes after reshaping c to one row,
+    and so gives its bits."""
     flat = x.reshape(-1)
     s = np.empty(flat.size)
     step = max(SERIES_BLOCK // c.size, 1)
@@ -151,7 +153,7 @@ def _u_sum(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     for lo in range(0, flat.size, step):
         xs = flat[lo:lo + step]
         basis = u_all(c.size - 1, xs, out=slab[:c.size * xs.size].reshape(c.size, xs.size))
-        s[lo:lo + step] = np.tensordot(c, basis, axes=(0, 0))
+        s[lo:lo + step] = np.dot(c, basis)
     return s.reshape(x.shape)
 
 

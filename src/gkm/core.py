@@ -55,11 +55,19 @@ def _check_unit(**values):
             raise InvalidParameters(f"|{name}| must be < 1, got {v}")
 
 
+def _float(v) -> float:
+    """float(v), refusing a bool (which float() takes as 0 or 1) with
+    TypeError, as float() refuses other non-reals."""
+    if isinstance(v, (bool, np.bool_)):
+        raise TypeError
+    return float(v)
+
+
 def _reals(name: str, values) -> tuple:
     """values as a tuple of floats; InvalidParameters, naming the field,
-    unless it is an iterable of values float() takes."""
+    unless it is an iterable of values float() takes that are not bools."""
     try:
-        return tuple(float(v) for v in values)
+        return tuple(map(_float, values))
     except (TypeError, ValueError, OverflowError):
         raise InvalidParameters(f"{name} must be a sequence of reals, got {values!r}") from None
 
@@ -108,9 +116,7 @@ class ParamSet:
     def __post_init__(self):
         a = _reals("a", self.a)
         try:
-            if isinstance(self.c, (bool, np.bool_)):
-                raise TypeError
-            c = float(self.c)
+            c = _float(self.c)
         except (TypeError, ValueError, OverflowError):
             raise InvalidParameters(f"scale c must be a real, got {self.c!r}") from None
         object.__setattr__(self, "a", a)

@@ -12,6 +12,14 @@ Each shifted grid is a shifted lattice rule (Sloan and Joe, Lattice Methods
 for Multiple Integration, 1994), so a high mode that one grid aliases to a
 constant shows up as a disagreement.
 
+In one variable the levels are the same for every integrand: the first
+level's points and those each doubling adds depend on n alone.  Their
+cos(theta), sin(theta)^2 and |sin(theta)| are computed once per level, up
+to n = _KEPT_N (the verify suites stay within it), kept read-only and handed
+to each integrand's F; above _KEPT_N a level is computed afresh on each
+call.  The integrand g itself gets a copy of cos(theta), so one that writes
+into its argument cannot change a later integral.
+
 Tolerances: every integrator takes an absolute tol with 0 <= tol < inf and
 refuses any other (NaN, negative, infinite) with InvalidParameters before it
 evaluates its integrand.  tol = 0 runs until the BUDGET is spent and then
@@ -23,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +41,7 @@ from .errors import InvalidParameters, NonConvergence
 BUDGET = 10_000_000  # evaluations per integral, in every dimension
 MC_SEED = 20150601  # fixed so acceptance runs are reproducible
 _BLOCK = 1 << 13  # points per call of F in 2D/3D: 64 KiB arrays, below glibc's mmap threshold
+_KEPT_N = 512  # 1D levels kept up to this n: 2048 points in all, 48 KiB for their three arrays
 
 
 @dataclass(frozen=True)
@@ -63,6 +73,34 @@ def _check_tol(tol: float) -> None:
         raise InvalidParameters(f"tol must be non-negative and finite, got {tol}")
 
 
+def _angles(dim: int, n: int, doubling: bool) -> np.ndarray:
+    """angles[i, g, o, j]: axis i of grid g at offset o, point j, of the
+    first level's n-point grids, or of the points a doubling of them adds."""
+    offsets = _halves(dim) if doubling else np.zeros((dim, 1))
+    return _shifts(dim).T[:, :, None, None] + (2.0 * np.pi / n) * (np.arange(n) + offsets[:, None, :, None])
+
+
+class _Nodes(NamedTuple):
+    """The points theta of a 1D level, both grids in one flat array, as
+    cos(theta), sin(theta)^2 and |sin(theta)|, read-only."""
+
+    cos: np.ndarray
+    sin2: np.ndarray
+    abs_sin: np.ndarray
+
+
+def _nodes(n: int, doubling: bool) -> _Nodes:
+    theta = _angles(1, n, doubling).ravel()
+    sin = np.sin(theta)
+    nodes = _Nodes(np.cos(theta), sin ** 2, np.abs(sin))
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
+
+
+_kept_nodes = cache(_nodes)
+
+
 def _periodic_trapezoid(F, tol: float, dim: int = 1) -> IntegrationResult:
     """2^-dim times the integral over one period in each of its dim angles of
     an even, 2pi-periodic F, i.e. its integral over [0, pi]^dim, by the tensor
@@ -71,20 +109,19 @@ def _periodic_trapezoid(F, tol: float, dim: int = 1) -> IntegrationResult:
     of the grid before), within BUDGET evaluations.  Accepted when the two
     grids agree and the last two levels agree, each to tol.
 
-    F takes one array of angles per axis, broadcastable against each other;
-    in 1D it is one flat array.
+    In 2D and 3D F takes one array of angles per axis, broadcastable against
+    each other; in 1D it takes the level's _Nodes.
     """
     _check_tol(tol)
-    shifts = _shifts(dim).T[:, :, None, None]
 
-    def sums(offsets, n):
-        # angles[i, g, o, j]: axis i of grid g at offset o, point j
-        angles = shifts + (2.0 * np.pi / n) * (np.arange(n) + offsets[:, None, :, None])
+    def sums(doubling, n):
         if dim == 1:
-            return (np.pi / n) * F(angles[0].ravel()).reshape(2, -1).sum(axis=1)
+            nodes = (_kept_nodes if n <= _KEPT_N else _nodes)(n, doubling)
+            return (np.pi / n) * F(nodes).reshape(2, -1).sum(axis=1)
+        angles = _angles(dim, n, doubling)
         rows = max(1, _BLOCK // (2 * n ** (dim - 1)))
         total = 0.0
-        for o in range(offsets.shape[1]):
+        for o in range(angles.shape[2]):
             axes = [a[:, o].reshape((2,) + (1,) * i + (n,) + (1,) * (dim - 1 - i)) for i, a in enumerate(angles)]
             for lo in range(0, n, rows):
                 total = total + F(axes[0][:, lo:lo + rows], *axes[1:]).reshape(2, -1).sum(axis=1)
@@ -92,13 +129,13 @@ def _periodic_trapezoid(F, tol: float, dim: int = 1) -> IntegrationResult:
 
     halves = _halves(dim)
     n = 64 >> dim
-    t = sums(np.zeros((dim, 1)), n)
+    t = sums(False, n)
     evals = 2 * n ** dim
     while True:
         added = 2 * halves.shape[1] * n ** dim
         if evals + added > BUDGET:
             raise NonConvergence(f"evaluation budget {BUDGET} exhausted")
-        new = 0.5 ** dim * (t + sums(halves, n))
+        new = 0.5 ** dim * (t + sums(True, n))
         evals += added
         n *= 2
         err = max(abs(new[0] - new[1]), 0.5 * abs(new.sum() - t.sum()))
@@ -116,15 +153,16 @@ def integrate_weighted(g, tol: float = 1e-11) -> IntegrationResult:
     it, except at x = 0, where the two jumps at +-theta_c cancel.
     """
 
-    def F(theta):
-        return (2.0 / np.pi) * g(np.cos(theta)) * np.sin(theta) ** 2
+    def F(v):
+        return (2.0 / np.pi) * g(v.cos.copy()) * v.sin2
 
     return _periodic_trapezoid(F, tol)
 
 
 def _over_cube(h, dim: int, tol: float) -> IntegrationResult:
-    """integral over [-1, 1]^dim of h(x_1, ..., x_dim), as 2^-dim times the
-    full-period integral of h(cos theta_1, ...) prod_i |sin theta_i|."""
+    """integral over [-1, 1]^dim of h(x_1, ..., x_dim), dim = 2 or 3, as
+    2^-dim times the full-period integral of h(cos theta_1, ...)
+    prod_i |sin theta_i|."""
 
     def F(*theta):
         return h(*(np.cos(t) for t in theta)) * math.prod(np.abs(np.sin(t)) for t in theta)
@@ -141,7 +179,7 @@ def integrate_plain(g, tol: float = 1e-11) -> IntegrationResult:
     h smooth; then it is sin(theta)^2 h(cos theta), smooth and periodic, and
     the rule converges geometrically.
     """
-    return _over_cube(g, 1, tol)
+    return _periodic_trapezoid(lambda v: g(v.cos.copy()) * v.abs_sin, tol)
 
 
 def integrate_2d(h, tol: float = 1e-9) -> IntegrationResult:

@@ -88,6 +88,7 @@ def _gram(m: int, k: int, p: ParamSet) -> float:
     ck = P_coeffs(k, p).series.coeffs
     if not cm or not ck:
         return 0.0
+    kept = p.__dict__
     total = 0.0
     for i, ci in enumerate(cm):
         if ci == 0.0:
@@ -95,6 +96,11 @@ def _gram(m: int, k: int, p: ParamSet) -> float:
         for j, cj in enumerate(ck):
             if cj == 0.0:
                 continue
-            # U_i U_j = sum_{l=0}^{min(i,j)} U_{|i-j|+2l}
-            total += ci * cj * _UU_sum(p, abs(i - j), i + j)
+            # U_i U_j = sum_{l=0}^{min(i,j)} U_{|i-j|+2l}; the sum of B
+            # values read where _UU_sum keeps it, as in core.inner_UU
+            try:
+                uu = kept["UU", (abs(i - j), i + j)]
+            except KeyError:
+                uu = _UU_sum(p, abs(i - j), i + j)
+            total += ci * cj * uu
     return total

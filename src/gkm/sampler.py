@@ -9,7 +9,9 @@ scipy's PchipInterpolator step by step and so returns its bits; a guide
 table (Chen and Asau, 1974) finds each point's interval.  The cubic runs
 over blocks of _BLOCK points, and every array of a block is computed,
 through out=, in one workspace allocated per call (`_workspace`): a call
-allocates its result and that workspace, and no block allocates.
+allocates that workspace and, unless it is given one, its result, and no
+block allocates.  `sample` inverts its uniforms in their own buffer and
+`ks_statistic` evaluates the CDF in its sorted copy of the sample.
 Uniform draws come from the Philox counter-based generator: the stream is a
 pure function of (seed, counter), so any run with the same seed reproduces
 the same samples bit for bit regardless of partitioning.
@@ -149,9 +151,18 @@ class _MonotoneCubic:
         t *= ss
         np.add(r, t, out=out)
 
-    def __call__(self, q):
+    def __call__(self, q, out=None):
+        """The cubic at q, in out if given: a writeable C-contiguous float
+        array of q's shape, which may be q itself (each block reads its points before it
+        writes its values)."""
         q = np.asarray(q, dtype=float)
-        out = np.empty(q.shape)
+        if out is None:
+            out = np.empty(q.shape)
+        elif not (
+            isinstance(out, np.ndarray) and out.shape == q.shape and out.dtype == float
+            and out.flags.c_contiguous and out.flags.writeable
+        ):
+            raise InvalidParameters(f"out must be a writeable C-contiguous float array of shape {q.shape}")
         flat_q, flat_out = q.reshape(-1), out.reshape(-1)
         work = _workspace(min(q.size, _BLOCK))
         # far outside the table the cubic overflows, silently as in scipy
@@ -232,7 +243,7 @@ def sample(t: CdfTable, count: int, seed: int) -> np.ndarray:
         raise InvalidParameters(f"seed must be below 2^128, got {seed}")
     gen = np.random.Generator(np.random.Philox(key=seed))
     u = gen.random(count)
-    x = t.inverse(u)
+    x = t.inverse(u, out=u)
     return np.clip(x, t.xs[0], t.xs[-1], out=x)
 
 
@@ -249,7 +260,7 @@ def ks_statistic(samples, t: CdfTable) -> float:
     # sorted, -inf comes first and inf and NaN come last
     if not (np.isfinite(s[0]) and np.isfinite(s[-1])):
         raise DomainError("samples must be finite")
-    F = t.cdf(np.clip(s, t.xs[0], t.xs[-1], out=s))
+    F = t.cdf(np.clip(s, t.xs[0], t.xs[-1], out=s), out=s)
     np.clip(F, 0.0, 1.0, out=F)
     # the largest i / n - F_i and F_i - (i - 1) / n for i = 1..n, a block of
     # i at a time in one reused buffer

@@ -442,8 +442,9 @@ def suite_sampling() -> list:
     r_mom = 0.0
     for k in range(1, 5):
         mk = core.moment(p6, k)
-        emp = float(np.mean(draws ** k))
-        se = float(np.std(draws ** k, ddof=1) / np.sqrt(count))
+        dk = draws ** k
+        emp = float(np.mean(dk))
+        se = float(np.std(dk, ddof=1) / np.sqrt(count))
         r_mom = max(r_mom, abs(emp - mk) / (5.0 * se))
     checks.append(_check("sampling/moment_recovery_5se", r_mom, 1.0))
 
@@ -453,19 +454,20 @@ def suite_sampling() -> list:
 
 
 # Longest first: the workers take the suites in this order, so that
-# sampling, a third of the work, does not start last.  The measured costs of
-# one traced `verify --suite all` round, in reference-loop units (medians of
-# three rounds on one CPU): sampling 2.18, orthogonality 1.81, genfun 1.09,
-# normalization 0.71, trivariate 0.47, identities 0.45, conjugate 0.24,
-# markov 0.15.  On two CPUs the slowest worker then needs about 3.6 of the
-# 7.1; taken in the order they are defined above, about 4.6.
+# orthogonality and sampling, over a quarter of the work each, do not start
+# last.  The measured costs of one traced `verify --suite all` round, in
+# reference-loop units (medians of three traced runs on one CPU):
+# orthogonality 1.50, sampling 1.47, genfun 0.84, normalization 0.58,
+# identities 0.43, trivariate 0.33, conjugate 0.21, markov 0.12.  On two CPUs
+# the slowest worker then needs about 2.8 of the 5.5; taken in the order
+# they are defined above, about 3.4.
 _SUITE_FN = {
-    "sampling": suite_sampling,
     "orthogonality": suite_orthogonality,
+    "sampling": suite_sampling,
     "genfun": suite_genfun,
     "normalization": suite_normalization,
-    "trivariate": suite_trivariate,
     "identities": suite_identities,
+    "trivariate": suite_trivariate,
     "conjugate": suite_conjugate,
     "markov": suite_markov,
 }

@@ -58,7 +58,8 @@ def test_conj_json_roundtrip():
 
 
 @pytest.mark.parametrize("text", ['{"rho": [0.5]}', '{"y": [0.5]}', '[0.5]', '{"rho": 0.5, "y": [0.1]}',
-                                  '{"rho": [0.5], "y": [null]}', '{"rho": [0.5], "y": [0.1], "c": 1.0}'])
+                                  '{"rho": [0.5], "y": [null]}', '{"rho": [0.5], "y": [0.1], "c": 1.0}',
+                                  '{"rho": [0.5], "y": [true]}', '{"rho": [false], "y": [0.1]}'])
 def test_conj_from_json_rejects_malformed_objects(text):
     with pytest.raises(InvalidParameters):
         ConjParamSet.from_json(text)
@@ -267,6 +268,9 @@ def test_the_numeric_normalizer_of_four_pairs_is_computed_once(monkeypatch):
 
 @pytest.mark.parametrize("kwargs, field", [
     ({"rho": 0.5, "y": 0.2}, "rho"), ({"rho": (0.5,), "y": 0.2}, "y"), ({"rho": ("x",), "y": (0.2,)}, "rho"),
+    # bools, which float() takes as 0.0 and 1.0
+    ({"rho": (0.1,), "y": (True,)}, "y"), ({"rho": (False,), "y": (0.2,)}, "rho"),
+    ({"rho": (0.1, 0.2), "y": (0.3, np.False_)}, "y"),
 ])
 def test_conj_paramset_fields_that_are_not_reals_are_invalid(kwargs, field):
     with pytest.raises(InvalidParameters, match=f"^{field} must be a sequence of reals"):

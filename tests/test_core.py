@@ -75,7 +75,8 @@ def test_paramset_json_roundtrip():
 
 
 @pytest.mark.parametrize("text", ['{}', '{"a": 5}', '{"a": [0.2], "c": null}', '[0.2]', '{"a": [null]}',
-                                  '{"a": [true]}', '{"a": [0.2], "c": "2"}', '"a"', '{"a": [0.2, 0.3], "C": 2}'])
+                                  '{"a": [true]}', '{"a": [0.2, false]}', '{"a": [0.2], "c": "2"}', '"a"',
+                                  '{"a": [0.2, 0.3], "C": 2}'])
 def test_from_json_rejects_malformed_objects(text):
     with pytest.raises(InvalidParameters):
         ParamSet.from_json(text)
@@ -631,3 +632,12 @@ def test_paramset_fields_that_are_not_reals_are_invalid(kwargs, field):
     # a bare TypeError or ValueError before
     with pytest.raises(InvalidParameters, match=f"^(scale )?{field} must be"):
         ParamSet(**kwargs)
+
+
+@pytest.mark.parametrize("a", [(False, 0.2), (0.1, True), (np.True_,), np.array([False, True])],
+                         ids=["False", "True", "np.True_", "bool_array"])
+def test_bools_in_the_parameter_vector_are_invalid(a):
+    # float(False) is 0.0: ParamSet(a=(False, 0.2)) had a = (0.0, 0.2), while
+    # c and every index argument refused bools
+    with pytest.raises(InvalidParameters, match="^a must be a sequence of reals"):
+        ParamSet(a=a)

@@ -184,6 +184,8 @@ def test_unshifted_grids_would_report_an_aliased_mode(dim, k, monkeypatch):
     # twice as many points per axis, the mode k is a constant on both levels,
     # which agree, so the rule stops with a wrong value
     monkeypatch.setattr(oracle, "_shifts", lambda dim: np.zeros((2, dim)))
+    # the kept 1D levels lie on the shifted grids: compute every level afresh
+    monkeypatch.setattr(oracle, "_kept_nodes", oracle._nodes)
     assert _INTEGRATE[dim](_mode(dim, k), 1e-11).value == pytest.approx((np.pi / 2) ** dim, rel=1e-12)
 
 
@@ -238,3 +240,77 @@ def test_a_tolerance_of_zero_runs_until_the_budget_is_spent(monkeypatch):
     monkeypatch.setattr(oracle, "BUDGET", 10_000)
     with pytest.raises(NonConvergence, match="budget 10000 exhausted"):
         integrate_weighted(lambda x: np.ones_like(x), 0.0)
+
+
+# --- kept 1D levels, with the bits of levels computed afresh
+
+def _former_1d(g, tol, plain):
+    # the 1D rule as it was, computing every level's angles, cosines and
+    # sines afresh for each integral
+    shifts = oracle._shifts(1).T[:, :, None, None]
+
+    def F(theta):
+        if plain:
+            return g(np.cos(theta)) * np.abs(np.sin(theta))
+        return (2.0 / np.pi) * g(np.cos(theta)) * np.sin(theta) ** 2
+
+    def sums(offsets, n):
+        angles = shifts + (2.0 * np.pi / n) * (np.arange(n) + offsets[:, None, :, None])
+        return (np.pi / n) * F(angles[0].ravel()).reshape(2, -1).sum(axis=1)
+
+    n = 32
+    t = sums(np.zeros((1, 1)), n)
+    evals = 2 * n
+    while True:
+        new = 0.5 * (t + sums(oracle._halves(1), n))
+        evals += 2 * n
+        n *= 2
+        err = max(abs(new[0] - new[1]), 0.5 * abs(new.sum() - t.sum()))
+        if err <= tol:
+            return oracle.IntegrationResult(float(0.5 * new.sum()), float(err), evals)
+        t = new
+
+
+def _bits(r):
+    return r.value.hex(), r.abs_error_estimate.hex(), r.evaluations
+
+
+@pytest.mark.parametrize("integrate, plain", [(integrate_weighted, False), (integrate_plain, True)],
+                         ids=["weighted", "plain"])
+@pytest.mark.parametrize("tol, a", [(1e-11, 0.5), (1e-6, 0.5), (1e-6, 0.99), (1e-11, 0.99)])
+def test_kept_levels_give_the_bits_of_fresh_ones(integrate, plain, tol, a, monkeypatch):
+    # a = 0.99 at 1e-6 and 1e-11 runs past the kept levels, to n = 1024 and 4096
+    def g(x):
+        return (np.sqrt(1.0 - x * x) if plain else 1.0) / (1.0 + a * a - 2.0 * a * x)
+
+    oracle._kept_nodes.cache_clear()
+    cold = integrate(g, tol)
+    warm = integrate(g, tol)
+    assert _bits(cold) == _bits(warm) == _bits(_former_1d(g, tol, plain))
+    # every level kept up to _KEPT_N and none above: the first level and the
+    # doublings at n = 32, 64, ..., _KEPT_N
+    kept = oracle._kept_nodes.cache_info().currsize
+    assert kept == min(cold.evaluations // 4, oracle._KEPT_N).bit_length() - 4
+    if a == 0.99:
+        assert cold.evaluations > 4 * oracle._KEPT_N
+    monkeypatch.setattr(oracle, "_kept_nodes", oracle._nodes)
+    assert _bits(integrate(g, tol)) == _bits(cold)
+
+
+def test_kept_levels_are_read_only():
+    for v in (oracle._kept_nodes(32, False), oracle._kept_nodes(64, True)):
+        assert not any(a.flags.writeable for a in v)
+
+
+def test_an_integrand_that_writes_into_its_argument_cannot_change_a_later_integral():
+    want = [_bits(integrate(lambda x: x ** 2, 1e-12)) for integrate in (integrate_weighted, integrate_plain)]
+
+    def vandal(x):
+        y = x ** 2
+        x[:] = 0.5
+        x += 1.0
+        return y
+
+    for integrate in (integrate_weighted, integrate_plain):
+        assert _bits(integrate(vandal, 1e-12)) == _bits(integrate(lambda x: x ** 2, 1e-12))
+    assert [_bits(integrate(lambda x: x ** 2, 1e-12)) for integrate in (integrate_weighted, integrate_plain)] == want

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkm import P_coeffs, P_recur_check, ParamSet, elementary_all, eval_U, gram
 from gkm.chebyshev import USeries, eval_U_signed
-from gkm.core import B_prefix
+from gkm.core import B_prefix, _UU_sum
 from gkm.errors import InvalidParameters
 
 
@@ -129,3 +131,35 @@ def test_recurrence_residual_takes_the_shape_of_x():
         former = 2.0 * np.asarray(x, dtype=float) * P_coeffs(3, p)(x) - P_coeffs(4, p)(x) - P_coeffs(2, p)(x)
         assert type(one) is float and one == float(former)
     assert P_recur_check(3, p, [[0.1], [0.2]]).shape == (2, 1)
+
+
+def _former_gram(m, k, p):
+    # orthopoly._gram as it was, each sum of B values through _UU_sum
+    cm = P_coeffs(m, p).series.coeffs
+    ck = P_coeffs(k, p).series.coeffs
+    total = 0.0
+    for i, ci in enumerate(cm):
+        if ci == 0.0:
+            continue
+        for j, cj in enumerate(ck):
+            if cj == 0.0:
+                continue
+            total += ci * cj * _UU_sum(p, abs(i - j), i + j)
+    return total
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.lists(st.floats(-0.9, 0.9), max_size=6).filter(lambda a: ParamSet(a=tuple(a)).min_gap >= 0.05),
+    st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)), min_size=1, max_size=12),
+)
+def test_gram_has_the_bits_of_the_former_loop(a, pairs):
+    # on a fresh set, where the sums of B values are computed as the loop
+    # reaches them, and again on a set that has them all kept
+    fresh, former = ParamSet(a=tuple(a)), ParamSet(a=tuple(a))
+    want = [_former_gram(m, k, former).hex() for m, k in pairs]
+    assert [gram(m, k, fresh).hex() for m, k in pairs] == want
+    warm = ParamSet(a=tuple(a))
+    for m, k in pairs:
+        _former_gram(m, k, warm)
+    assert [gram(m, k, warm).hex() for m, k in pairs] == want

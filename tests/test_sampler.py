@@ -313,25 +313,64 @@ def _former_ks_statistic(s, t):
 _CROWDED = _LOOKUP_TABLES[2]
 
 
-@pytest.mark.parametrize("t", [_CROWDED, build_cdf(ParamSet(a=(0.7, -0.4, 0.2), c=1.3), 1024)], ids=["crowded", "spread"])
+_TABLES = [_CROWDED, build_cdf(ParamSet(a=(0.7, -0.4, 0.2), c=1.3), 1024)]
+
+
+def _probe(rng, x, n):
+    # n points on, between and beyond the knots x, where they crowd, and
+    # NaN and infinities
+    lo, hi = x[0], x[-1]
+    span = hi - lo
+    q = rng.uniform(lo - 0.5 * span, hi + 0.5 * span, n)  # inside and outside the table
+    q[::5] = rng.choice(x, q[::5].size)  # on the knots
+    q[1::7] = rng.uniform(lo, lo + 1e-6 * span, q[1::7].size)  # where the knots crowd
+    q[-1] = hi
+    q[::11] = np.nan
+    q[2::13] = np.inf
+    q[3::17] = -np.inf
+    return q
+
+
+@pytest.mark.parametrize("t", _TABLES, ids=["crowded", "spread"])
 @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
 def test_monotone_cubic_has_the_bits_of_the_former_block_loop(t, n):
     rng = np.random.default_rng(n)
     for f, x in ((t.cdf, t.xs), (t.inverse, t.Fs)):
+        q = _probe(rng, x, n)
         lo, hi = x[0], x[-1]
-        span = hi - lo
-        q = rng.uniform(lo - 0.5 * span, hi + 0.5 * span, n)  # inside and outside the table
-        q[::5] = rng.choice(x, q[::5].size)  # on the knots
-        q[1::7] = rng.uniform(lo, lo + 1e-6 * span, q[1::7].size)  # where the knots crowd
-        q[-1] = hi
-        q[::11] = np.nan
-        q[2::13] = np.inf
-        q[3::17] = -np.inf
         _assert_same_bits(f(q), _former_cubic(f, q))
         _assert_same_bits(f(q.reshape(1, n)), _former_cubic(f, q.reshape(1, n)))
         assert np.array_equal(f._interval(q), _former_interval(f, q))
         for p in (q[0], np.array(q[-1]), 0.5 * (lo + hi)):
             _assert_same_bits(f(p), _former_cubic(f, p))
+
+
+@pytest.mark.parametrize("t", _TABLES, ids=["crowded", "spread"])
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK + 1, 10 ** 5 + 3])
+def test_monotone_cubic_in_place_has_the_bits_of_the_allocating_call(t, n):
+    rng = np.random.default_rng(n)
+    for f, x in ((t.cdf, t.xs), (t.inverse, t.Fs)):
+        q = _probe(rng, x, n)
+        want = _former_cubic(f, q)
+        _assert_same_bits(f(q), want)
+        for shape in ((n,), (1, n)):
+            buf = q.reshape(shape).copy()
+            assert f(buf, out=buf) is buf
+            _assert_same_bits(buf, want.reshape(shape))
+        out = np.full(n, -1.0)
+        assert f(q, out=out) is out
+        _assert_same_bits(out, want)
+
+
+_READ_ONLY = np.empty(5)
+_READ_ONLY.flags.writeable = False
+
+
+@pytest.mark.parametrize("out", [np.empty(4), np.empty(5, np.float32), np.empty(10)[::2], [0.0] * 5, _READ_ONLY],
+                         ids=["shape", "dtype", "strided", "list", "read_only"])
+def test_monotone_cubic_refuses_an_out_it_cannot_fill(out):
+    with pytest.raises(InvalidParameters, match="out must be"):
+        _TABLES[1].cdf(np.zeros(5), out=out)
 
 
 @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
