@@ -104,6 +104,15 @@ def u_all(kmax: int, x, out=None):
         out = np.empty((kmax + 1,) + x.shape)
     elif out.shape != (kmax + 1,) + x.shape:
         raise InvalidParameters(f"out has shape {out.shape}, expected {(kmax + 1,) + x.shape}")
+    if x.size == 1 and x.ndim <= 1:
+        # one point: the same multiply-then-subtract steps on Python floats,
+        # without the two numpy calls per row
+        twox = 2.0 * x.item()
+        rows = [1.0, twox][:kmax + 1]
+        for _ in range(2, kmax + 1):
+            rows.append(twox * rows[-1] - rows[-2])
+        out[...] = np.reshape(rows, out.shape)
+        return out
     # rows are indexed as out[j, ...], a view even when x is 0-d
     out[0, ...] = 1.0
     if kmax >= 1:

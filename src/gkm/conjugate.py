@@ -48,11 +48,12 @@ class ConjParamSet:
         return len(self.rho)
 
     def _g(self, x):
-        """The density's factor 1/prod_i w(x, y_i, rho_i), one division per
-        pair in turn (see oracle.unnormalized_factor)."""
-        r = np.ones_like(x)
-        for ri, yi in zip(np.asarray(self.rho), np.asarray(self.y)):
-            r = r / w_eval(x, yi, ri)
+        """The density's factor 1/prod_i w(x, y_i, rho_i) on the float array
+        x, one division per pair in turn, in place (see
+        oracle.unnormalized_factor)."""
+        r = np.ones(np.shape(x))
+        for ri, yi in zip(self.rho, self.y):
+            np.divide(r, w_eval(x, yi, ri), out=r)
         return r
 
     @cached_property

@@ -147,11 +147,15 @@ class ParamSet:
         return _read_only(elementary_all(self._a))
 
     def _g(self, x):
-        """The density's factor 1/prod_j (1 + a_j^2 - 2 a_j x) at scale 1,
-        one division per a_j in turn (see oracle.unnormalized_factor)."""
-        r = np.ones_like(x)
-        for aj in self._a:
-            r = r / (1.0 + aj * aj - 2.0 * aj * x)
+        """The density's factor 1/prod_j (1 + a_j^2 - 2 a_j x) at scale 1 on
+        the float array x, one division per a_j in turn, in place (see
+        oracle.unnormalized_factor); the constants are Python floats."""
+        r = np.ones(np.shape(x))
+        d = np.empty_like(r)
+        for aj in self.a:
+            np.multiply(2.0 * aj, x, out=d)
+            np.subtract(1.0 + aj * aj, d, out=d)
+            np.divide(r, d, out=r)
         return r
 
     @cached_property

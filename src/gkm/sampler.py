@@ -20,10 +20,9 @@ the same samples bit for bit regardless of partitioning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .chebyshev import _index
 from .core import ParamSet, density
@@ -200,6 +199,19 @@ class CdfTable:
         return _MonotoneCubic(self.Fs, self.xs)
 
 
+@cache
+def _gauss_legendre_8() -> tuple:
+    """Nodes and weights of the 8-point Gauss-Legendre rule on [-1, 1], read
+    only: computed on first use, so that numpy.polynomial is imported only
+    by a process that builds a CDF table."""
+    from numpy.polynomial.legendre import leggauss
+
+    rule = leggauss(8)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def build_cdf(p: ParamSet, N: int = 2048) -> CdfTable:
     """Tabulate the CDF on N Chebyshev-extrema points of [-c, c].
 
@@ -216,7 +228,7 @@ def build_cdf(p: ParamSet, N: int = 2048) -> CdfTable:
     xs = c * np.cos(theta)
     xs[0] = -c
     xs[-1] = c
-    gl_nodes, gl_weights = leggauss(8)
+    gl_nodes, gl_weights = _gauss_legendre_8()
     lo = theta[:-1]
     hi = theta[1:]
     mid = 0.5 * (lo + hi)

@@ -6,11 +6,13 @@ tolerance, and is assembled into a JSON-ready report.  Two consecutive runs
 produce byte-identical reports.
 
 `run_verify` runs the suites in forked worker processes, one per usable CPU,
-longest first, and sorts their checks by name, so the report has the bytes
-of a run on one CPU.  With one usable CPU, without `os.fork`, or for one
-suite, the suites run in the calling process one after another; only then
-does a profiler or tracer in that process see their calls (pin it to one
-CPU, e.g. with `taskset -c 0`, to trace them).
+which take the suites longest first, one at a time, from a pipe and send
+their checks back on pipes of their own (see `gkm._pool.fork_map`); it
+sorts the checks by name, so the report has the bytes of a run on one CPU.
+With one usable CPU, without `os.fork`, or for one suite, the suites run
+in the calling process one after another; only then does a profiler or
+tracer in that process see their calls (pin it to one CPU, e.g. with
+`taskset -c 0`, to trace them).
 """
 
 from __future__ import annotations

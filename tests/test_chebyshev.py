@@ -150,6 +150,25 @@ def test_u_all_bit_identical_to_allocating_recurrence():
             assert np.array_equal(buf, want)
 
 
+@pytest.mark.parametrize("kmax", [0, 1, 2, 16, 80])
+def test_u_all_at_one_point_has_the_bits_of_the_array_path(kmax):
+    # a single point steps on Python floats; among other points it takes
+    # the numpy rows
+    rng = np.random.default_rng(13)
+    for v in [-1.0, 1.0, 0.0, 0.5, np.nextafter(1.0, 0.0), *rng.uniform(-1.0, 1.0, 20)]:
+        want = u_all(kmax, np.array([v, 0.25]))[:, 0]
+        assert np.array_equal(want, _u_all_ref(kmax, v))
+        assert u_all(kmax, v).tobytes() == want.tobytes()
+        assert u_all(kmax, np.array([v])).tobytes() == want.tobytes()
+        # into strided views of a slab: a column, and every other row
+        slab = np.full((2 * kmax + 2, 3), np.nan)
+        assert u_all(kmax, np.array([v]), out=slab[: kmax + 1, 1:2]).base is slab
+        assert slab[: kmax + 1, 1].tobytes() == want.tobytes()
+        u_all(kmax, np.float64(v), out=slab[::2, 2])
+        assert slab[::2, 2].tobytes() == want.tobytes()
+        assert np.isnan(slab[:, 0]).all() and np.isnan(slab[kmax + 1:, 1]).all() and np.isnan(slab[1::2, 2]).all()
+
+
 def test_u_all_into_column_sliced_slab_view():
     x = np.random.default_rng(12).uniform(-1.0, 1.0, 300)
     slab = np.full((81, 512), np.nan)

@@ -397,9 +397,7 @@ def _no_pool(*args, **kwargs):
 
 @pytest.mark.parametrize("command", sorted(CSV_COMMANDS))
 def test_one_chunk_starts_no_pool(command, tmp_path, capsys, monkeypatch):
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(_pool._Workers, "fork", _no_pool)
     _cpus(monkeypatch, 4)
     argv = CSV_COMMANDS[command][0] + ["--out", str(tmp_path / "out.csv")]
     assert run(capsys, *argv)[0] == 0
@@ -531,10 +529,8 @@ def test_stdout_without_a_file_descriptor_takes_the_serial_loop(tmp_path, monkey
     out_path = tmp_path / "out.csv"
     cli._write_csv(str(out_path), ["i", "x"], *columns)
 
-    import concurrent.futures
-
     _cpus(monkeypatch, 3)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(_pool._Workers, "fork", _no_pool)
     raw = io.BytesIO()
     monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8"))
     cli._write_csv(None, ["i", "x"], *columns)

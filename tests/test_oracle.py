@@ -5,10 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gkm
 
-from gkm import ParamSet, conjugate, density, eval_U, gauss_chebU_rule, oracle
+from gkm import ConjParamSet, ParamSet, conjugate, density, eval_U, gauss_chebU_rule, oracle
 from gkm.conjugate import f2M, g3
 from gkm.errors import InvalidParameters, NonConvergence
 from gkm.oracle import (
@@ -314,3 +316,32 @@ def test_an_integrand_that_writes_into_its_argument_cannot_change_a_later_integr
     for integrate in (integrate_weighted, integrate_plain):
         assert _bits(integrate(vandal, 1e-12)) == _bits(integrate(lambda x: x ** 2, 1e-12))
     assert [_bits(integrate(lambda x: x ** 2, 1e-12)) for integrate in (integrate_weighted, integrate_plain)] == want
+
+
+def _former_g(p, x):
+    # the former integrands: numpy-scalar constants, a new array per division
+    r = np.ones_like(x)
+    if isinstance(p, ParamSet):
+        for aj in p._a:
+            r = r / (1.0 + aj * aj - 2.0 * aj * x)
+    else:
+        for ri, yi in zip(np.asarray(p.rho), np.asarray(p.y)):
+            r = r / conjugate.w_eval(x, yi, ri)
+    return r
+
+
+@pytest.mark.parametrize("size", [1, 64, 2048])
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    st.lists(st.floats(-0.99, 0.99), max_size=8),
+    st.lists(st.tuples(st.floats(-0.99, 0.99), st.floats(-1.0, 1.0)), max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_g_has_the_bits_of_the_former_loop(size, a, pairs, seed):
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, size)
+    x[: min(size, 3)] = (-1.0, 1.0, 0.0)[: min(size, 3)]
+    conj = ConjParamSet(rho=tuple(r for r, _ in pairs), y=tuple(y for _, y in pairs))
+    for p in (ParamSet(a=tuple(a)), conj):
+        got = oracle.unnormalized_factor(p)(x.copy())
+        assert got.dtype == float and got.shape == x.shape
+        assert got.tobytes() == _former_g(p, x).tobytes()
