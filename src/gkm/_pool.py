@@ -16,13 +16,20 @@ is reaped, before control returns to the caller.
 worker takes the next index when it is free, since the calls may differ
 much in cost.  `fork_write` deals its items round robin, and each worker
 writes its own result's bytes to a stream; the turn to write passes around
-a ring of pipes, one per worker, in item order.  An item whose worker ended
-without sending its result raises BrokenPool here, naming the item, when
-the item is due.
+a ring of pipes, one per worker, in item order.  `fork_fill` gives each
+worker one contiguous span of indices, through `fork_map`, and the workers
+write their parts of one result into one shared anonymous mapping.  An
+item whose worker ended without sending its result raises BrokenPool here,
+naming the item, when the item is due.
+
+A pool worker makes every pool call of its own (`fork_map`, `fork_write`,
+`fork_fill`) in the serial loop, so a pool never forks from a worker: the
+CPUs are already taken by the pool it serves.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 import select
@@ -35,6 +42,8 @@ _WORD = 8
 # PIPE_BUF allows to be written whole or not at all, so no worker can read
 # half an index
 _DEAL_BYTES = 512 * _WORD
+# set in each forked worker, whose own pool calls then run serially
+_in_worker = False
 
 
 class BrokenPool(RuntimeError):
@@ -50,7 +59,9 @@ def usable_cpus() -> int:
 
 
 def _workers(items) -> int:
-    return min(len(items), usable_cpus()) if hasattr(os, "fork") else 1
+    if _in_worker or not hasattr(os, "fork"):
+        return 1
+    return min(len(items), usable_cpus())
 
 
 def fork_map(fn, items):
@@ -59,8 +70,9 @@ def fork_map(fn, items):
     min(len(items), usable_cpus()) forked processes make the calls.  They
     read `fn` and `items` from the memory they inherited, so only each
     item's index and its result are pickled, and `fn` may be any callable.
-    With one worker, or without `os.fork`, the calls run here one after
-    another.  A call's exception is raised here when its result is reached.
+    With one worker, without `os.fork`, or in a pool worker, the calls run
+    here one after another.  A call's exception is raised here when its
+    result is reached.
     """
     workers = _workers(items)
     if workers <= 1:
@@ -86,9 +98,9 @@ def fork_write(fh, fn, items) -> None:
     this process's open file description, and so its offset.  Nothing but
     None comes back.  A call that raises writes nothing; it, or a write
     that fails, stops every later item from writing, and its exception is
-    raised here, the first in item order.  With one worker, or to a stream
-    without a file descriptor (one in memory), fh.write writes the bytes
-    here, item by item.
+    raised here, the first in item order.  With one worker (see
+    `fork_map`), or to a stream without a file descriptor (one in memory),
+    fh.write writes the bytes here, item by item.
     """
     fd = _fileno(fh)
     workers = _workers(items)
@@ -111,6 +123,32 @@ def fork_write(fh, fn, items) -> None:
         pool.close(*(end for pipe in ring for end in pipe))
         for _ in pool.gather(len(items)):
             pass
+
+
+def fork_fill(fill, count: int, out) -> None:
+    """Fill the writable C-contiguous buffer `out` (a numpy array will do)
+    by calls fill(span, buf), where span is a range of the part indices
+    0..count-1 and buf a writable buffer of out's size, in which fill
+    writes the bytes of those parts and no other.
+
+    range(count) is cut into w = min(count, usable_cpus()) contiguous spans
+    of about count / w parts, and `fork_map` deals their calls to w forked
+    workers.  They write into one shared anonymous mapping, which is copied
+    into `out` here once every span is filled, and then closed: nothing the
+    caller keeps shares pages with a later fork.  An exception of a call
+    is raised here.  With one worker (see `fork_map`), fill(range(count),
+    out) runs here.
+    """
+    workers = _workers(range(count))
+    if workers <= 1:
+        fill(range(count), out)
+        return
+    view = memoryview(out).cast("B")
+    spans = [range(count * k // workers, count * (k + 1) // workers) for k in range(workers)]
+    with mmap.mmap(-1, view.nbytes) as shared:
+        for _ in fork_map(partial(fill, buf=shared), spans):
+            pass
+        view[:] = shared
 
 
 def _fileno(fh) -> int | None:
@@ -166,6 +204,8 @@ class _Workers:
         r, out = self.pipe()
         pid = os.fork()
         if pid == 0:
+            global _in_worker
+            _in_worker = True
             code = 1
             try:
                 for fd in self.fds - {out, *keep}:

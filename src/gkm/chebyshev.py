@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _pool
 from .errors import DomainError, InvalidParameters, Unsupported
 
 # _truncation_order refuses orders above this as Unsupported; each order is
@@ -154,15 +155,27 @@ def _u_sum(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     Each slice's basis fills a contiguous prefix of one reused slab, so dot
     sees the layout of a fresh basis.  It makes the BLAS gemv call that
     np.tensordot(c, basis, axes=(0, 0)) makes after reshaping c to one row,
-    and so gives its bits."""
+    and so gives its bits.
+
+    Two or more slices are summed by `_pool.fork_fill`: one forked worker
+    per usable CPU takes a contiguous span of whole slices, with a slab of
+    its own, and the sums come back through one shared mapping, with the
+    bits of the serial loop, which one slice, one usable CPU, a platform
+    without fork, or a call inside a pool worker takes."""
     flat = x.reshape(-1)
     s = np.empty(flat.size)
     step = max(SERIES_BLOCK // c.size, 1)
-    slab = np.empty(c.size * min(step, flat.size))
-    for lo in range(0, flat.size, step):
-        xs = flat[lo:lo + step]
-        basis = u_all(c.size - 1, xs, out=slab[:c.size * xs.size].reshape(c.size, xs.size))
-        s[lo:lo + step] = np.dot(c, basis)
+    starts = range(0, flat.size, step)
+
+    def fill(span, buf):
+        sums = np.frombuffer(buf)
+        slab = np.empty(c.size * min(step, flat.size))
+        for lo in starts[span.start:span.stop]:
+            xs = flat[lo:lo + step]
+            basis = u_all(c.size - 1, xs, out=slab[:c.size * xs.size].reshape(c.size, xs.size))
+            sums[lo:lo + step] = np.dot(c, basis)
+
+    _pool.fork_fill(fill, len(starts), s)
     return s.reshape(x.shape)
 
 

@@ -19,7 +19,8 @@ value with `repr` and `str`.
 A CSV longer than CSV_CHUNK_ROWS (65 536) rows is formatted by one forked
 process per usable CPU; `verify` and `conj-verify` run their suites the
 same way (see `gkm.verify`).  A worker reads the columns from the memory it
-inherited and formats every w-th chunk of w workers; it writes each chunk's
+inherited (`grid`'s workers compute each chunk's points and densities
+themselves) and formats every w-th chunk of w workers; it writes each chunk's
 bytes itself to the output's file descriptor once its turn comes through a
 ring of pipes, after the chunks before it are written (see
 `gkm._pool.fork_write`, which takes the binary stream: the file's, or
@@ -127,14 +128,16 @@ def _format_rows(chunk):
 
 
 def _write_csv(out: str | None, header: list, *columns) -> None:
-    """Write a CSV file (stdout without `out`) from equal-length columns,
-    CSV_CHUNK_ROWS rows at a time, as bytes, through `_pool.fork_write`
-    (see the module docstring)."""
-    n = len(columns[0])
+    """Write a CSV file (stdout without `out`) from equal-length columns
+    (see `_write_chunks`)."""
+    _write_chunks(out, header, len(columns[0]), lambda lo: [col[lo:lo + CSV_CHUNK_ROWS] for col in columns])
 
-    def chunk(lo):
-        return _format_rows([col[lo:lo + CSV_CHUNK_ROWS] for col in columns])
 
+def _write_chunks(out: str | None, header: list, n: int, chunk_columns) -> None:
+    """Write a CSV file (stdout without `out`) of n rows, CSV_CHUNK_ROWS at a
+    time, as bytes, through `_pool.fork_write` (see the module docstring):
+    chunk_columns(lo) gives the equal-length columns of rows lo up to
+    lo + CSV_CHUNK_ROWS, and is called by the process that formats them."""
     if out:
         fh = open(out, "wb")
     else:
@@ -143,16 +146,18 @@ def _write_csv(out: str | None, header: list, *columns) -> None:
         fh = sys.stdout.buffer
     try:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n{','.join(header)}\n".encode())
-        _pool.fork_write(fh, chunk, range(0, n, CSV_CHUNK_ROWS))
+        _pool.fork_write(fh, lambda lo: _format_rows(chunk_columns(lo)), range(0, n, CSV_CHUNK_ROWS))
     finally:
         if out:
             fh.close()
 
 
-def _cheb_grid(c: float, npts: int) -> np.ndarray:
-    # extrema grid: denser near the endpoints where the density has
-    # square-root behavior
-    return c * np.cos(np.pi * (1.0 - np.arange(npts) / (npts - 1)))
+def _cheb_grid(c: float, npts: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Points lo up to hi (npts without it) of the npts-point extrema grid,
+    c cos(pi (1 - i / (npts - 1))): denser near the endpoints, where the
+    density has square-root behavior.  Each point depends only on its
+    index i, so a span has the bits of the same points of the whole grid."""
+    return c * np.cos(np.pi * (1.0 - np.arange(lo, npts if hi is None else hi) / (npts - 1)))
 
 
 def cmd_eval(args) -> int:
@@ -164,10 +169,18 @@ def cmd_eval(args) -> int:
 
 def cmd_grid(args) -> int:
     p = _parse_real_params(args)
-    if args.n_points < 2:
+    n = args.n_points
+    if n < 2:
         raise ValidationError("--n-points must be at least 2")
-    xs = _cheb_grid(p.c, args.n_points)
-    _write_csv(args.out, ["x", "density"], xs, core.density(p, xs))
+    # A is computed before --out is opened, so its errors come before any
+    # output and the chunks' workers inherit it
+    core.normalizer(p)
+
+    def chunk_columns(lo):
+        xs = _cheb_grid(p.c, n, lo, min(lo + CSV_CHUNK_ROWS, n))
+        return [xs, core.density(p, xs)]
+
+    _write_chunks(args.out, ["x", "density"], n, chunk_columns)
     return 0
 
 
@@ -208,7 +221,10 @@ def cmd_sample(args) -> int:
     table = sampler.build_cdf(p)
     draws = sampler.sample(table, args.n_points, args.seed)
     _write_csv(args.out, ["i", "x"], range(len(draws)), draws)
-    d = sampler.ks_statistic(draws, table)
+    # the draws are written: the KS statistic sorts them in place, where
+    # ks_statistic would sort a copy
+    draws.sort()
+    d = sampler._ks_sorted(draws, table)
     sidecar = {
         "schema_version": SCHEMA_VERSION,
         "params": json.loads(p.to_json()),

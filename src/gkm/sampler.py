@@ -11,7 +11,8 @@ over blocks of _BLOCK points, and every array of a block is computed,
 through out=, in one workspace allocated per call (`_workspace`): a call
 allocates that workspace and, unless it is given one, its result, and no
 block allocates.  `sample` inverts its uniforms in their own buffer and
-`ks_statistic` evaluates the CDF in its sorted copy of the sample.
+`ks_statistic` evaluates the CDF in its sorted copy of the sample (`gkm
+sample`, done with its draws, sorts them in place instead).
 Uniform draws come from the Philox counter-based generator: the stream is a
 pure function of (seed, counter), so any run with the same seed reproduces
 the same samples bit for bit regardless of partitioning.
@@ -272,6 +273,12 @@ def ks_statistic(samples, t: CdfTable) -> float:
     # sorted, -inf comes first and inf and NaN come last
     if not (np.isfinite(s[0]) and np.isfinite(s[-1])):
         raise DomainError("samples must be finite")
+    return _ks_sorted(s, t)
+
+
+def _ks_sorted(s: np.ndarray, t: CdfTable) -> float:
+    """The KS statistic of ks_statistic from the sorted, finite, nonempty
+    flat float array s, which it overwrites with the table's CDF values."""
     F = t.cdf(np.clip(s, t.xs[0], t.xs[-1], out=s), out=s)
     np.clip(F, 0.0, 1.0, out=F)
     # the largest i / n - F_i and F_i - (i - 1) / n for i = 1..n, a block of

@@ -12,6 +12,7 @@ import pytest
 
 from gkm import _csvtext, _pool, cli, conjugate, core, orthopoly, sampler, verify
 from gkm.cli import SCHEMA_VERSION, main
+from gkm.errors import NonConvergence
 
 
 def run(capsys, *argv):
@@ -634,3 +635,50 @@ def test_main_calls_a_command_rebound_after_the_parser_was_built(capsys, monkeyp
     code, out, _ = run(capsys, "genfun", "--a", "0.2,0.3", "--K", "4")
     assert code == 0 and seen == [4]
     assert out.splitlines()[1] == "kind,index,value"
+
+
+# --- grid chunks compute their own points; sample sorts its own draws
+
+@pytest.mark.parametrize("c", [1.0, 1.7])
+@pytest.mark.parametrize("n", [2, 257, 65_537, 200_001])
+def test_grid_chunks_have_the_bytes_of_the_whole_grid(n, c, tmp_path, monkeypatch):
+    # the former path: the whole grid and its densities, then the CSV
+    p = core.ParamSet(a=(0.7, -0.4, 0.2), c=c)
+    xs = c * np.cos(np.pi * (1.0 - np.arange(n) / (n - 1)))
+    want_path = tmp_path / "whole.csv"
+    cli._write_csv(str(want_path), ["x", "density"], xs, core.density(p, xs))
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        out_path = tmp_path / f"grid-{cpus}.csv"
+        assert main(["grid", "--a", "0.7,-0.4,0.2", "--c", str(c), "--n-points", str(n), "--out", str(out_path)]) == 0
+        assert out_path.read_bytes() == want_path.read_bytes()
+
+
+@pytest.mark.parametrize("n", ["257", "200001"])
+def test_grid_errors_come_before_any_output(n, tmp_path, capsys, monkeypatch):
+    def fails(p):
+        raise NonConvergence("evaluation budget exhausted")
+
+    monkeypatch.setattr(core, "normalizer", fails)
+    out_path = tmp_path / "grid.csv"
+    code, out, err = run(capsys, "grid", "--a", "0.3", "--n-points", n, "--out", str(out_path))
+    assert (code, out, err) == (2, "", "error: evaluation budget exhausted\n")
+    assert not out_path.exists()
+    assert run(capsys, "grid", "--a", "0.3", "--n-points", n) == (2, "", "error: evaluation budget exhausted\n")
+
+
+def test_sample_sidecar_has_the_bits_of_ks_statistic_on_a_copy(tmp_path, monkeypatch):
+    # several sweep blocks and CSV chunks, written by forked workers
+    _cpus(monkeypatch, 2)
+    p = core.ParamSet(a=(0.5, -0.3))
+    table = sampler.build_cdf(p)
+    draws = sampler.sample(table, 150_001, 7)
+    d = sampler.ks_statistic(draws, table)
+    out_path = tmp_path / "sample.csv"
+    assert main(["sample", "--a", "0.5,-0.3", "--n-points", "150001", "--seed", "7", "--out", str(out_path)]) == 0
+    sidecar = {
+        "schema_version": SCHEMA_VERSION, "params": {"a": [0.5, -0.3], "c": 1.0}, "seed": 7, "count": 150_001,
+        "ks_statistic": d, "ks_pass_1pct": sampler._ks_pass(d, 150_001),
+    }
+    assert (tmp_path / "sample.csv.json").read_text() == json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+    assert out_path.read_text().splitlines()[2:] == [f"{i},{x!r}" for i, x in enumerate(draws.tolist())]

@@ -1,14 +1,17 @@
+import hashlib
 import os
 import pickle
 import signal
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gkm import _pool
+from gkm import _pool, chebyshev, core
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
@@ -146,3 +149,125 @@ def test_the_parent_imports_no_process_pool_and_no_polynomial_package(tmp_path):
                          capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout == "[]\nTrue\n"
     assert len((tmp_path / "grid.csv").read_text().splitlines()) == 1502
+
+
+def _run_python(code: str, *args: str) -> str:
+    """The standard output of code run by a fresh interpreter that imports
+    gkm from this tree, with one BLAS thread: gemv's bits depend on its
+    thread count, which follows the CPUs the interpreter starts on."""
+    src = str(Path(_pool.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True, timeout=120).stdout
+
+
+# --- a pool worker's own pool calls run serially
+
+def _pool_calls_in_a_worker(kind, out_path):
+    def no_fork():
+        raise AssertionError("a pool worker forked")
+
+    # this is a forked worker: the parent's os.fork is untouched
+    os.fork = no_fork
+    if kind == "series":
+        x = np.random.default_rng(31).uniform(-1.0, 1.0, 1_000_000)
+        return hashlib.sha1(core.density_series(core.ParamSet(a=(0.7, -0.4, 0.2)), x)).hexdigest()
+    if kind == "map":
+        return list(_pool.fork_map(lambda i: i * i, range(4)))
+    with open(out_path, "wb") as fh:
+        _pool.fork_write(fh, lambda i: b"%d;" % i, range(4))
+    return "written"
+
+
+def test_a_pool_worker_forks_no_pool_of_its_own(tmp_path):
+    x = np.random.default_rng(31).uniform(-1.0, 1.0, 1_000_000)
+    here = hashlib.sha1(core.density_series(core.ParamSet(a=(0.7, -0.4, 0.2)), x)).hexdigest()
+    out_path = tmp_path / "out"
+    calls = partial(_pool_calls_in_a_worker, out_path=out_path)
+    assert list(_pool.fork_map(calls, ["series", "map", "write"])) == [here, [0, 1, 4, 9], "written"]
+    assert out_path.read_bytes() == b"0;1;2;3;"
+    _no_child_left()
+
+
+# --- the U-series sum, split into spans of whole slices over forked workers
+
+# (order K, shape of x) for each order: two slices, three slices and 7
+# points, 10^6 points, and a 2-d x of three slices
+def _series_cases():
+    for K in (0, 80, 294):
+        step = chebyshev.SERIES_BLOCK // (K + 1)
+        for shape in ((2 * step,), (3 * step + 7,), (1_000_000,), (3, step)):
+            yield K, shape
+
+
+_SERIES_DIGESTS = """
+import hashlib, os, sys
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from gkm import _pool, chebyshev
+if sys.argv[1] == "pinned":
+    assert _pool.usable_cpus() == 1
+else:
+    _pool.usable_cpus = lambda: 2
+for K, shape in %s:
+    c = np.random.default_rng(K).normal(size=K + 1)
+    x = np.random.default_rng(K + 1).uniform(-1.0, 1.0, shape)
+    print(hashlib.sha1(chebyshev.USeries(c)(x)).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_split_series_sums_have_the_bits_of_one_cpu():
+    code = _SERIES_DIGESTS % (list(_series_cases()),)
+    pinned = _run_python(code, "pinned")
+    assert len(pinned.split()) == 12
+    # here, two workers whatever the number of CPUs
+    assert _run_python(code, "unpinned") == pinned
+
+
+def test_a_span_that_raises_raises_in_the_caller_and_leaves_no_child(monkeypatch):
+    c = np.random.default_rng(32).normal(size=81)
+    step = chebyshev.SERIES_BLOCK // 81
+    x = np.random.default_rng(33).uniform(-1.0, 1.0, 4 * step)
+    x[-1] = 0.5  # a point of the second worker's span
+    u_all = chebyshev.u_all
+
+    def fails_on_the_last_slice(kmax, xs, out=None):
+        if xs[-1] == 0.5:
+            raise ValueError("the last slice failed")
+        return u_all(kmax, xs, out)
+
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(chebyshev, "u_all", fails_on_the_last_slice)
+    with pytest.raises(ValueError, match="the last slice failed"):
+        chebyshev.USeries(c)(x)
+    assert len(forks) == 2
+    _no_child_left()
+
+
+_SERIES_PEAK = """
+import os, resource, sys
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from gkm import _pool, core
+if sys.argv[1] != "pinned":
+    _pool.usable_cpus = lambda: 2
+p = core.ParamSet(a=(0.7, -0.4, 0.2))
+core.density_series(p, np.linspace(-1.0, 1.0, 30_000))
+x = np.random.default_rng(34).uniform(-1.0, 1.0, 4_000_000)
+core.density_series(p, x)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_the_split_sum_raises_no_peak_of_the_caller():
+    # the caller holds the shared mapping and its private copy, where the
+    # serial loop holds the sums and a slab; the workers' slabs are theirs
+    pinned = int(_run_python(_SERIES_PEAK, "pinned"))
+    assert int(_run_python(_SERIES_PEAK, "unpinned")) <= pinned
