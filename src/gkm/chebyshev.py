@@ -27,6 +27,15 @@ SERIES_ORDER_CAP = 100_000
 # many basis values (8 MB of doubles), whatever the number of points.
 SERIES_BLOCK = 1 << 20
 
+# _u_sum splits a sum over forked workers only when its basis values past
+# the first _SPLIT_TERMS of each point number at least _SPLIT_VALUES.  On
+# a 2-vCPU Xeon host with one BLAS thread, the sums took about 2.0 ms per
+# SERIES_BLOCK values, and a split took 0.70 of that time plus about 12 ms
+# and 9 ms per 10^6 points (forks, reaping, the shared mapping and its
+# copy): it saves time from about 19.4 slices plus 15.4 values per point.
+_SPLIT_TERMS = 15
+_SPLIT_VALUES = 20 * SERIES_BLOCK
+
 
 def _truncation_order(r: float, bound, tol: float, what: str) -> int:
     """Smallest K with bound(K) < tol, for a series with ratio 0 <= r < 1:
@@ -157,11 +166,13 @@ def _u_sum(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     np.tensordot(c, basis, axes=(0, 0)) makes after reshaping c to one row,
     and so gives its bits.
 
-    Two or more slices are summed by `_pool.fork_fill`: one forked worker
+    A sum long enough to gain by it (see _SPLIT_VALUES; at K = 80, from
+    317 751 points on) is summed by `_pool.fork_fill`: one forked worker
     per usable CPU takes a contiguous span of whole slices, with a slab of
     its own, and the sums come back through one shared mapping, with the
-    bits of the serial loop, which one slice, one usable CPU, a platform
-    without fork, or a call inside a pool worker takes."""
+    bits of the serial loop.  A shorter sum takes that loop here, and so
+    does any sum that fork_fill does not split (one usable CPU, a platform
+    without fork, a process with other threads, a pool worker)."""
     flat = x.reshape(-1)
     s = np.empty(flat.size)
     step = max(SERIES_BLOCK // c.size, 1)
@@ -175,7 +186,10 @@ def _u_sum(c: np.ndarray, x: np.ndarray) -> np.ndarray:
             basis = u_all(c.size - 1, xs, out=slab[:c.size * xs.size].reshape(c.size, xs.size))
             sums[lo:lo + step] = np.dot(c, basis)
 
-    _pool.fork_fill(fill, len(starts), s)
+    if flat.size * (c.size - _SPLIT_TERMS) >= _SPLIT_VALUES:
+        _pool.fork_fill(fill, len(starts), s)
+    else:
+        fill(range(len(starts)), s)
     return s.reshape(x.shape)
 
 

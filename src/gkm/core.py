@@ -373,9 +373,10 @@ def density_series(p: ParamSet, x, tol: float = 1e-10):
     """Density through the U-basis expansion, truncated by the geometric
     tail bound; agrees with the product form to tol.  Requires c = 1.
 
-    The series is summed by `chebyshev._u_sum`, in forked workers from two
-    slices on; the semicircle weight's buffer is allocated once the sums
-    are back in a private array and the workers' shared mapping is closed.
+    The series is summed by `chebyshev._u_sum`, in forked workers when the
+    sum is long enough to gain by it; the semicircle weight's buffer is
+    allocated once the sums are back in a private array and the workers'
+    shared mapping is closed.
     """
     if p.c != 1.0:
         raise InvalidParameters("series path is defined at scale c = 1")
