@@ -5,14 +5,19 @@ where the density has square-root behavior) and inverted through monotone
 cubic interpolation, so moment recovery is not biased by grid resolution.
 The interpolant is a numpy Fritsch-Carlson monotone cubic (Fritsch and
 Carlson, SIAM J. Numer. Anal. 17, 1980) that repeats the arithmetic of
-scipy's PchipInterpolator step by step and so returns its bits; a guide
-table (Chen and Asau, 1974) finds each point's interval.  The cubic runs
-over blocks of _BLOCK points, and every array of a block is computed,
-through out=, in one workspace allocated per call (`_workspace`): a call
-allocates that workspace and, unless it is given one, its result, and no
-block allocates.  `sample` inverts its uniforms in their own buffer and
-`ks_statistic` evaluates the CDF in its sorted copy of the sample (`gkm
-sample`, done with its draws, sorts them in place instead).
+scipy's PchipInterpolator step by step and so returns its bits.  It finds
+each point's interval in one of two ways.  Unsorted points (`sample`'s
+inverse, the public `CdfTable.cdf` and `.inverse`) go through a guide table
+(Chen and Asau, 1974) over blocks of _BLOCK points, and every array of a
+block is computed, through out=, in one workspace allocated per call
+(`_workspace`): a call allocates that workspace and, unless it is given one,
+its result, and no block allocates.  Sorted points (the KS statistic, which
+has just sorted its sample) go by runs: one search places the knots among
+the points, and each block repeats its knots and coefficients over their
+runs, allocating each repeat (64 KiB) for its one use.  `sample` inverts its
+uniforms in their own buffer and `ks_statistic` evaluates the CDF in its
+sorted copy of the sample (`gkm sample`, done with its draws, sorts them in
+place instead).
 Uniform draws come from the Philox counter-based generator: the stream is a
 pure function of (seed, counter), so any run with the same seed reproduces
 the same samples bit for bit regardless of partitioning.
@@ -32,8 +37,9 @@ from .errors import DomainError, InvalidParameters
 # 99% asymptotic critical value of the Kolmogorov statistic: D * sqrt(n) < 1.628
 KS_CRIT_99 = 1.628
 # points a monotone cubic evaluates per pass: each row of its workspace
-# (64 KiB) stays in cache, and as no block allocates, glibc's heap does not
-# grow and shrink again block after block
+# (64 KiB) stays in cache, and as a block allocates nothing (guide table) or
+# one 64 KiB array at a time (runs), glibc's heap does not grow and shrink
+# again block after block
 _BLOCK = 8192
 
 
@@ -67,6 +73,10 @@ class _MonotoneCubic:
     of interior knots <= q, which is the interval; where it holds more (the
     CDF values of an inverse table crowd near 0 and 1), a binary search
     over the interior knots does.  NaN goes to bucket 0 and interval 0.
+
+    __call__ takes the guide table, whatever the order of its points;
+    `_sorted` takes points its caller has sorted and finds their intervals
+    by runs instead, with the same bits (see there).
     """
 
     def __init__(self, x, y):
@@ -172,6 +182,40 @@ class _MonotoneCubic:
                 self._block(flat_q[k:k + n], flat_out[k:k + n], tuple(w[..., :n] for w in work))
         return out
 
+    def _sorted(self, q, out):
+        """The cubic at the sorted, NaN-free flat float array q, in out (which
+        may be q), with __call__'s bits.  Sorted, the points of each interval
+        form one run: run j, from the count of points below knot x_j to the
+        count below x_{j+1}, lies in interval j.  So one search of the
+        interior knots among the points replaces the guide table, and
+        np.repeat over a block's runs replaces its five gathers.  np.repeat
+        has no out=, so each block allocates its repeated knot and four
+        coefficients (64 KiB each); each is freed after its one use, so at
+        most one is live, and under a 128 KiB mmap threshold glibc's heap
+        still does not grow and trim block after block."""
+        x = self._x
+        bound = np.concatenate(([0], np.searchsorted(q, x[1:-1], side="left"), [q.size]))
+        coef = (x[:-1], *self._coef)
+        f = np.empty((4, min(q.size, _BLOCK)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(0, q.size, _BLOCK):
+                n = min(_BLOCK, q.size - k)
+                # the runs from the interval of the block's first point to
+                # that of its last
+                j0, j1 = np.searchsorted(bound, (k, k + n - 1), side="right") - 1
+                runs = np.diff(np.clip(bound[j0:j1 + 2], k, k + n))
+                xi, c0, c1, c2, c3 = (c[j0:j1 + 1] for c in coef)
+                s = np.subtract(q[k:k + n], xi.repeat(runs), out=f[0, :n])
+                ss = np.multiply(s, s, out=f[1, :n])
+                r = np.multiply(c1.repeat(runs), s, out=f[2, :n])
+                r += c0.repeat(runs)
+                t = np.multiply(c2.repeat(runs), ss, out=f[3, :n])
+                r += t
+                ss *= s
+                np.multiply(c3.repeat(runs), ss, out=t)
+                np.add(r, t, out=out[k:k + n])
+        return out
+
 
 def _workspace(n):
     """Scratch for blocks of up to n points, reused by every block of a call:
@@ -262,9 +306,13 @@ def sample(t: CdfTable, count: int, seed: int) -> np.ndarray:
 
 def ks_statistic(samples, t: CdfTable) -> float:
     """Sup-norm distance between the empirical CDF and the table's CDF;
-    InvalidParameters for samples that are not one nonempty flat array,
-    DomainError for a sample that is not finite."""
-    s = np.asarray(samples, dtype=float)
+    InvalidParameters for samples that are not one nonempty flat array of
+    real numbers (integers or floats: not bools, text, bytes, complex numbers
+    or objects), DomainError for a sample that is not finite."""
+    s = np.asarray(samples)
+    if s.dtype.kind not in "iuf":
+        raise InvalidParameters(f"samples must be real numbers, got an array of dtype {s.dtype}")
+    s = s.astype(float, copy=False)
     if s.ndim != 1:
         raise InvalidParameters(f"samples must be a 1-D array, got {s.ndim} dimensions")
     s = np.sort(s)
@@ -278,8 +326,10 @@ def ks_statistic(samples, t: CdfTable) -> float:
 
 def _ks_sorted(s: np.ndarray, t: CdfTable) -> float:
     """The KS statistic of ks_statistic from the sorted, finite, nonempty
-    flat float array s, which it overwrites with the table's CDF values."""
-    F = t.cdf(np.clip(s, t.xs[0], t.xs[-1], out=s), out=s)
+    flat float array s, which it overwrites with the table's CDF values.
+    As s is sorted, the CDF is evaluated by runs (`_MonotoneCubic._sorted`),
+    not through the guide table."""
+    F = t.cdf._sorted(np.clip(s, t.xs[0], t.xs[-1], out=s), out=s)
     np.clip(F, 0.0, 1.0, out=F)
     # the largest i / n - F_i and F_i - (i - 1) / n for i = 1..n, a block of
     # i at a time in one reused buffer

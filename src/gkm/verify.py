@@ -456,16 +456,16 @@ def suite_sampling() -> list:
 
 
 # Longest first: the workers take the suites in this order, so that
-# orthogonality and sampling, over a quarter of the work each, do not start
-# last.  The measured costs of one traced `verify --suite all` round, in
-# reference-loop units (medians of three traced runs on one CPU):
-# orthogonality 1.50, sampling 1.47, genfun 0.84, normalization 0.58,
-# identities 0.43, trivariate 0.33, conjugate 0.21, markov 0.12.  On two CPUs
-# the slowest worker then needs about 2.8 of the 5.5; taken in the order
+# sampling and orthogonality, a quarter of the work or more each, do not
+# start last.  The measured costs of one traced `verify --suite all` round,
+# in reference-loop units (medians of three traced runs on one CPU):
+# sampling 1.56, orthogonality 1.30, genfun 0.83, normalization 0.56,
+# identities 0.46, trivariate 0.36, conjugate 0.21, markov 0.12.  On two CPUs
+# the slowest worker then needs about 2.7 of the 5.4; taken in the order
 # they are defined above, about 3.4.
 _SUITE_FN = {
-    "orthogonality": suite_orthogonality,
     "sampling": suite_sampling,
+    "orthogonality": suite_orthogonality,
     "genfun": suite_genfun,
     "normalization": suite_normalization,
     "identities": suite_identities,

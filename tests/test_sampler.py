@@ -121,8 +121,10 @@ def test_lazy_interpolators_give_the_same_draws_and_cdf():
     assert np.array_equal(draws, want)
     x = np.linspace(-1.3, 1.3, 1001)
     assert np.array_equal(t.cdf(x), PchipInterpolator(t.xs, t.Fs)(x))
-    # draws, draws beyond the table on both sides, and a point mass
-    for s in (draws, 1.5 * draws, np.zeros(1000)):
+    # draws, draws beyond the table on both sides, and a point mass; then
+    # draws around one and two blocks of the run path, and many blocks
+    more = [sample(t, n, seed=n) for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 150_001)]
+    for s in (draws, 1.5 * draws, np.zeros(1000), *more):
         kept = s.copy()
         assert ks_statistic(s, t) == _parent_ks_statistic(s, t)
         assert np.array_equal(s, kept)
@@ -243,6 +245,28 @@ def test_ks_statistic_rejects_samples_that_are_not_finite(bad):
             ks_statistic(samples, t)
     with pytest.raises(InvalidParameters, match="nonempty"):
         ks_statistic([], t)
+
+
+@pytest.mark.parametrize("samples", [
+    np.array([True, False]),
+    [True, False],
+    ["0.1", "0.2"],
+    np.array([b"0.1", b"0.2"]),
+    np.array([0.1 + 0.5j, 0.2]),
+    np.array([0.1, 0.2], dtype=object),
+    [0.1, None],
+], ids=["bool_array", "bool_list", "str", "bytes", "complex", "object", "none"])
+def test_ks_statistic_refuses_samples_that_are_not_real(samples):
+    # taken before as 0 and 1, parsed, or cut to their real part
+    t = build_cdf(ParamSet(a=(0.3,)), 64)
+    with pytest.raises(InvalidParameters, match="real numbers"):
+        ks_statistic(samples, t)
+
+
+def test_ks_statistic_takes_integer_and_narrow_float_samples():
+    t = build_cdf(ParamSet(a=(0.3,)), 64)
+    for samples in ([0, 1], np.array([0, 1], np.uint8), np.array([0.0, 1.0], np.float32)):
+        assert ks_statistic(samples, t) == ks_statistic(np.array([0.0, 1.0]), t)
 
 
 def test_ks_statistic_refuses_samples_that_are_not_flat():
@@ -406,3 +430,58 @@ def test_a_million_points_fault_in_few_pages():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     faults = [int(v) for v in out.stdout.split()]
     assert len(faults) == 2 and max(faults) < 3000, faults
+
+
+# --- the CDF on sorted points, by runs
+
+
+def _sorted_probe(rng, x, n, kind):
+    # n sorted points of one kind, on or about the knots x
+    lo, hi = x[0], x[-1]
+    if kind == "uniform":
+        q = rng.uniform(lo, hi, n)
+    elif kind == "knots":  # every knot, then more knots, repeated
+        q = np.resize(x, n)
+    elif kind == "repeated":
+        q = np.full(n, rng.choice(x[1:-1]) if x.size > 2 else lo)
+    elif kind == "one_interval":
+        j = rng.integers(0, x.size - 1)
+        q = rng.uniform(x[j], x[j + 1], n)
+    elif kind == "ends":  # both ends of the table, and just inside them
+        q = rng.choice([lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo)], n)
+    else:  # beyond both ends, as far as infinity
+        q = rng.choice([-np.inf, lo - 0.5, hi + 0.5, np.inf, 0.5 * (lo + hi)], n)
+    return np.sort(q)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.lists(st.floats(-0.9, 0.9), max_size=5),
+    st.sampled_from([1.0, 1.7]),
+    st.sampled_from([64, 2048]),
+    st.sampled_from([1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10 ** 5 + 3]),
+    st.sampled_from(["uniform", "knots", "repeated", "one_interval", "ends", "beyond"]),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_the_cubic_on_sorted_points_has_the_bits_of_the_guide_table(a, c, N, n, kind, seed):
+    t = build_cdf(ParamSet(a=tuple(a), c=c), N)
+    rng = np.random.default_rng(seed)
+    for f, x in ((t.cdf, t.xs), (t.inverse, t.Fs)):
+        q = _sorted_probe(rng, x, n, kind)
+        want = f(q)
+        _assert_same_bits(f._sorted(q, np.empty(n)), want)
+        assert f._sorted(q, q) is q  # in place, as _ks_sorted calls it
+        _assert_same_bits(q, want)
+
+
+def test_ks_statistic_evaluates_the_cdf_by_runs(monkeypatch):
+    # the guide table is for unsorted points; KS has sorted its sample
+    t = build_cdf(ParamSet(a=(0.5, -0.3)))
+    s = sample(t, 3 * _BLOCK + 7, seed=3)
+    want = ks_statistic(s, t)
+
+    def refuse(self, q, out=None):
+        raise AssertionError("the guide table was used on sorted points")
+
+    monkeypatch.setattr(type(t.cdf), "__call__", refuse)
+    assert ks_statistic(s, t) == want
