@@ -9,7 +9,7 @@ import numpy as np
 from gkm import B_from_genfun, ParamSet, Q_poly, density, density_series, moment, residual_id2
 from gkm.chebyshev import u_all
 from gkm.core import B_prefix
-from gkm.oracle import integrate_weighted, unnormalized_factor
+from gkm.oracle import integrate_weighted
 
 p = ParamSet(a=(0.2, -0.3, 0.5))
 
@@ -17,7 +17,9 @@ print("B coefficients: closed form vs generating-function division vs quadrature
 closed = B_prefix(p, 6).values
 genfun = B_from_genfun(p, 6).values
 
-unnormalized = unnormalized_factor(p)
+# g of the density A g(x) (2/pi) sqrt(1 - x^2); integrate_weighted
+# supplies the semicircle weight
+unnormalized = p._g
 
 
 from gkm.core import A_closed

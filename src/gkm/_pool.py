@@ -16,27 +16,22 @@ is reaped, before control returns to the caller.
 worker takes the next index when it is free, since the calls may differ
 much in cost.  `fork_write` deals its items round robin, and each worker
 writes its own result's bytes to a stream; the turn to write passes around
-a ring of pipes, one per worker, in item order.  `fork_fill` gives each
-worker one contiguous span of indices, through `fork_map`, and the workers
-write their parts of one result into one shared anonymous mapping; it
-forks only in a process seen to run alone (`_alone`), since its callers
-are library calls, made from any process.  An
-item whose worker ended without sending its result raises BrokenPool here,
-naming the item, when the item is due.
+a ring of pipes, one per worker, in item order.  An item whose worker ended
+without sending its result raises BrokenPool here, naming the item, when
+the item is due.
 
-A pool worker makes every pool call of its own (`fork_map`, `fork_write`,
-`fork_fill`) in the serial loop, so a pool never forks from a worker: the
-CPUs are already taken by the pool it serves.
+A pool worker makes every pool call of its own (`fork_map`, `fork_write`)
+in the serial loop, so a pool never forks from a worker: the CPUs are
+already taken by the pool it serves.  Its callers are the verify suites and
+the CLI's CSV writer; no library call forks.
 """
 
 from __future__ import annotations
 
-import mmap
 import os
 import pickle
 import select
 import signal
-import sys
 from functools import partial
 
 # bytes of an item index on the deal pipe, and of a frame's length prefix
@@ -59,20 +54,6 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _alone() -> bool:
-    """Whether this process is seen to run alone: with one thread (Linux
-    lists them in /proc/self/task; where that cannot be read, no), and not
-    started by `multiprocessing` (a pool's worker, say), whose siblings
-    may hold the other CPUs."""
-    mp = sys.modules.get("multiprocessing")
-    if mp is not None and mp.parent_process() is not None:
-        return False
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
 
 
 def _workers(items) -> int:
@@ -140,36 +121,6 @@ def fork_write(fh, fn, items) -> None:
         pool.close(*(end for pipe in ring for end in pipe))
         for _ in pool.gather(len(items)):
             pass
-
-
-def fork_fill(fill, count: int, out) -> None:
-    """Fill the writable C-contiguous buffer `out` (a numpy array will do)
-    by calls fill(span, buf), where span is a range of the part indices
-    0..count-1 and buf a writable buffer of out's size, in which fill
-    writes the bytes of those parts and no other.
-
-    range(count) is cut into w = min(count, usable_cpus()) contiguous spans
-    of about count / w parts, and `fork_map` deals their calls to w forked
-    workers.  They write into one shared anonymous mapping, which is copied
-    into `out` here once every span is filled, and then closed: nothing the
-    caller keeps shares pages with a later fork.  An exception of a call
-    is raised here.  With one worker (see `fork_map`), or in a process not
-    seen to run alone (see `_alone`), fill(range(count), out) runs here: a
-    fork copies none of the other threads (a BLAS library's own, which
-    would then run once in every worker, say, and which Python 3.12 warns
-    of at each fork), and a multiprocessing worker's siblings may already
-    hold the CPUs.
-    """
-    workers = _workers(range(count)) if _alone() else 1
-    if workers <= 1:
-        fill(range(count), out)
-        return
-    view = memoryview(out).cast("B")
-    spans = [range(count * k // workers, count * (k + 1) // workers) for k in range(workers)]
-    with mmap.mmap(-1, view.nbytes) as shared:
-        for _ in fork_map(partial(fill, buf=shared), spans):
-            pass
-        view[:] = shared
 
 
 def _fileno(fh) -> int | None:

@@ -6,7 +6,7 @@ digits near the endpoints and is kept only as a test oracle).  The module
 also provides the signed-index convention U_{-1} = 0, U_{-m-2} = -U_m,
 finite series over the U basis, and the Gauss quadrature rule for the
 semicircle weight (2/pi) sqrt(1 - x^2).  `_u_sum` is the package's one
-sliced U-series sum, and `_truncation_order` its one order search.
+U-series sum, and `_truncation_order` its one order search.
 """
 
 from __future__ import annotations
@@ -16,25 +16,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _pool
 from .errors import DomainError, InvalidParameters, Unsupported
 
 # _truncation_order refuses orders above this as Unsupported; each order is
 # one row of the basis a series is summed over.
 SERIES_ORDER_CAP = 100_000
 
-# _u_sum sums a U series over slices of the points holding at most this
-# many basis values (8 MB of doubles), whatever the number of points.
+# _u_sum contracts a U series with its whole basis when the basis holds at
+# most this many values (8 MB of doubles), and sums a longer one by
+# Clenshaw's recurrence.
 SERIES_BLOCK = 1 << 20
 
-# _u_sum splits a sum over forked workers only when its basis values past
-# the first _SPLIT_TERMS of each point number at least _SPLIT_VALUES.  On
-# a 2-vCPU Xeon host with one BLAS thread, the sums took about 2.0 ms per
-# SERIES_BLOCK values, and a split took 0.70 of that time plus about 12 ms
-# and 9 ms per 10^6 points (forks, reaping, the shared mapping and its
-# copy): it saves time from about 19.4 slices plus 15.4 values per point.
-_SPLIT_TERMS = 15
-_SPLIT_VALUES = 20 * SERIES_BLOCK
+# The points of one block of that recurrence (three 256 KiB arrays): on a
+# 2-vCPU Xeon host with 4 MiB of L2 per core, blocks of 2^13, 2^14, 2^15
+# and 2^16 points took 91, 82, 78 and 93 ms at K = 80 on 10^6 points.
+_CLENSHAW_BLOCK = 1 << 15
 
 
 def _truncation_order(r: float, bound, tol: float, what: str) -> int:
@@ -159,37 +155,36 @@ def eval_U_signed(k: int, x):
 
 
 def _u_sum(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k c[k] U_k(x) for non-empty c and float x in [-1, 1], in x's shape,
-    by one np.dot(c, basis) per slice of at most SERIES_BLOCK basis values.
-    Each slice's basis fills a contiguous prefix of one reused slab, so dot
-    sees the layout of a fresh basis.  It makes the BLAS gemv call that
-    np.tensordot(c, basis, axes=(0, 0)) makes after reshaping c to one row,
-    and so gives its bits.
+    """sum_k c[k] U_k(x) for non-empty c and float x in [-1, 1], in x's shape.
 
-    A sum long enough to gain by it (see _SPLIT_VALUES; at K = 80, from
-    317 751 points on) is summed by `_pool.fork_fill`: one forked worker
-    per usable CPU takes a contiguous span of whole slices, with a slab of
-    its own, and the sums come back through one shared mapping, with the
-    bits of the serial loop.  A shorter sum takes that loop here, and so
-    does any sum that fork_fill does not split (one usable CPU, a platform
-    without fork, a process with other threads, a pool worker)."""
+    A sum whose basis fits in one slice (x.size * c.size <= SERIES_BLOCK
+    values) is one np.dot(c, u_all(...)) over the whole basis, with the bits
+    of np.tensordot(c, basis, axes=(0, 0)).  A longer one is summed here by
+    Clenshaw's recurrence b_k = (2x b_{k+1} - b_{k+2}) + c_k, b_{K+1} =
+    b_{K+2} = 0, whose b_0 is the sum: _CLENSHAW_BLOCK points at a time, in
+    three arrays allocated once per call (2x and the two b's), with the
+    block of the result as the product's buffer."""
     flat = x.reshape(-1)
+    if flat.size * c.size <= SERIES_BLOCK:
+        return np.dot(c, u_all(c.size - 1, flat)).reshape(x.shape)
     s = np.empty(flat.size)
-    step = max(SERIES_BLOCK // c.size, 1)
-    starts = range(0, flat.size, step)
-
-    def fill(span, buf):
-        sums = np.frombuffer(buf)
-        slab = np.empty(c.size * min(step, flat.size))
-        for lo in starts[span.start:span.stop]:
-            xs = flat[lo:lo + step]
-            basis = u_all(c.size - 1, xs, out=slab[:c.size * xs.size].reshape(c.size, xs.size))
-            sums[lo:lo + step] = np.dot(c, basis)
-
-    if flat.size * (c.size - _SPLIT_TERMS) >= _SPLIT_VALUES:
-        _pool.fork_fill(fill, len(starts), s)
-    else:
-        fill(range(len(starts)), s)
+    n = min(_CLENSHAW_BLOCK, flat.size)
+    twox, b1, b2 = np.empty(n), np.empty(n), np.empty(n)
+    coeffs = c[::-1].tolist()
+    for lo in range(0, flat.size, n):
+        sums = s[lo:lo + n]
+        m = sums.size
+        t, p, q = twox[:m], b1[:m], b2[:m]
+        np.multiply(2.0, flat[lo:lo + m], out=t)
+        p.fill(0.0)
+        q.fill(0.0)
+        for ck in coeffs:
+            # q holds b_{k+2}; it becomes b_k, and the two swap roles
+            np.multiply(t, p, out=sums)
+            np.subtract(sums, q, out=q)
+            np.add(q, ck, out=q)
+            p, q = q, p
+        sums[...] = p
     return s.reshape(x.shape)
 
 

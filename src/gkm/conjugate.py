@@ -48,9 +48,9 @@ class ConjParamSet:
         return len(self.rho)
 
     def _g(self, x):
-        """The density's factor 1/prod_i w(x, y_i, rho_i) on the float array
-        x, one division per pair in turn, in place (see
-        oracle.unnormalized_factor)."""
+        """The factor g of the density A g(x) (2/pi) sqrt(1 - x^2),
+        1/prod_i w(x, y_i, rho_i), on the float array x: one division per
+        pair in turn, in place."""
         r = np.ones(np.shape(x))
         for ri, yi in zip(self.rho, self.y):
             np.divide(r, w_eval(x, yi, ri), out=r)

@@ -6,7 +6,7 @@ This module provides the normalizing constant (partial-fraction closed form
 and the cancellation-free low-order specials), the U-basis expansion
 coefficients B_{n,k}, raw moments, the generating-function route to the
 B sequence, and the rational-symmetric identity residuals used as exact
-self-checks; `density_series` sums through `chebyshev`'s sliced U-series sum.
+self-checks; `density_series` sums through `chebyshev`'s one U-series sum.
 """
 
 from __future__ import annotations
@@ -147,9 +147,9 @@ class ParamSet:
         return _read_only(elementary_all(self._a))
 
     def _g(self, x):
-        """The density's factor 1/prod_j (1 + a_j^2 - 2 a_j x) at scale 1 on
-        the float array x, one division per a_j in turn, in place (see
-        oracle.unnormalized_factor); the constants are Python floats."""
+        """The factor g of the density A g(x) (2/pi) sqrt(1 - x^2) at scale
+        1, 1/prod_j (1 + a_j^2 - 2 a_j x), on the float array x: one division
+        per a_j in turn, in place; the constants are Python floats."""
         r = np.ones(np.shape(x))
         d = np.empty_like(r)
         for aj in self.a:
@@ -373,10 +373,9 @@ def density_series(p: ParamSet, x, tol: float = 1e-10):
     """Density through the U-basis expansion, truncated by the geometric
     tail bound; agrees with the product form to tol.  Requires c = 1.
 
-    The series is summed by `chebyshev._u_sum`, in forked workers when the
-    sum is long enough to gain by it; the semicircle weight's buffer is
-    allocated once the sums are back in a private array and the workers'
-    shared mapping is closed.
+    The series is summed by `chebyshev._u_sum` in this process: one
+    contraction with the basis when it fits in SERIES_BLOCK values,
+    Clenshaw's recurrence beyond.
     """
     if p.c != 1.0:
         raise InvalidParameters("series path is defined at scale c = 1")

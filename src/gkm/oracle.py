@@ -197,13 +197,6 @@ def integrate_3d(h, tol: float = 1e-7) -> IntegrationResult:
     return _over_cube(h, 3, tol)
 
 
-def unnormalized_factor(p):
-    """The factor g(x) of a density A g(x) (2/pi) sqrt(1 - x^2) at scale 1,
-    the parameter set's own `_g`: 1/prod_j (1 + a_j^2 - 2 a_j x) for a
-    ParamSet, 1/prod_i w(x, y_i, rho_i) for a ConjParamSet."""
-    return p._g
-
-
 def normalizer_numeric(p) -> float:
     """1 / integral of the unnormalized density (the closed constant A set to 1),
     for either parameter-set flavor."""

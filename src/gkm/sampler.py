@@ -309,6 +309,10 @@ def ks_statistic(samples, t: CdfTable) -> float:
     InvalidParameters for samples that are not one nonempty flat array of
     real numbers (integers or floats: not bools, text, bytes, complex numbers
     or objects), DomainError for a sample that is not finite."""
+    # numpy reads a bool among other numbers in a list as 0 or 1; an array
+    # is not searched, its dtype tells
+    if isinstance(samples, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, samples)):
+        raise InvalidParameters("samples must be real numbers, got a sequence that holds a bool")
     s = np.asarray(samples)
     if s.dtype.kind not in "iuf":
         raise InvalidParameters(f"samples must be real numbers, got an array of dtype {s.dtype}")

@@ -61,7 +61,7 @@ def suite_normalization() -> list:
     for i in range(30):
         n = int(rng.integers(0, 9))
         p = _draw_params(rng, n)
-        g = oracle.unnormalized_factor(p)
+        g = p._g
         A = core.normalizer(p)
         r_int = max(r_int, abs(A * oracle.integrate_weighted(g, 1e-11).value - 1.0))
         xg = np.linspace(-1.0, 1.0, 1000)
@@ -138,7 +138,7 @@ def suite_genfun() -> list:
     r_quad = 0.0
     for n in range(1, 7):
         p = _draw_params(rng, n)
-        g = oracle.unnormalized_factor(p)
+        g = p._g
         A = core.A_closed(p)
         B = core.B_prefix(p, 20).values
         for k in range(21):
@@ -162,7 +162,7 @@ def suite_genfun() -> list:
     for _ in range(20):
         n = int(rng.integers(0, 7))
         p = _draw_params(rng, n)
-        g = oracle.unnormalized_factor(p)
+        g = p._g
         A = core.normalizer(p)
         for k in range(13):
             quad = A * oracle.integrate_weighted(lambda x, k=k: x ** k * g(x), 1e-11).value
@@ -213,7 +213,7 @@ def suite_orthogonality() -> list:
             expect = -S[5] * B[2] + (S[6] * B[3] if n == 6 else 0.0)
             r_defect = max(r_defect, abs(orthopoly.gram(1, 0, p) - expect))
 
-        g = oracle.unnormalized_factor(p)
+        g = p._g
         A = core.A_closed(p)
         pairs = [(1, 0), (2, 1), (4, 2), (7, 3), (9, 5)]
         for m, k in pairs:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -315,12 +316,36 @@ def test_useries_within_one_slice_is_one_contraction():
         assert type(got) is type(want) and np.array_equal(got, want)
 
 
+_FIXED = 200
+
+
+def _series_truth(coeffs, x):
+    """The series at each point of the flat float array x by the forward
+    recurrence and the sum over Python integers, in fixed point with
+    _FIXED fraction bits: every double of [-1, 1] from 2^-140 up is exact
+    there, and each step rounds by at most 2^-_FIXED (60 digits).  mpmath
+    at 34 digits gives the same floats in about 8 times the time."""
+    one = 1 << _FIXED
+    twox_all = [int(Fraction(2 * xv) * one) for xv in x.tolist()]
+    cs = [int(Fraction(c) * one) for c in np.asarray(coeffs).tolist()]
+    out = []
+    for twox in twox_all:
+        u0, u1, acc = 0, one, 0  # U_{-1}, U_0
+        for c in cs:
+            acc += c * u1
+            u0, u1 = u1, ((twox * u1) >> _FIXED) - u0
+        out.append(float(Fraction(acc, one * one)))
+    return np.array(out)
+
+
 def test_useries_over_many_slices():
+    # worst error 8.8e-12 by Clenshaw's recurrence, 9.9e-12 by one
+    # contraction with the whole basis
     coeffs = np.random.default_rng(23).normal(size=81)
     x = np.random.default_rng(24).uniform(-1, 1, (3 * (SERIES_BLOCK // 81) + 7,))
     got = USeries(coeffs)(x)
     assert got.shape == x.shape
-    np.testing.assert_allclose(got, _series_ref(coeffs, x), rtol=0, atol=1e-11)
+    np.testing.assert_allclose(got, _series_truth(coeffs, x), rtol=0, atol=1e-11)
     # on a 2-d grid, the same values in the same places
     m = x.size - x.size % 2
     np.testing.assert_array_equal(USeries(coeffs)(x[:m].reshape(2, -1)), got[:m].reshape(2, -1))

@@ -301,15 +301,19 @@ def _density_ref(p, x):
 
 
 def _density_series_ref(p, x):
-    # the sliced sum with a fresh basis per slice, before the reused slab
+    # one contraction with a fresh basis for a sum of one slice or less, and
+    # Clenshaw's recurrence on all the points at once beyond
     x = np.asarray(x, dtype=float)
     K = series_truncation_order(max((abs(ai) for ai in p.a), default=0.0), 1e-10)
     B = B_prefix(p, K).values
     flat = x.reshape(-1)
-    s = np.empty(flat.size)
-    step = max(SERIES_BLOCK // (K + 1), 1)
-    for lo in range(0, flat.size, step):
-        s[lo:lo + step] = np.tensordot(B, u_all(K, flat[lo:lo + step]), axes=(0, 0))
+    if flat.size * (K + 1) <= SERIES_BLOCK:
+        s = np.tensordot(B, u_all(K, flat), axes=(0, 0))
+    else:
+        b1 = b2 = np.zeros_like(flat)
+        for ck in B[::-1]:
+            b1, b2 = (2.0 * flat * b1 - b2) + ck, b1
+        s = b1
     r = (2.0 / np.pi) * np.sqrt(np.maximum(1.0 - x * x, 0.0)) * s.reshape(x.shape)
     return r if r.shape else float(r)
 
@@ -330,12 +334,20 @@ def test_density_series_bit_identical_to_fresh_basis_slices():
     assert K == 80
     step = SERIES_BLOCK // (K + 1)
     rng = np.random.default_rng(22)
-    for size in (1_000_000, 3 * step + 7):
+    for size in (1_000_000, 3 * step + 7, step + 1, step):
         x = rng.uniform(-1.0, 1.0, size)
         assert np.array_equal(density_series(p, x), _density_series_ref(p, x))
     x = rng.uniform(-1.0, 1.0, (3, 5))
     assert np.array_equal(density_series(p, x), _density_series_ref(p, x))
     assert density_series(p, 0.25) == _density_series_ref(p, 0.25)
+
+
+def test_density_series_at_the_longest_order_tracks_the_product_form():
+    # K = 3563: Clenshaw's recurrence, with no basis of 3564 rows
+    p = ParamSet(a=(0.99,))
+    assert series_truncation_order(0.99, 1e-10) == 3563
+    x = np.linspace(-1.0, 1.0, 200_001)
+    assert np.max(np.abs(density_series(p, x) - density(p, x))) <= 1e-10
 
 
 def test_moment_values():

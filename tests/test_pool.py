@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gkm import _pool, chebyshev, core
+from gkm import _pool, core
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
@@ -151,13 +151,16 @@ def test_the_parent_imports_no_process_pool_and_no_polynomial_package(tmp_path):
     assert len((tmp_path / "grid.csv").read_text().splitlines()) == 1502
 
 
-def _run_python(code: str, *args: str) -> str:
+def _run_python(code: str, *args: str, blas_threads: str | None = "1") -> str:
     """The standard output of code run by a fresh interpreter that imports
-    gkm from this tree, with one BLAS thread: gemv's bits depend on its
-    thread count, which follows the CPUs the interpreter starts on."""
+    gkm from this tree, with OPENBLAS_NUM_THREADS set to blas_threads, or
+    unset for None: gemv's bits depend on its thread count, which follows
+    the CPUs the interpreter starts on."""
     src = str(Path(_pool.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-               OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, check=True, timeout=120).stdout
 
@@ -190,173 +193,32 @@ def test_a_pool_worker_forks_no_pool_of_its_own(tmp_path):
     _no_child_left()
 
 
-# --- the U-series sum, split into spans of whole slices over forked workers
+# --- the U-series sum runs in the calling process
 
-# (order K, shape of x) for each order: two slices, three slices and 7
-# points, 10^6 points, and a 2-d x of three slices
-def _series_cases():
-    for K in (0, 80, 294):
-        step = chebyshev.SERIES_BLOCK // (K + 1)
-        for shape in ((2 * step,), (3 * step + 7,), (1_000_000,), (3, step)):
-            yield K, shape
-
-
-_SERIES_DIGESTS = """
+_SERIES_DIGEST = """
 import hashlib, os, sys
 if sys.argv[1] == "pinned":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import numpy as np
-from gkm import _pool, chebyshev
+from gkm import core
 forks = []
 fork = os.fork
 os.fork = lambda: forks.append(1) or fork()
-if sys.argv[1] == "pinned":
-    assert _pool.usable_cpus() == 1
-else:
-    # two workers whatever the number of CPUs, for every sum of two slices
-    # or more, however short
-    _pool.usable_cpus = lambda: 2
-    chebyshev._SPLIT_TERMS = chebyshev._SPLIT_VALUES = 0
-for K, shape in %s:
-    c = np.random.default_rng(K).normal(size=K + 1)
-    x = np.random.default_rng(K + 1).uniform(-1.0, 1.0, shape)
-    print(hashlib.sha1(chebyshev.USeries(c)(x)).hexdigest())
-    slices = -(-x.size // (chebyshev.SERIES_BLOCK // (K + 1)))
-    assert len(forks) == (2 if sys.argv[1] == "unpinned" and slices > 1 else 0), (K, shape, forks)
-    forks.clear()
+x = np.random.default_rng(0).uniform(-1.0, 1.0, 1_000_000)
+print(hashlib.sha1(core.density_series(core.ParamSet(a=(0.7, -0.4, 0.2)), x)).hexdigest(), len(forks))
 """
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-def test_split_series_sums_have_the_bits_of_one_cpu():
-    code = _SERIES_DIGESTS % (list(_series_cases()),)
-    pinned = _run_python(code, "pinned")
-    assert len(pinned.split()) == 12
-    assert _run_python(code, "unpinned") == pinned
+def test_a_long_series_sum_forks_nothing_and_has_one_set_of_bits():
+    # 78 slices' worth of basis values at K = 80, summed by Clenshaw's
+    # recurrence, which calls no BLAS routine
+    pinned = _run_python(_SERIES_DIGEST, "pinned")
+    assert pinned.split()[1] == "0"
+    assert _run_python(_SERIES_DIGEST, "unpinned") == pinned
+    assert _run_python(_SERIES_DIGEST, "unpinned", blas_threads=None) == pinned
 
 
-def _split_here(monkeypatch, forks):
-    """Two workers for any sum of two slices or more, in this process
-    whatever its threads; each fork is appended to forks."""
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    monkeypatch.setattr(_pool, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(_pool, "_alone", lambda: True)
-
-
-def test_a_span_that_raises_raises_in_the_caller_and_leaves_no_child(monkeypatch):
-    c = np.random.default_rng(32).normal(size=81)
-    step = chebyshev.SERIES_BLOCK // 81
-    x = np.random.default_rng(33).uniform(-1.0, 1.0, 4 * step)
-    x[-1] = 0.5  # a point of the second worker's span
-    u_all = chebyshev.u_all
-
-    def fails_on_the_last_slice(kmax, xs, out=None):
-        if xs[-1] == 0.5:
-            raise ValueError("the last slice failed")
-        return u_all(kmax, xs, out)
-
-    forks = []
-    _split_here(monkeypatch, forks)
-    monkeypatch.setattr(chebyshev, "_SPLIT_VALUES", 0)
-    monkeypatch.setattr(chebyshev, "u_all", fails_on_the_last_slice)
-    with pytest.raises(ValueError, match="the last slice failed"):
-        chebyshev.USeries(c)(x)
-    assert len(forks) == 2
-    _no_child_left()
-
-
-_SERIES_PEAK = """
-import os, resource, sys
-if sys.argv[1] == "pinned":
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-import numpy as np
-from gkm import _pool, core
-if sys.argv[1] != "pinned":
-    _pool.usable_cpus = lambda: 2
-p = core.ParamSet(a=(0.7, -0.4, 0.2))
-core.density_series(p, np.linspace(-1.0, 1.0, 30_000))
-x = np.random.default_rng(34).uniform(-1.0, 1.0, 4_000_000)
-forks = []
-fork = os.fork
-os.fork = lambda: forks.append(1) or fork()
-core.density_series(p, x)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, len(forks))
-"""
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-def test_the_split_sum_raises_no_peak_of_the_caller():
-    # the caller holds the shared mapping and its private copy, where the
-    # serial loop holds the sums and a slab; the workers' slabs are theirs
-    pinned, pinned_forks = map(int, _run_python(_SERIES_PEAK, "pinned").split())
-    unpinned, forks = map(int, _run_python(_SERIES_PEAK, "unpinned").split())
-    assert (pinned_forks, forks) == (0, 2)
-    assert unpinned <= pinned
-
-
-# --- when the sum is split: long sums, in a process that runs alone
-
-def test_only_a_sum_that_gains_by_it_is_split(monkeypatch):
-    # at K = 80, the sums past the first 15 terms of each point reach 20
-    # slices' worth of values at 317 751 points
-    c = np.random.default_rng(35).normal(size=81)
-    first = -(-chebyshev._SPLIT_VALUES // (81 - chebyshev._SPLIT_TERMS))
-    assert first == 317_751
-    x = np.random.default_rng(36).uniform(-1.0, 1.0, first)
-    serial = {n: chebyshev.USeries(c)(x[:n]) for n in (first - 1, first)}
-    forks = []
-    _split_here(monkeypatch, forks)
-    assert chebyshev.USeries(c)(x[:first - 1]).tobytes() == serial[first - 1].tobytes()
-    assert forks == []
-    assert chebyshev.USeries(c)(x).tobytes() == serial[first].tobytes()
-    assert len(forks) == 2
-    _no_child_left()
-    # a sum of few terms stays serial at any length
-    forks.clear()
-    chebyshev.USeries(c[:chebyshev._SPLIT_TERMS])(np.zeros(4_000_000))
-    assert forks == []
-
-
-_NOT_ALONE = """
-import hashlib, multiprocessing, os, threading
-import numpy as np
-from gkm import _pool, core
-_pool.usable_cpus = lambda: 2
-forks = []
-fork = os.fork
-os.fork = lambda: forks.append(1) or fork()
-x = np.random.default_rng(37).uniform(-1.0, 1.0, 1_000_000)
-p = core.ParamSet(a=(0.7, -0.4, 0.2))
-
-
-def series():
-    forks.clear()
-    digest = hashlib.sha1(core.density_series(p, x)).hexdigest()
-    return digest, len(forks)
-
-
-def in_a_child(conn):
-    conn.send(series())
-
-
-alone = series()
-parent, child = multiprocessing.get_context("fork").Pipe()
-proc = multiprocessing.get_context("fork").Process(target=in_a_child, args=(child,))
-proc.start()
-from_child = parent.recv()
-proc.join()
-stop = threading.Event()
-thread = threading.Thread(target=stop.wait)
-thread.start()
-threaded = series()
-stop.set()
-thread.join()
-print(alone[1], from_child[1], threaded[1], alone[0] == from_child[0] == threaded[0])
-"""
-
-
-def test_a_process_not_alone_sums_serially():
-    # one BLAS thread: the interpreter itself runs one thread; the sum
-    # splits there, and not in a multiprocessing child or beside a thread
-    assert _run_python(_NOT_ALONE) == "2 0 0 True\n"
+def test_importing_gkm_leaves_the_pool_unloaded():
+    # only the verify suites and the CLI's CSV writer fork
+    assert _run_python("import sys, gkm; print('gkm._pool' in sys.modules)") == "False\n"

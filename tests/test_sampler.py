@@ -263,6 +263,14 @@ def test_ks_statistic_refuses_samples_that_are_not_real(samples):
         ks_statistic(samples, t)
 
 
+@pytest.mark.parametrize("samples", [[True, 0.5], (0.5, np.True_), [2, False], [0.1, np.False_, 0.3]])
+def test_ks_statistic_refuses_a_bool_among_numbers(samples):
+    # numpy converts such a list to floats or ints, the bool to 0 or 1
+    t = build_cdf(ParamSet(a=(0.3,)), 64)
+    with pytest.raises(InvalidParameters, match="real numbers, got a sequence that holds a bool"):
+        ks_statistic(samples, t)
+
+
 def test_ks_statistic_takes_integer_and_narrow_float_samples():
     t = build_cdf(ParamSet(a=(0.3,)), 64)
     for samples in ([0, 1], np.array([0, 1], np.uint8), np.array([0.0, 1.0], np.float32)):
