@@ -12,18 +12,16 @@ ends (the last result, an exception, or closing the generator), every pipe
 end is closed and every worker still running is killed, and every worker
 is reaped, before control returns to the caller.
 
-`fork_map` deals the items' indices through one shared pipe, and each
-worker takes the next index when it is free, since the calls may differ
-much in cost.  `fork_write` deals its items round robin, and each worker
-writes its own result's bytes to a stream; the turn to write passes around
-a ring of pipes, one per worker, in item order.  An item whose worker ended
-without sending its result raises BrokenPool here, naming the item, when
-the item is due.
+`fork_map` writes every item's index to one shared pipe, in a single
+write, before it forks a worker, and each worker takes the next index when
+it is free, since the calls may differ much in cost.  `fork_write` deals
+its items round robin, and each worker writes its own result's bytes to a
+stream; the turn to write passes around a ring of pipes, one per worker, in
+item order.  An item whose worker ended without sending its result raises
+BrokenPool here, naming the item, when the item is due.
 
-A pool worker makes every pool call of its own (`fork_map`, `fork_write`)
-in the serial loop, so a pool never forks from a worker: the CPUs are
-already taken by the pool it serves.  Its callers are the verify suites and
-the CLI's CSV writer; no library call forks.
+The pool's callers are the verify suites and the CLI's CSV writer; no
+library call forks.
 """
 
 from __future__ import annotations
@@ -36,12 +34,6 @@ from functools import partial
 
 # bytes of an item index on the deal pipe, and of a frame's length prefix
 _WORD = 8
-# indices written to the deal pipe at once: 4096 bytes, which Linux's
-# PIPE_BUF allows to be written whole or not at all, so no worker can read
-# half an index
-_DEAL_BYTES = 512 * _WORD
-# set in each forked worker, whose own pool calls then run serially
-_in_worker = False
 
 
 class BrokenPool(RuntimeError):
@@ -57,7 +49,7 @@ def usable_cpus() -> int:
 
 
 def _workers(items) -> int:
-    if _in_worker or not hasattr(os, "fork"):
+    if not hasattr(os, "fork"):
         return 1
     return min(len(items), usable_cpus())
 
@@ -68,22 +60,27 @@ def fork_map(fn, items):
     min(len(items), usable_cpus()) forked processes make the calls.  They
     read `fn` and `items` from the memory they inherited, so only each
     item's index and its result are pickled, and `fn` may be any callable.
-    With one worker, without `os.fork`, or in a pool worker, the calls run
-    here one after another.  A call's exception is raised here when its
-    result is reached.
+    With one worker or without `os.fork`, the calls run here one after
+    another.  A call's exception is raised here when its result is reached.
+
+    ValueError, before any call, for more than select.PIPE_BUF // 8 (512)
+    items: the indices go out in one write, which is atomic up to PIPE_BUF
+    bytes, and every pipe holds that many.
     """
+    if len(items) * _WORD > select.PIPE_BUF:
+        raise ValueError(f"fork_map takes at most {select.PIPE_BUF // _WORD} items, got {len(items)}")
     workers = _workers(items)
     if workers <= 1:
         yield from map(fn, items)
         return
     with _Workers() as pool:
         deal_r, deal_w = pool.pipe()
-        os.set_blocking(deal_w, False)
+        os.write(deal_w, b"".join(i.to_bytes(_WORD, "little") for i in range(len(items))))
+        pool.close(deal_w)
         for _ in range(workers):
             pool.fork(partial(_take_dealt, fn, items, deal_r), deal_r)
         pool.close(deal_r)
-        deal = b"".join(i.to_bytes(_WORD, "little") for i in range(len(items)))
-        yield from pool.gather(len(items), deal_w, deal)
+        yield from pool.gather(len(items))
 
 
 def fork_write(fh, fn, items) -> None:
@@ -176,8 +173,6 @@ class _Workers:
         r, out = self.pipe()
         pid = os.fork()
         if pid == 0:
-            global _in_worker
-            _in_worker = True
             code = 1
             try:
                 for fd in self.fds - {out, *keep}:
@@ -189,18 +184,13 @@ class _Workers:
         self.pids[r] = pid
         self.close(out)
 
-    def gather(self, count: int, deal_fd: int = -1, deal: bytes = b""):
+    def gather(self, count: int):
         """Yield the results of items 0..count-1 in order as the workers send
         them, raising an item's exception in its place, and BrokenPool once
-        every worker has ended without sending the item due.  The bytes
-        `deal` are written to deal_fd as its pipe takes them; deal_fd is
-        closed after the last."""
+        every worker has ended without sending the item due."""
         poller = select.poll()
         for fd in self.pids:
             poller.register(fd, select.POLLIN)
-        deal = memoryview(deal)
-        if deal:
-            poller.register(deal_fd, select.POLLOUT)
         frames = {fd: bytearray() for fd in self.pids}
         results = {}
         running = len(self.pids)
@@ -209,18 +199,6 @@ class _Workers:
                 if not running:
                     raise BrokenPool(f"item {i} is lost: its worker process ended without sending its result")
                 for fd, _ in poller.poll():
-                    if fd == deal_fd:
-                        try:
-                            deal = deal[os.write(deal_fd, deal[:_DEAL_BYTES]):]
-                        except BlockingIOError:
-                            continue
-                        except BrokenPipeError:
-                            # every worker has ended
-                            deal = deal[:0]
-                        if not deal:
-                            poller.unregister(deal_fd)
-                            self.close(deal_fd)
-                        continue
                     data = os.read(fd, 1 << 16)
                     if not data:
                         poller.unregister(fd)
@@ -252,8 +230,7 @@ def _send(out: int, i: int, ok: bool, value) -> None:
 
 def _take_dealt(fn, items, deal: int, out: int) -> None:
     """In a fork_map worker: call fn on the item of each index read from
-    the deal pipe, and send its result, until the pipe is empty and
-    closed."""
+    the deal pipe, and send its result, until the pipe is empty."""
     while index := os.read(deal, _WORD):
         i = int.from_bytes(index, "little")
         try:

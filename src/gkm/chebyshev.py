@@ -83,6 +83,23 @@ def _real_or_nan(v) -> float:
         return np.nan
 
 
+def _float(v) -> float:
+    """float(v), refusing a bool (which float() takes as 0 or 1) with
+    TypeError, as float() refuses other non-reals."""
+    if isinstance(v, (bool, np.bool_)):
+        raise TypeError
+    return float(v)
+
+
+def _reals(name: str, values) -> tuple:
+    """values as a tuple of floats; InvalidParameters, naming the field,
+    unless it is an iterable of values float() takes that are not bools."""
+    try:
+        return tuple(map(_float, values))
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameters(f"{name} must be a sequence of reals, got {values!r}") from None
+
+
 def _index(k, name: str = "k", signed: bool = False) -> int:
     """k as a Python int (through operator.index); InvalidParameters for a
     non-integer k (a bool too), or a negative one unless `signed`."""
@@ -97,19 +114,13 @@ def _index(k, name: str = "k", signed: bool = False) -> int:
     return k
 
 
-def u_all(kmax: int, x, out=None):
-    """Values U_0(x)..U_kmax(x), stacked along the first axis.
-
-    If given, out is a float array of shape (kmax + 1,) + x.shape (a view
-    will do); the rows are computed in it, with no temporary, and it is
-    returned.
-    """
+def u_all(kmax: int, x):
+    """Values U_0(x)..U_kmax(x), stacked along the first axis: a new float
+    array of shape (kmax + 1,) + x.shape, whose rows are computed in place,
+    with no temporary."""
     kmax = _index(kmax, "kmax")
     x = _check_x(x)
-    if out is None:
-        out = np.empty((kmax + 1,) + x.shape)
-    elif out.shape != (kmax + 1,) + x.shape:
-        raise InvalidParameters(f"out has shape {out.shape}, expected {(kmax + 1,) + x.shape}")
+    out = np.empty((kmax + 1,) + x.shape)
     if x.size == 1 and x.ndim <= 1:
         # one point: the same multiply-then-subtract steps on Python floats,
         # without the two numpy calls per row
@@ -190,12 +201,13 @@ def _u_sum(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class USeries:
-    """Finite coefficient sequence over the U basis; index j is the U_j weight."""
+    """Finite coefficient sequence over the U basis; index j is the U_j weight.
+    InvalidParameters unless the coefficients are reals (bools are not)."""
 
     coeffs: tuple = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", _reals("coeffs", self.coeffs))
 
     def __call__(self, x):
         """The series at x (see _u_sum)."""

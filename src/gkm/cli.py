@@ -17,15 +17,15 @@ Shorter chunks and other columns (every other command) print value by
 value with `repr` and `str`.
 
 A CSV longer than CSV_CHUNK_ROWS (65 536) rows is formatted by one forked
-process per usable CPU; `verify` and `conj-verify` run their suites the
-same way (see `gkm.verify`).  A worker reads the columns from the memory it
-inherited (`grid`'s workers compute each chunk's points and densities
-themselves) and formats every w-th chunk of w workers; it writes each chunk's
-bytes itself to the output's file descriptor once its turn comes through a
-ring of pipes, after the chunks before it are written (see
+process per usable CPU; `verify` and `conj-verify` run their suites on such
+processes too, which take the suites' indices from a pipe written whole
+before they fork (see `gkm.verify`).  A CSV worker reads the columns from
+the memory it inherited (`grid`'s workers compute each chunk's points and
+densities themselves) and formats every w-th chunk of w workers; it writes
+each chunk's bytes itself to the output's file descriptor once its turn
+comes through a ring of pipes, after the chunks before it are written (see
 `gkm._pool.fork_write`, which takes the binary stream: the file's, or
-`sys.stdout.buffer` once the text layer is flushed).  The bytes
-are those of fork_write's serial loop, which handles outputs of one chunk,
+`sys.stdout.buffer` once the text layer is flushed).  The bytes are those of fork_write's serial loop, which handles outputs of one chunk,
 one usable CPU, platforms without `fork`, and a `sys.stdout` without a
 file descriptor (one in memory).  There is no setting for either.
 

@@ -17,8 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from . import oracle
-from .chebyshev import _check_x, _truncation_order, _unwrap, u_all
-from .core import _check_unit, _json_params, _reals
+from .chebyshev import _check_x, _reals, _truncation_order, _unwrap, u_all
+from .core import _check_unit, _json_params
 from .errors import InvalidParameters, Unsupported
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import oracle
 # u_all stays bound here: perfbench/selftest.py asserts core.u_all is chebyshev.u_all (ROADMAP item 14)
-from .chebyshev import _check_x, _index, _real_or_nan, _truncation_order, _u_sum, _unwrap, u_all
+from .chebyshev import _check_x, _float, _index, _real_or_nan, _reals, _truncation_order, _u_sum, _unwrap, u_all
 from .errors import (
     DegenerateParameters,
     InternalInconsistency,
@@ -55,28 +55,14 @@ def _check_unit(**values):
             raise InvalidParameters(f"|{name}| must be < 1, got {v}")
 
 
-def _float(v) -> float:
-    """float(v), refusing a bool (which float() takes as 0 or 1) with
-    TypeError, as float() refuses other non-reals."""
-    if isinstance(v, (bool, np.bool_)):
-        raise TypeError
-    return float(v)
-
-
-def _reals(name: str, values) -> tuple:
-    """values as a tuple of floats; InvalidParameters, naming the field,
-    unless it is an iterable of values float() takes that are not bools."""
-    try:
-        return tuple(map(_float, values))
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidParameters(f"{name} must be a sequence of reals, got {values!r}") from None
-
-
 def _json_params(s: str, lists: tuple, reals: tuple = ()) -> dict:
     """The JSON object s, with each key of `lists` a list of reals and each
     key of `reals` that it has a real, and no other key; InvalidParameters
-    for any other shape."""
-    d = json.loads(s)
+    for any other shape, or for text that is not JSON."""
+    try:
+        d = json.loads(s)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameters(f"parameter file: not valid JSON: {exc}") from None
     if not isinstance(d, dict):
         raise InvalidParameters(f"parameter file: expected a JSON object, got {type(d).__name__}")
     unknown = sorted(set(d) - set(lists) - set(reals))

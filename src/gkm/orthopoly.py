@@ -61,6 +61,7 @@ def _build_P(m: int, p: ParamSet) -> OrthoPoly:
 
 def P_recur_check(m: int, p: ParamSet, x):
     """2x P_m - P_{m+1} - P_{m-1} at x, in x's shape; vanishes for m >= n."""
+    m = _index(m, "m")
     if m < p.n or m < 1:
         raise InvalidParameters("three-term recurrence requires m >= n >= 1")
     x = _check_x(x)

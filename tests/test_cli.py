@@ -100,6 +100,8 @@ def test_grid(capsys):
     ("eval", '{"a": 5}', "'a' must be a list of reals"),
     ("eval", '{"a": [0.2], "c": null}', "'c' must be a real"),
     ("eval", "[0.2]", "expected a JSON object"),
+    ("eval", "[1", "not valid JSON"),
+    ("conj-eval", '{"rho": [0.5], "y": [0.1]', "not valid JSON"),
     ("conj-eval", '{"rho": [0.5]}', "missing key 'y'"),
     ("eval", '{"a": [0.2, 0.3], "C": 2}', "unknown key(s) 'C'"),
     ("conj-eval", '{"rho": [0.5], "y": [0.1], "Y": [0.2]}', "unknown key(s) 'Y'"),

@@ -59,7 +59,7 @@ def test_conj_json_roundtrip():
 
 @pytest.mark.parametrize("text", ['{"rho": [0.5]}', '{"y": [0.5]}', '[0.5]', '{"rho": 0.5, "y": [0.1]}',
                                   '{"rho": [0.5], "y": [null]}', '{"rho": [0.5], "y": [0.1], "c": 1.0}',
-                                  '{"rho": [0.5], "y": [true]}', '{"rho": [false], "y": [0.1]}'])
+                                  '{"rho": [0.5], "y": [true]}', '{"rho": [false], "y": [0.1]}', '[1', '', None])
 def test_conj_from_json_rejects_malformed_objects(text):
     with pytest.raises(InvalidParameters):
         ConjParamSet.from_json(text)

@@ -76,7 +76,7 @@ def test_paramset_json_roundtrip():
 
 @pytest.mark.parametrize("text", ['{}', '{"a": 5}', '{"a": [0.2], "c": null}', '[0.2]', '{"a": [null]}',
                                   '{"a": [true]}', '{"a": [0.2, false]}', '{"a": [0.2], "c": "2"}', '"a"',
-                                  '{"a": [0.2, 0.3], "C": 2}'])
+                                  '{"a": [0.2, 0.3], "C": 2}', '[1', '', None])
 def test_from_json_rejects_malformed_objects(text):
     with pytest.raises(InvalidParameters):
         ParamSet.from_json(text)

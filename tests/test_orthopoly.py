@@ -76,6 +76,13 @@ def test_recurrence_holds_for_high_degree():
         P_recur_check(0, ParamSet(), 0.0)
 
 
+@pytest.mark.parametrize("m", ["3", None, 3.0, True, -1])
+def test_recurrence_index_that_is_not_a_non_negative_integer_is_invalid(m):
+    # "3" and None raised a bare TypeError from the comparison with n
+    with pytest.raises(InvalidParameters, match="m must be"):
+        P_recur_check(m, ParamSet(a=(0.3,)), 0.2)
+
+
 def test_gram_values():
     p = ParamSet(a=(0.2, 0.3))
     assert gram(0, 0, p) == pytest.approx(1.0, abs=1e-12)

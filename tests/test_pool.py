@@ -1,17 +1,14 @@
-import hashlib
 import os
 import pickle
 import signal
 import subprocess
 import sys
 import time
-from functools import partial
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from gkm import _pool, core
+from gkm import _pool
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
@@ -110,6 +107,16 @@ def test_a_result_that_does_not_pickle_raises_naming_its_item():
     _no_child_left()
 
 
+def test_fork_map_takes_as_many_items_as_one_atomic_pipe_write_deals():
+    # 512 indices of 8 bytes are select.PIPE_BUF = 4096 bytes, written
+    # before any worker forks
+    assert list(_pool.fork_map(lambda i: i * i, range(512))) == [i * i for i in range(512)]
+    _no_child_left()
+    with pytest.raises(ValueError, match="at most 512 items, got 513"):
+        next(_pool.fork_map(lambda i: i, range(513)))
+    _no_child_left()
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_many_tiny_writes_leave_the_descriptor_count_flat(tmp_path):
     out_path = tmp_path / "out"
@@ -163,34 +170,6 @@ def _run_python(code: str, *args: str, blas_threads: str | None = "1") -> str:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, check=True, timeout=120).stdout
-
-
-# --- a pool worker's own pool calls run serially
-
-def _pool_calls_in_a_worker(kind, out_path):
-    def no_fork():
-        raise AssertionError("a pool worker forked")
-
-    # this is a forked worker: the parent's os.fork is untouched
-    os.fork = no_fork
-    if kind == "series":
-        x = np.random.default_rng(31).uniform(-1.0, 1.0, 1_000_000)
-        return hashlib.sha1(core.density_series(core.ParamSet(a=(0.7, -0.4, 0.2)), x)).hexdigest()
-    if kind == "map":
-        return list(_pool.fork_map(lambda i: i * i, range(4)))
-    with open(out_path, "wb") as fh:
-        _pool.fork_write(fh, lambda i: b"%d;" % i, range(4))
-    return "written"
-
-
-def test_a_pool_worker_forks_no_pool_of_its_own(tmp_path):
-    x = np.random.default_rng(31).uniform(-1.0, 1.0, 1_000_000)
-    here = hashlib.sha1(core.density_series(core.ParamSet(a=(0.7, -0.4, 0.2)), x)).hexdigest()
-    out_path = tmp_path / "out"
-    calls = partial(_pool_calls_in_a_worker, out_path=out_path)
-    assert list(_pool.fork_map(calls, ["series", "map", "write"])) == [here, [0, 1, 4, 9], "written"]
-    assert out_path.read_bytes() == b"0;1;2;3;"
-    _no_child_left()
 
 
 # --- the U-series sum runs in the calling process
