@@ -64,15 +64,15 @@ def fork_map(fn, items):
     another.  A call's exception is raised here when its result is reached.
 
     ValueError, before any call, for more than select.PIPE_BUF // 8 (512)
-    items: the indices go out in one write, which is atomic up to PIPE_BUF
-    bytes, and every pipe holds that many.
+    items to fork for: the indices go out in one write, which is atomic up
+    to PIPE_BUF bytes, and every pipe holds that many.
     """
-    if len(items) * _WORD > select.PIPE_BUF:
-        raise ValueError(f"fork_map takes at most {select.PIPE_BUF // _WORD} items, got {len(items)}")
     workers = _workers(items)
     if workers <= 1:
         yield from map(fn, items)
         return
+    if len(items) * _WORD > select.PIPE_BUF:
+        raise ValueError(f"fork_map takes at most {select.PIPE_BUF // _WORD} items, got {len(items)}")
     with _Workers() as pool:
         deal_r, deal_w = pool.pipe()
         os.write(deal_w, b"".join(i.to_bytes(_WORD, "little") for i in range(len(items))))

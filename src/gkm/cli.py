@@ -25,9 +25,10 @@ densities themselves) and formats every w-th chunk of w workers; it writes
 each chunk's bytes itself to the output's file descriptor once its turn
 comes through a ring of pipes, after the chunks before it are written (see
 `gkm._pool.fork_write`, which takes the binary stream: the file's, or
-`sys.stdout.buffer` once the text layer is flushed).  The bytes are those of fork_write's serial loop, which handles outputs of one chunk,
-one usable CPU, platforms without `fork`, and a `sys.stdout` without a
-file descriptor (one in memory).  There is no setting for either.
+`sys.stdout.buffer` once the text layer is flushed).  The bytes are those
+of fork_write's serial loop, which handles outputs of one chunk, one usable
+CPU, platforms without `fork`, and a `sys.stdout` without a file descriptor
+(one in memory).  There is no setting for either.
 
 Exit status is 0 on success and, for verify commands, 0 iff every check in
 the report passed; flag/validation problems exit with status 2.

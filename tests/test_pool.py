@@ -1,5 +1,6 @@
 import os
 import pickle
+import select
 import signal
 import subprocess
 import sys
@@ -110,10 +111,26 @@ def test_a_result_that_does_not_pickle_raises_naming_its_item():
 def test_fork_map_takes_as_many_items_as_one_atomic_pipe_write_deals():
     # 512 indices of 8 bytes are select.PIPE_BUF = 4096 bytes, written
     # before any worker forks
+    assert _pool._workers(range(513)) == 2
     assert list(_pool.fork_map(lambda i: i * i, range(512))) == [i * i for i in range(512)]
     _no_child_left()
     with pytest.raises(ValueError, match="at most 512 items, got 513"):
         next(_pool.fork_map(lambda i: i, range(513)))
+    _no_child_left()
+
+
+def test_without_fork_the_calls_run_here_in_order(monkeypatch, tmp_path):
+    # as on Windows, which has neither os.fork nor select.PIPE_BUF nor
+    # select.poll; the serial loop has no limit on the item count
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.delattr(select, "PIPE_BUF")
+    monkeypatch.delattr(select, "poll")
+    pid = os.getpid()
+    assert list(_pool.fork_map(lambda i: (i, os.getpid()), range(513))) == [(i, pid) for i in range(513)]
+    out_path = tmp_path / "out"
+    with open(out_path, "wb") as fh:
+        _pool.fork_write(fh, lambda i: b"%d;" % i, range(513))
+    assert out_path.read_bytes() == b"".join(b"%d;" % i for i in range(513))
     _no_child_left()
 
 
