@@ -5,7 +5,7 @@ numerically benign on the whole interval (the trigonometric form loses
 digits near the endpoints and is kept only as a test oracle).  The module
 also provides the signed-index convention U_{-1} = 0, U_{-m-2} = -U_m,
 finite series over the U basis, and the Gauss quadrature rule for the
-semicircle weight (2/pi) sqrt(1 - x^2).  `_u_sum` is the package's one
+semicircle weight (2/pi) sqrt(1 - x^2).  `_u_sums` is the package's one
 U-series sum, and `_truncation_order` its one order search.
 """
 
@@ -22,7 +22,7 @@ from .errors import DomainError, InvalidParameters, Unsupported
 # one row of the basis a series is summed over.
 SERIES_ORDER_CAP = 100_000
 
-# _u_sum contracts a U series with its whole basis when the basis holds at
+# _u_sums contracts a U series with its whole basis when the basis holds at
 # most this many values (8 MB of doubles), and sums a longer one by
 # Clenshaw's recurrence.
 SERIES_BLOCK = 1 << 20
@@ -165,19 +165,29 @@ def eval_U_signed(k: int, x):
     return -eval_U(-k - 2, x)
 
 
-def _u_sum(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k c[k] U_k(x) for non-empty c and float x in [-1, 1], in x's shape.
+def _u_sums(cs, x: np.ndarray) -> list:
+    """sum_k c[k] U_k(x) for each non-empty c in cs and float x in [-1, 1],
+    each in x's shape.
 
-    A sum whose basis fits in one slice (x.size * c.size <= SERIES_BLOCK
-    values) is one np.dot(c, u_all(...)) over the whole basis, with the bits
-    of np.tensordot(c, basis, axes=(0, 0)).  A longer one is summed here by
-    Clenshaw's recurrence b_k = (2x b_{k+1} - b_{k+2}) + c_k, b_{K+1} =
-    b_{K+2} = 0, whose b_0 is the sum: _CLENSHAW_BLOCK points at a time, in
-    three arrays allocated once per call (2x and the two b's), with the
-    block of the result as the product's buffer."""
+    The sums whose basis fits in one slice (x.size * c.size <= SERIES_BLOCK
+    values) share one u_all basis, as long as the longest of them: each is
+    one np.dot(c, basis[:c.size]), the BLAS call of a basis of its own
+    length, with the bits of np.tensordot(c, basis, axes=(0, 0)).  A longer
+    one is summed here by Clenshaw's recurrence b_k = (2x b_{k+1} - b_{k+2})
+    + c_k, b_{K+1} = b_{K+2} = 0, whose b_0 is the sum: _CLENSHAW_BLOCK
+    points at a time, in three arrays allocated once per sum (2x and the two
+    b's), with the block of the result as the product's buffer."""
     flat = x.reshape(-1)
-    if flat.size * c.size <= SERIES_BLOCK:
-        return np.dot(c, u_all(c.size - 1, flat)).reshape(x.shape)
+    sliced = [flat.size * c.size <= SERIES_BLOCK for c in cs]
+    if any(sliced):
+        basis = u_all(max(c.size for c, one in zip(cs, sliced) if one) - 1, flat)
+    return [
+        (np.dot(c, basis[:c.size]) if one else _clenshaw(c, flat)).reshape(x.shape)
+        for c, one in zip(cs, sliced)
+    ]
+
+
+def _clenshaw(c: np.ndarray, flat: np.ndarray) -> np.ndarray:
     s = np.empty(flat.size)
     n = min(_CLENSHAW_BLOCK, flat.size)
     twox, b1, b2 = np.empty(n), np.empty(n), np.empty(n)
@@ -196,7 +206,7 @@ def _u_sum(c: np.ndarray, x: np.ndarray) -> np.ndarray:
             np.add(q, ck, out=q)
             p, q = q, p
         sums[...] = p
-    return s.reshape(x.shape)
+    return s
 
 
 @dataclass(frozen=True)
@@ -210,9 +220,9 @@ class USeries:
         object.__setattr__(self, "coeffs", _reals("coeffs", self.coeffs))
 
     def __call__(self, x):
-        """The series at x (see _u_sum)."""
+        """The series at x (see _u_sums)."""
         x = _check_x(x)
-        return _unwrap(_u_sum(np.asarray(self.coeffs), x) if self.coeffs else np.zeros_like(x))
+        return _unwrap(_u_sums([np.asarray(self.coeffs)], x)[0] if self.coeffs else np.zeros_like(x))
 
     @staticmethod
     def from_signed(pairs) -> "USeries":

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import oracle
 # u_all stays bound here: perfbench/selftest.py asserts core.u_all is chebyshev.u_all (ROADMAP item 14)
-from .chebyshev import _check_x, _float, _index, _real_or_nan, _reals, _truncation_order, _u_sum, _unwrap, u_all
+from .chebyshev import _check_x, _float, _index, _real_or_nan, _reals, _truncation_order, _u_sums, _unwrap, u_all
 from .errors import (
     DegenerateParameters,
     InternalInconsistency,
@@ -359,7 +359,7 @@ def density_series(p: ParamSet, x, tol: float = 1e-10):
     """Density through the U-basis expansion, truncated by the geometric
     tail bound; agrees with the product form to tol.  Requires c = 1.
 
-    The series is summed by `chebyshev._u_sum` in this process: one
+    The series is summed by `chebyshev._u_sums` in this process: one
     contraction with the basis when it fits in SERIES_BLOCK values,
     Clenshaw's recurrence beyond.
     """
@@ -368,7 +368,7 @@ def density_series(p: ParamSet, x, tol: float = 1e-10):
     x = _check_x(x)
     amax = max((abs(ai) for ai in p.a), default=0.0)
     K = series_truncation_order(amax, tol)
-    s = _u_sum(B_prefix(p, K).values, x)
+    (s,) = _u_sums([B_prefix(p, K).values], x)
     w = _semicircle(1.0, x, np.empty_like(x))
     np.multiply(2.0 / np.pi, w, out=w)
     return _unwrap(np.multiply(w, s, out=s))

@@ -18,12 +18,15 @@ cos(theta), sin(theta)^2 and |sin(theta)| are computed once per level, up
 to n = _KEPT_N (the verify suites stay within it), kept read-only and handed
 to each integrand's F; above _KEPT_N a level is computed afresh on each
 call.  The integrand g itself gets a copy of cos(theta), so one that writes
-into its argument cannot change a later integral.
+into its argument cannot change a later integral.  integrate_weighted also
+takes a family of integrands over one measure, one row each, and sweeps the
+levels once for all of them, each row accepted on its own.
 
 Tolerances: every integrator takes an absolute tol with 0 <= tol < inf and
 refuses any other (NaN, negative, infinite) with InvalidParameters before it
 evaluates its integrand.  tol = 0 runs until the BUDGET is spent and then
-raises NonConvergence.
+raises NonConvergence, as does an integrand whose sums on a level are not
+finite, at that level.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chebyshev import _real_or_nan
+from .chebyshev import _index, _real_or_nan
 from .errors import InvalidParameters, NonConvergence
 
 BUDGET = 10_000_000  # evaluations per integral, in every dimension
@@ -101,7 +104,7 @@ def _nodes(n: int, doubling: bool) -> _Nodes:
 _kept_nodes = cache(_nodes)
 
 
-def _periodic_trapezoid(F, tol: float, dim: int = 1) -> IntegrationResult:
+def _periodic_trapezoid(F, tol: float, dim: int = 1) -> tuple:
     """2^-dim times the integral over one period in each of its dim angles of
     an even, 2pi-periodic F, i.e. its integral over [0, pi]^dim, by the tensor
     trapezoid rule on the grids _shifts(dim) + 2 pi j / N, j in {0..N-1}^dim,
@@ -110,53 +113,103 @@ def _periodic_trapezoid(F, tol: float, dim: int = 1) -> IntegrationResult:
     grids agree and the last two levels agree, each to tol.
 
     In 2D and 3D F takes one array of angles per axis, broadcastable against
-    each other; in 1D it takes the level's _Nodes.
+    each other; in 1D it takes the level's _Nodes and returns either one value
+    per point or a family of integrands, one row of values per member.  One
+    IntegrationResult per row, in a tuple: each row is accepted at the first
+    level where it meets the test on its own, so its value, estimate and
+    evaluations are those of integrating that row alone; the sweep goes on
+    while any row is pending.  NonConvergence at the first level whose sums
+    are not finite, naming the row.
     """
     _check_tol(tol)
 
     def sums(doubling, n):
+        """Each row's pair of grid sums, as Python floats."""
         if dim == 1:
             nodes = (_kept_nodes if n <= _KEPT_N else _nodes)(n, doubling)
-            return (np.pi / n) * F(nodes).reshape(2, -1).sum(axis=1)
-        angles = _angles(dim, n, doubling)
-        rows = max(1, _BLOCK // (2 * n ** (dim - 1)))
-        total = 0.0
-        for o in range(angles.shape[2]):
-            axes = [a[:, o].reshape((2,) + (1,) * i + (n,) + (1,) * (dim - 1 - i)) for i, a in enumerate(angles)]
-            for lo in range(0, n, rows):
-                total = total + F(axes[0][:, lo:lo + rows], *axes[1:]).reshape(2, -1).sum(axis=1)
-        return (np.pi / n) ** dim * total
+            # along a contiguous last axis, with the bits of one row alone
+            s = (np.pi / n) * F(nodes).reshape(-1, 2, n).sum(axis=2)
+        else:
+            angles = _angles(dim, n, doubling)
+            rows = max(1, _BLOCK // (2 * n ** (dim - 1)))
+            total = 0.0
+            for o in range(angles.shape[2]):
+                axes = [a[:, o].reshape((2,) + (1,) * i + (n,) + (1,) * (dim - 1 - i)) for i, a in enumerate(angles)]
+                for lo in range(0, n, rows):
+                    total = total + F(axes[0][:, lo:lo + rows], *axes[1:]).reshape(1, 2, -1).sum(axis=2)
+            s = (np.pi / n) ** dim * total
+        s = s.tolist()
+        for i, pair in enumerate(s):
+            if not all(map(math.isfinite, pair)):
+                raise NonConvergence(
+                    f"the integrand is not finite on the grids of {n} points per axis (row {i} of {len(s)})"
+                )
+        return s
 
     halves = _halves(dim)
     n = 64 >> dim
     t = sums(False, n)
     evals = 2 * n ** dim
+    results = [None] * len(t)
     while True:
         added = 2 * halves.shape[1] * n ** dim
         if evals + added > BUDGET:
             raise NonConvergence(f"evaluation budget {BUDGET} exhausted")
-        new = 0.5 ** dim * (t + sums(True, n))
+        s = sums(True, n)
         evals += added
         n *= 2
-        err = max(abs(new[0] - new[1]), 0.5 * abs(new.sum() - t.sum()))
-        if err <= tol:
-            return IntegrationResult(float(0.5 * new.sum()), float(err), evals)
+        new = []
+        for i, ((t0, t1), (s0, s1)) in enumerate(zip(t, s)):
+            g0, g1 = 0.5 ** dim * (t0 + s0), 0.5 ** dim * (t1 + s1)
+            # + 0.0 has the bits of np.sum, which turns -0.0 + -0.0 into +0.0
+            total = g0 + g1 + 0.0
+            err = max(abs(g0 - g1), 0.5 * abs(total - (t0 + t1 + 0.0)))
+            if results[i] is None and err <= tol:
+                results[i] = IntegrationResult(0.5 * total, err, evals)
+            new.append((g0, g1))
+        if None not in results:
+            return tuple(results)
         t = new
 
 
-def integrate_weighted(g, tol: float = 1e-11) -> IntegrationResult:
+def _values(v, shape: tuple) -> np.ndarray:
+    """A 1D integrand's values as a real array of the given shape, that of
+    its points or (rows, points); InvalidParameters for any other result,
+    before the rule computes with it."""
+    v = np.asarray(v)
+    if v.shape != shape or v.dtype.kind not in "biuf":
+        raise InvalidParameters(
+            f"the integrand must return reals of shape {shape}, got {v.dtype} of shape {v.shape}"
+        )
+    return v
+
+
+def integrate_weighted(g, tol: float = 1e-11, rows: int | None = None):
     """integral_{-1}^{1} (2/pi) sqrt(1-x^2) g(x) dx.
 
     g must accept numpy arrays and be smooth on [-1, 1].  A jump of g at
     x = cos(theta_c) leaves an O(1/N) error that depends only on theta_c and
     the grid spacing, so both grids share it and the error estimate misses
     it, except at x = 0, where the two jumps at +-theta_c cancel.
+
+    g(x) returns an array of x's shape, and the result is one
+    IntegrationResult.  With rows = r >= 1, g integrates a family in one
+    sweep: g(x) returns r rows of values, shape (r, x.size), so that factors
+    the members share are evaluated once per level, and the result is a
+    tuple of r IntegrationResults, each with the bits of integrating its
+    row alone.  InvalidParameters for values of any other shape or a
+    non-real dtype.
     """
+    shape = () if rows is None else (_index(rows, "rows"),)
+    if shape == (0,):
+        raise InvalidParameters("rows must be positive, got 0")
 
     def F(v):
-        return (2.0 / np.pi) * g(v.cos.copy()) * v.sin2
+        x = v.cos.copy()
+        return (2.0 / np.pi) * _values(g(x), shape + x.shape) * v.sin2
 
-    return _periodic_trapezoid(F, tol)
+    results = _periodic_trapezoid(F, tol)
+    return results if rows is not None else results[0]
 
 
 def _over_cube(h, dim: int, tol: float) -> IntegrationResult:
@@ -167,7 +220,7 @@ def _over_cube(h, dim: int, tol: float) -> IntegrationResult:
     def F(*theta):
         return h(*(np.cos(t) for t in theta)) * math.prod(np.abs(np.sin(t)) for t in theta)
 
-    return _periodic_trapezoid(F, tol, dim)
+    return _periodic_trapezoid(F, tol, dim)[0]
 
 
 def integrate_plain(g, tol: float = 1e-11) -> IntegrationResult:
@@ -179,7 +232,12 @@ def integrate_plain(g, tol: float = 1e-11) -> IntegrationResult:
     h smooth; then it is sin(theta)^2 h(cos theta), smooth and periodic, and
     the rule converges geometrically.
     """
-    return _periodic_trapezoid(lambda v: g(v.cos.copy()) * v.abs_sin, tol)
+
+    def F(v):
+        x = v.cos.copy()
+        return _values(g(x), x.shape) * v.abs_sin
+
+    return _periodic_trapezoid(F, tol)[0]
 
 
 def integrate_2d(h, tol: float = 1e-9) -> IntegrationResult:

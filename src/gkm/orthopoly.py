@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chebyshev import USeries, _check_x, _index, _unwrap
+import numpy as np
+
+from .chebyshev import USeries, _check_x, _index, _u_sums, _unwrap
 from .core import ParamSet, _UU_sum
 from .errors import InvalidParameters
 
@@ -60,12 +62,15 @@ def _build_P(m: int, p: ParamSet) -> OrthoPoly:
 
 
 def P_recur_check(m: int, p: ParamSet, x):
-    """2x P_m - P_{m+1} - P_{m-1} at x, in x's shape; vanishes for m >= n."""
+    """2x P_m - P_{m+1} - P_{m-1} at x, in x's shape; vanishes for m >= n.
+    The three members are summed on one U basis (chebyshev._u_sums), each
+    with the bits of P_coeffs(j, p)(x)."""
     m = _index(m, "m")
     if m < p.n or m < 1:
         raise InvalidParameters("three-term recurrence requires m >= n >= 1")
     x = _check_x(x)
-    return _unwrap(2.0 * x * P_coeffs(m, p)(x) - P_coeffs(m + 1, p)(x) - P_coeffs(m - 1, p)(x))
+    lo, mid, hi = _u_sums([np.asarray(P_coeffs(j, p).series.coeffs) for j in (m - 1, m, m + 1)], x)
+    return _unwrap(2.0 * x * mid - hi - lo)
 
 
 def gram(m: int, k: int, p: ParamSet) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _pool, conjugate, core, oracle, orthopoly, sampler
 from .errors import InvalidParameters
-from .chebyshev import eval_U, gauss_chebU_rule, u_all
+from .chebyshev import _u_sums, gauss_chebU_rule, u_all
 from .symfun import delta_all, elementary_all
 
 SCHEMA_VERSION = 1
@@ -141,9 +141,10 @@ def suite_genfun() -> list:
         g = p._g
         A = core.A_closed(p)
         B = core.B_prefix(p, 20).values
-        for k in range(21):
-            quad = A * oracle.integrate_weighted(lambda x, k=k: eval_U(k, x) * g(x), 1e-11).value
-            r_quad = max(r_quad, abs(B[k] - quad))
+        # B_0..B_20 in one sweep, one row U_k g per k
+        rows = oracle.integrate_weighted(lambda x: u_all(20, x) * g(x), 1e-11, rows=21)
+        for k, r in enumerate(rows):
+            r_quad = max(r_quad, abs(B[k] - A * r.value))
     checks.append(_check("genfun/B_vs_quadrature", r_quad, 1e-9))
 
     r_gf = 0.0
@@ -164,9 +165,12 @@ def suite_genfun() -> list:
         p = _draw_params(rng, n)
         g = p._g
         A = core.normalizer(p)
-        for k in range(13):
-            quad = A * oracle.integrate_weighted(lambda x, k=k: x ** k * g(x), 1e-11).value
-            r_mom = max(r_mom, abs(core.moment(p, k) - quad))
+        # the moments 0..12 in one sweep, one row x ** k g per k, each with a
+        # Python-int k: numpy takes k = 0, 1 and 2 by fast paths whose bits
+        # an array of exponents, through pow, lacks
+        rows = oracle.integrate_weighted(lambda x: np.array([x ** k for k in range(13)]) * g(x), 1e-11, rows=13)
+        for k, r in enumerate(rows):
+            r_mom = max(r_mom, abs(core.moment(p, k) - A * r.value))
     checks.append(_check("moments/closed_vs_quadrature", r_mom, 1e-9))
 
     w0 = core.ParamSet()
@@ -216,12 +220,19 @@ def suite_orthogonality() -> list:
         g = p._g
         A = core.A_closed(p)
         pairs = [(1, 0), (2, 1), (4, 2), (7, 3), (9, 5)]
-        for m, k in pairs:
-            Pm = orthopoly.P_coeffs(m, p)
-            Pk = orthopoly.P_coeffs(k, p)
-            quad = A * oracle.integrate_weighted(lambda x: Pm(x) * Pk(x) * g(x), 1e-11).value
-            bil = orthopoly.gram(m, k, p)
-            r_quad = max(r_quad, abs(quad - bil))
+        # the pairs in one sweep, one row P_m P_k g per pair; every P_j they
+        # read is summed on one U basis per level, with the bits of
+        # P_coeffs(j, p)(x)
+        js = sorted({j for pair in pairs for j in pair})
+        coeffs = [np.asarray(orthopoly.P_coeffs(j, p).series.coeffs) for j in js]
+
+        def products(x):
+            P = dict(zip(js, _u_sums(coeffs, x)))
+            return np.array([P[m] * P[k] for m, k in pairs]) * g(x)
+
+        rows = oracle.integrate_weighted(products, 1e-11, rows=len(pairs))
+        for (m, k), r in zip(pairs, rows):
+            r_quad = max(r_quad, abs(A * r.value - orthopoly.gram(m, k, p)))
 
         x = float(rng.uniform(-1.0, 1.0))
         for m in range(max(n, 1), 16):
@@ -456,19 +467,18 @@ def suite_sampling() -> list:
 
 
 # Longest first: the workers take the suites in this order, so that
-# sampling and orthogonality, a quarter of the work or more each, do not
-# start last.  The measured costs of one traced `verify --suite all` round,
-# in reference-loop units (medians of three traced runs on one CPU):
-# sampling 1.56, orthogonality 1.30, genfun 0.83, normalization 0.56,
-# identities 0.46, trivariate 0.36, conjugate 0.21, markov 0.12.  On two CPUs
-# the slowest worker then needs about 2.7 of the 5.4; taken in the order
-# they are defined above, about 3.4.
+# sampling, a third of the work, does not start last.  Their CPU times in one
+# process on one CPU (medians of 11 runs each, three runs, on a 2-vCPU Xeon
+# host): sampling 70 ms, orthogonality 36, normalization 28, identities 23,
+# genfun 21, trivariate 18, conjugate 9, markov 6, 214 in all.  On two CPUs
+# the slowest worker then needs about 106 ms; taken in the order they are
+# defined above, about 135.
 _SUITE_FN = {
     "sampling": suite_sampling,
     "orthogonality": suite_orthogonality,
-    "genfun": suite_genfun,
     "normalization": suite_normalization,
     "identities": suite_identities,
+    "genfun": suite_genfun,
     "trivariate": suite_trivariate,
     "conjugate": suite_conjugate,
     "markov": suite_markov,

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -345,3 +346,93 @@ def test_g_has_the_bits_of_the_former_loop(size, a, pairs, seed):
         got = p._g(x.copy())
         assert got.dtype == float and got.shape == x.shape
         assert got.tobytes() == _former_g(p, x).tobytes()
+
+
+# --- families: one sweep, each row accepted on its own
+
+def _family(x):
+    # an all-zero row, a polynomial, and poles ever closer to the support:
+    # rows accepted at different levels, the last past the kept ones
+    return np.array([np.zeros_like(x), x ** 2] + [1.0 / (1.0 + a * a - 2.0 * a * x) for a in (0.3, 0.9, 0.99)])
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-11])
+def test_each_row_of_a_family_has_the_bits_of_its_integral_alone(tol):
+    calls = []
+
+    def g(x):
+        calls.append(x.size)
+        return _family(x)
+
+    rows = integrate_weighted(g, tol, rows=5)
+    assert isinstance(rows, tuple) and len(rows) == 5
+    assert [_bits(r) for r in rows] == [_bits(integrate_weighted(lambda x, i=i: _family(x)[i], tol)) for i in range(5)]
+    evaluations = [r.evaluations for r in rows]
+    assert len(set(evaluations)) >= 3 and max(evaluations) > 4 * oracle._KEPT_N
+    assert rows[0].value == rows[0].abs_error_estimate == 0.0
+    # one call of g per level, until the last row is accepted
+    assert sum(calls) == max(evaluations)
+
+
+def test_a_family_of_one_row_is_the_scalar_integral():
+    (one,) = integrate_weighted(lambda x: (x ** 2)[None, :], 1e-12, rows=1)
+    assert _bits(one) == _bits(integrate_weighted(lambda x: x ** 2, 1e-12))
+
+
+@pytest.mark.parametrize("integrate", [integrate_weighted, integrate_plain], ids=["weighted", "plain"])
+@pytest.mark.parametrize("g", [
+    lambda x: np.append(x, 1.0),
+    lambda x: "a",
+    lambda x: 1.0,
+    lambda x: x[:, None],
+    lambda x: np.array([x, x]),
+    lambda x: x + 0j,
+    lambda x: np.array([None] * x.size),
+], ids=["one_value_more", "text", "scalar", "column", "two_rows", "complex", "objects"])
+def test_an_integrand_of_another_shape_or_kind_is_refused(integrate, g):
+    # the first two used to raise a bare ValueError and TypeError
+    with pytest.raises(InvalidParameters, match="the integrand must return reals of shape"):
+        integrate(g, 1e-10)
+
+
+@pytest.mark.parametrize("g, rows", [
+    (lambda x: x, 1),
+    (lambda x: np.array([x, x]), 3),
+    (lambda x: np.array([x, x]).T, 2),
+], ids=["one_row_flat", "too_few_rows", "transposed"])
+def test_a_family_of_another_shape_is_refused(g, rows):
+    with pytest.raises(InvalidParameters, match=rf"shape \({rows}, 64\)"):
+        integrate_weighted(g, 1e-10, rows=rows)
+
+
+@pytest.mark.parametrize("rows", [0, -1, True, 2.0, "2"])
+def test_a_row_count_that_is_not_a_positive_integer_is_refused(rows):
+    with pytest.raises(InvalidParameters, match="rows must be"):
+        integrate_weighted(lambda x: np.array([x]), 1e-10, rows=rows)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("integrate", [integrate_weighted, integrate_plain, integrate_2d, integrate_3d],
+                         ids=["weighted", "plain", "2d", "3d"])
+def test_an_integrand_that_is_not_finite_fails_at_the_first_level(integrate, bad):
+    # NaN used to spend the whole budget (10^7 evaluations, about half a
+    # second) and inf to warn of inf - inf before it did the same
+    calls = []
+
+    def g(*x):
+        calls.append(x)
+        return np.full(np.broadcast_shapes(*map(np.shape, x)), bad)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence, match=r"not finite on the grids of \d+ points per axis \(row 0 of 1\)"):
+            integrate(g, 1e-10)
+    assert len(calls) == 1
+
+
+def test_a_family_names_its_first_row_that_is_not_finite():
+    def g(x):
+        return np.array([x, np.where(x > 0.0, np.nan, x), np.full_like(x, np.inf)])
+
+    with pytest.raises(NonConvergence, match=r"grids of 32 points per axis \(row 1 of 3\)"):
+        integrate_weighted(g, 1e-10, rows=3)

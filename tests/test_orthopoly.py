@@ -140,6 +140,21 @@ def test_recurrence_residual_takes_the_shape_of_x():
     assert P_recur_check(3, p, [[0.1], [0.2]]).shape == (2, 1)
 
 
+@pytest.mark.parametrize("a", [(0.5,), (0.1, 0.2), (0.6, -0.3, 0.2, -0.8, 0.45)])
+def test_recurrence_residual_has_the_bits_of_three_separate_polynomials(a):
+    # P_{m-1}, P_m and P_{m+1} share one U basis, with the bits of each
+    # evaluated on its own
+    p = ParamSet(a=a)
+    xs = np.linspace(-1.0, 1.0, 11)
+    for m in range(len(a), 14):
+        m = max(m, 1)
+        for x in (0.37, -1.0, xs):
+            want = 2.0 * x * P_coeffs(m, p)(x) - P_coeffs(m + 1, p)(x) - P_coeffs(m - 1, p)(x)
+            got = P_recur_check(m, p, x)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def _former_gram(m, k, p):
     # orthopoly._gram as it was, each sum of B values through _UU_sum
     cm = P_coeffs(m, p).series.coeffs
