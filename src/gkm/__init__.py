@@ -1,6 +1,6 @@
 """Generalized Kesten-McKay distributions and their closed-form apparatus."""
 
-from .chebyshev import USeries, eval_U, eval_U_signed, gauss_chebU_rule
+from .chebyshev import USeries, eval_U, gauss_chebU_rule
 from .conjugate import (
     A2k_closed,
     ConjParamSet,

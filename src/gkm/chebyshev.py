@@ -3,8 +3,8 @@
 Evaluation goes through the forward three-term recurrence, which is
 numerically benign on the whole interval (the trigonometric form loses
 digits near the endpoints and is kept only as a test oracle).  The module
-also provides the signed-index convention U_{-1} = 0, U_{-m-2} = -U_m,
-finite series over the U basis, and the Gauss quadrature rule for the
+also provides finite series over the U basis, built from signed indices
+through U_{-1} = 0, U_{-m-2} = -U_m, and the Gauss quadrature rule for the
 semicircle weight (2/pi) sqrt(1 - x^2).  `_u_sums` is the package's one
 U-series sum, and `_truncation_order` its one order search.
 """
@@ -100,16 +100,16 @@ def _reals(name: str, values) -> tuple:
         raise InvalidParameters(f"{name} must be a sequence of reals, got {values!r}") from None
 
 
-def _index(k, name: str = "k", signed: bool = False) -> int:
+def _index(k, name: str = "k") -> int:
     """k as a Python int (through operator.index); InvalidParameters for a
-    non-integer k (a bool too), or a negative one unless `signed`."""
+    non-integer k (a bool too), or a negative one."""
     try:
         if isinstance(k, bool):
             raise TypeError
         k = operator.index(k)
     except TypeError:
         raise InvalidParameters(f"{name} must be an integer, got {k!r}") from None
-    if k < 0 and not signed:
+    if k < 0:
         raise InvalidParameters(f"{name} must be non-negative, got {k}")
     return k
 
@@ -152,17 +152,6 @@ def eval_U(k: int, x):
     for _ in range(k - 1):
         prev, cur = cur, twox * cur - prev
     return _unwrap(cur if k else prev)
-
-
-def eval_U_signed(k: int, x):
-    """U_k(x) extended to negative index: U_{-1} = 0, U_{-m-2} = -U_m."""
-    k = _index(k, signed=True)
-    if k >= 0:
-        return eval_U(k, x)
-    x = _check_x(x)
-    if k == -1:
-        return _unwrap(np.zeros_like(x))
-    return -eval_U(-k - 2, x)
 
 
 def _u_sums(cs, x: np.ndarray) -> list:
@@ -212,12 +201,14 @@ def _clenshaw(c: np.ndarray, flat: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class USeries:
     """Finite coefficient sequence over the U basis; index j is the U_j weight.
-    InvalidParameters unless the coefficients are reals (bools are not)."""
+    InvalidParameters unless the coefficients are finite reals (bools are not)."""
 
     coeffs: tuple = field(default=())
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _reals("coeffs", self.coeffs))
+        if not np.isfinite(self.coeffs).all():
+            raise InvalidParameters(f"coeffs must be finite, got {self.coeffs!r}")
 
     def __call__(self, x):
         """The series at x (see _u_sums)."""

@@ -83,7 +83,8 @@ class ConjParamSet:
 
 def w_eval(x, y, rho):
     """(1 - rho^2)^2 - 4 x y rho (1 + rho^2) + 4 rho^2 (x^2 + y^2); positive
-    for |x|, |y| <= 1 and |rho| < 1."""
+    for |x|, |y| <= 1 and |rho| < 1, and InvalidParameters unless |rho| < 1."""
+    _check_unit(rho=rho)
     return (1.0 - rho * rho) ** 2 - 4.0 * x * y * rho * (1.0 + rho * rho) + 4.0 * rho * rho * (x * x + y * y)
 
 

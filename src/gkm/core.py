@@ -86,11 +86,11 @@ class ParamSet:
     A set is frozen, so it keeps what it has computed, each on first use:
     the operands the closed forms share (the float array of a, S_0..S_n,
     the normalizer, the partial-fraction denominators with the normalizer
-    built from them, and the table of B values), and the scalar closed forms
-    themselves (each moment, orthopoly's P_m and Gram entries, the sums of
-    B for U_i U_j, Q_n, and the B sequence of the generating function).
-    Each is computed once, and a later call returns the first call's bits;
-    memory grows only with the distinct indices asked for.  Kept arrays are
+    built from them, the table of B values, and orthopoly's Gram matrix),
+    and the scalar closed forms themselves (each moment, orthopoly's P_m,
+    the sums of B for U_i U_j, Q_n, and the B sequence of the generating
+    function).  Each is computed once, and a later call returns the first
+    call's bits; memory grows only with the indices asked for.  Kept arrays are
     read-only, and the public functions hand out copies.  A computation that
     raises stores nothing, so a coincident set refuses the partial-fraction
     forms on every call.
@@ -185,8 +185,8 @@ class ParamSet:
     def _kept(self, name: str, key, make):
         """The value kept under (name, key), from make() on the first
         request; a make() that raises stores nothing.  Values are kept in
-        the instance dict, where moment, inner_UU, P_coeffs and gram look
-        them up before their checks."""
+        the instance dict, where moment, inner_UU and P_coeffs look them up
+        before their checks."""
         kept = self.__dict__
         try:
             return kept[name, key]
@@ -399,14 +399,9 @@ def _moment(p: ParamSet, k: int) -> float:
     return total / ((k + 1) * 2 ** k)
 
 
-def _UU_sum(p: ParamSet, lo: int, hi: int) -> float:
-    """B_lo + B_{lo+2} + ... + B_hi, the integral of U_i U_j against the
-    density with lo = |i - j| and hi = i + j; kept on p."""
-    return p._kept("UU", (lo, hi), lambda: float(np.add.reduce(p._B(hi)[lo : hi + 1 : 2])))
-
-
 def inner_UU(p: ParamSet, k: int, m: int) -> float:
-    """integral of U_k U_m against the density, as a finite sum of B values."""
+    """integral of U_k U_m against the density, the finite sum
+    B_lo + B_{lo+2} + ... + B_hi with lo = |k - m| and hi = k + m; kept on p."""
     if type(k) is int and type(m) is int:
         # kept, as in moment; a negative index gives lo > hi or hi < 0,
         # which no kept sum has
@@ -415,7 +410,8 @@ def inner_UU(p: ParamSet, k: int, m: int) -> float:
         except KeyError:
             pass
     k, m = _index(k), _index(m, "m")
-    return _UU_sum(p, abs(m - k), m + k)
+    lo, hi = abs(m - k), m + k
+    return p._kept("UU", (lo, hi), lambda: float(np.add.reduce(p._B(hi)[lo : hi + 1 : 2])))
 
 
 # coefficient arrays below are ascending in t

@@ -22,8 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import USeries, _check_x, _index, _u_sums, _unwrap
-from .core import ParamSet, _UU_sum
-from .errors import InvalidParameters
+from .core import ParamSet
+from .errors import InvalidParameters, Unsupported
+
+# gram's largest degree, where the kept matrix holds 1001^2 floats (8 MB)
+GRAM_ORDER_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -53,11 +56,8 @@ def P_coeffs(m: int, p: ParamSet) -> OrthoPoly:
 
 
 def _build_P(m: int, p: ParamSet) -> OrthoPoly:
-    if m == 0:
-        return OrthoPoly(m=0, series=USeries((1.0,)))
     S = p._S
-    jmax = min(p.n, 2 * m + 2)
-    pairs = [(m - j, (-1.0) ** j * S[j]) for j in range(jmax + 1)]
+    pairs = [(m - j, (-1.0) ** j * S[j]) for j in range(min(p.n, 2 * m + 2) + 1)] if m else [(0, 1.0)]
     return OrthoPoly(m=m, series=USeries.from_signed(pairs))
 
 
@@ -74,39 +74,44 @@ def P_recur_check(m: int, p: ParamSet, x):
 
 
 def gram(m: int, k: int, p: ParamSet) -> float:
-    """integral of P_m P_k against the density, bilinearly through the exact
-    U-product expansion (no quadrature).  Each entry, and each sum of B
-    values it reads, is computed once per parameter set and kept on it; the
-    entries (m, k) and (k, m) sum in different orders, so each is kept on
-    its own."""
+    """integral of P_m P_k against the density through the exact U-product
+    expansion (no quadrature): entry (m, k) of the Gram matrix kept on p
+    (_gram_matrix), so gram(m, k, p) and gram(k, m, p) have the same bits;
+    Unsupported above GRAM_ORDER_CAP."""
     if type(m) is int and type(k) is int:
-        # kept, as in core.moment
-        try:
-            return p.__dict__["gram", (m, k)]
-        except KeyError:
-            pass
+        # kept, as in core.moment; a negative int must not index from the end
+        G = p.__dict__.get("_gram_matrix", ())
+        if -1 < m < len(G) and -1 < k < len(G):
+            return G[m][k]
     m, k = _index(m, "m"), _index(k)
-    return p._kept("gram", (m, k), lambda: _gram(m, k, p))
+    if max(m, k) > GRAM_ORDER_CAP:
+        raise Unsupported(f"Gram entry ({m}, {k}) above degree {GRAM_ORDER_CAP}")
+    return _gram_matrix(p, max(m, k))[m][k]
 
 
-def _gram(m: int, k: int, p: ParamSet) -> float:
-    cm = P_coeffs(m, p).series.coeffs
-    ck = P_coeffs(k, p).series.coeffs
-    if not cm or not ck:
-        return 0.0
-    kept = p.__dict__
-    total = 0.0
-    for i, ci in enumerate(cm):
-        if ci == 0.0:
-            continue
-        for j, cj in enumerate(ck):
-            if cj == 0.0:
-                continue
-            # U_i U_j = sum_{l=0}^{min(i,j)} U_{|i-j|+2l}; the sum of B
-            # values read where _UU_sum keeps it, as in core.inner_UU
-            try:
-                uu = kept["UU", (abs(i - j), i + j)]
-            except KeyError:
-                uu = _UU_sum(p, abs(i - j), i + j)
-            total += ci * cj * uu
-    return total
+def _gram_matrix(p: ParamSet, m: int) -> list:
+    """The kept Gram matrix G = C M C^T, as rows of Python floats, of at
+    least m + 1 rows; a larger request grows it to at least twice its size
+    (up to GRAM_ORDER_CAP + 1), as ParamSet._B grows the B table.  Row j of
+    the lower-triangular C holds P_j's U coefficients, and each
+    M_ij = B_|i-j| + B_|i-j|+2 + ... + B_i+j = integral of U_i U_j is its own
+    sum, with inner_UU's bits.  Row r of the lower triangle comes from
+    operands of size r + 1, so no entry's bits depend on the kept size; the
+    upper triangle mirrors it."""
+    G = p.__dict__.get("_gram_matrix", ())
+    if m < len(G):
+        return G
+    N = max(m + 1, min(2 * len(G), GRAM_ORDER_CAP + 1))
+    C = np.zeros((N, N))
+    for j in range(N):
+        C[j, : j + 1] = P_coeffs(j, p).series.coeffs
+    B = p._B(2 * N - 2)
+    M = np.empty((N, N))
+    for i in range(N):
+        for j in range(i + 1):
+            M[i, j] = M[j, i] = np.add.reduce(B[i - j : i + j + 1 : 2])
+    L = np.zeros((N, N))
+    for r in range(N):
+        L[r, : r + 1] = C[: r + 1, : r + 1] @ (C[r, : r + 1] @ M[: r + 1, : r + 1])
+    G = p.__dict__["_gram_matrix"] = np.where(np.tri(N, dtype=bool), L, L.T).tolist()
+    return G

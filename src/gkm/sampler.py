@@ -5,19 +5,10 @@ where the density has square-root behavior) and inverted through monotone
 cubic interpolation, so moment recovery is not biased by grid resolution.
 The interpolant is a numpy Fritsch-Carlson monotone cubic (Fritsch and
 Carlson, SIAM J. Numer. Anal. 17, 1980) that repeats the arithmetic of
-scipy's PchipInterpolator step by step and so returns its bits.  It finds
-each point's interval in one of two ways.  Unsorted points (`sample`'s
-inverse, the public `CdfTable.cdf` and `.inverse`) go through a guide table
-(Chen and Asau, 1974) over blocks of _BLOCK points, and every array of a
-block is computed, through out=, in one workspace allocated per call
-(`_workspace`): a call allocates that workspace and, unless it is given one,
-its result, and no block allocates.  Sorted points (the KS statistic, which
-has just sorted its sample) go by runs: one search places the knots among
-the points, and each block repeats its knots and coefficients over their
-runs, allocating each repeat (64 KiB) for its one use.  `sample` inverts its
-uniforms in their own buffer and `ks_statistic` evaluates the CDF in its
-sorted copy of the sample (`gkm sample`, done with its draws, sorts them in
-place instead).
+scipy's PchipInterpolator step by step and so returns its bits; it finds
+the intervals of unsorted points through a guide table (Chen and Asau,
+1974), and those of sorted ones (the KS statistic's) by runs.  The public
+`CdfTable.cdf` and `.inverse` check their points and do not extrapolate.
 Uniform draws come from the Philox counter-based generator: the stream is a
 pure function of (seed, counter), so any run with the same seed reproduces
 the same samples bit for bit regardless of partitioning.
@@ -73,10 +64,7 @@ class _MonotoneCubic:
     of interior knots <= q, which is the interval; where it holds more (the
     CDF values of an inverse table crowd near 0 and 1), a binary search
     over the interior knots does.  NaN goes to bucket 0 and interval 0.
-
-    __call__ takes the guide table, whatever the order of its points;
-    `_sorted` takes points its caller has sorted and finds their intervals
-    by runs instead, with the same bits (see there).
+    `_sorted` finds the intervals of sorted points by runs instead.
     """
 
     def __init__(self, x, y):
@@ -163,8 +151,7 @@ class _MonotoneCubic:
 
     def __call__(self, q, out=None):
         """The cubic at q, in out if given: a writeable C-contiguous float
-        array of q's shape, which may be q itself (each block reads its points before it
-        writes its values)."""
+        array of q's shape, which may be q (a block reads before it writes)."""
         q = np.asarray(q, dtype=float)
         if out is None:
             out = np.empty(q.shape)
@@ -174,25 +161,26 @@ class _MonotoneCubic:
         ):
             raise InvalidParameters(f"out must be a writeable C-contiguous float array of shape {q.shape}")
         flat_q, flat_out = q.reshape(-1), out.reshape(-1)
+        # a NaN point gives scipy's NaN, not its own payload; min propagates NaN
+        nan = np.isnan(flat_q) if np.isnan(flat_q.min(initial=0.0)) else []
         work = _workspace(min(q.size, _BLOCK))
         # far outside the table the cubic overflows, silently as in scipy
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(0, q.size, _BLOCK):
                 n = min(_BLOCK, q.size - k)
                 self._block(flat_q[k:k + n], flat_out[k:k + n], tuple(w[..., :n] for w in work))
+        flat_out[nan] = np.nan
         return out
 
     def _sorted(self, q, out):
         """The cubic at the sorted, NaN-free flat float array q, in out (which
-        may be q), with __call__'s bits.  Sorted, the points of each interval
-        form one run: run j, from the count of points below knot x_j to the
-        count below x_{j+1}, lies in interval j.  So one search of the
-        interior knots among the points replaces the guide table, and
-        np.repeat over a block's runs replaces its five gathers.  np.repeat
-        has no out=, so each block allocates its repeated knot and four
-        coefficients (64 KiB each); each is freed after its one use, so at
-        most one is live, and under a 128 KiB mmap threshold glibc's heap
-        still does not grow and trim block after block."""
+        may be q), with __call__'s bits.  Run j of the sorted points, from the
+        count below knot x_j to the count below x_{j+1}, lies in interval j:
+        one search of the interior knots among the points replaces the guide
+        table, and np.repeat over a block's runs its five gathers.  Each
+        repeat (64 KiB; np.repeat has no out=) is freed after its one use, so
+        under a 128 KiB mmap threshold glibc's heap does not grow and trim
+        block after block."""
         x = self._x
         bound = np.concatenate(([0], np.searchsorted(q, x[1:-1], side="left"), [q.size]))
         coef = (x[:-1], *self._coef)
@@ -230,18 +218,43 @@ class CdfTable:
     xs: np.ndarray
     Fs: np.ndarray
 
-    # each interpolant is built on first use: numpy's monotone cubic, with
-    # the bits of scipy's PchipInterpolator on the same table
+    # each cubic, which extrapolates beyond the table, is built on first use
+    _cdf = cached_property(lambda self: _MonotoneCubic(self.xs, self.Fs))
+    _inverse = cached_property(lambda self: _MonotoneCubic(self.Fs, self.xs))
 
-    @cached_property
-    def cdf(self):
-        """x -> F(x), monotone cubic through the table."""
-        return _MonotoneCubic(self.xs, self.Fs)
+    def cdf(self, x):
+        """F(x) in x's shape: the table's cubic, exactly 0.0 below the table
+        and 1.0 above it; InvalidParameters unless x is real, DomainError for NaN."""
+        q = _real_array(x, "x")
+        F, lo, hi = self._cdf(q), self.xs[0], self.xs[-1]
+        if not (q.min(initial=lo) >= lo and q.max(initial=hi) <= hi):
+            if np.isnan(q.min()):  # min propagates NaN
+                raise DomainError("x must not be NaN")
+            F[q < lo], F[q > hi] = 0.0, 1.0
+        return F
 
-    @cached_property
-    def inverse(self):
-        """u -> F^{-1}(u), monotone cubic through the table."""
-        return _MonotoneCubic(self.Fs, self.xs)
+    def inverse(self, u):
+        """F^{-1}(u) in u's shape: the table's cubic; InvalidParameters unless u
+        is real, DomainError unless every u lies in [0, 1] (NaN does not)."""
+        q = _real_array(u, "u")
+        if not (q.min(initial=0.0) >= 0.0 and q.max(initial=1.0) <= 1.0):
+            raise DomainError("u outside [0, 1]")
+        return self._inverse(q)
+
+
+def _real_array(v, name: str) -> np.ndarray:
+    """v as a float array; InvalidParameters unless it holds real numbers:
+    integers or floats, not bools (searched for in a list, which numpy reads
+    as 0 or 1), text, bytes, complex numbers or objects."""
+    if isinstance(v, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, v)):
+        raise InvalidParameters(f"{name} must be real numbers, got a sequence that holds a bool")
+    try:
+        a = np.asarray(v)
+    except (TypeError, ValueError):
+        raise InvalidParameters(f"{name} must be real numbers, got {type(v).__name__}") from None
+    if a.dtype.kind not in "iuf":
+        raise InvalidParameters(f"{name} must be real numbers, got an array of dtype {a.dtype}")
+    return a.astype(float, copy=False)
 
 
 @cache
@@ -300,7 +313,7 @@ def sample(t: CdfTable, count: int, seed: int) -> np.ndarray:
         raise InvalidParameters(f"seed must be below 2^128, got {seed}")
     gen = np.random.Generator(np.random.Philox(key=seed))
     u = gen.random(count)
-    x = t.inverse(u, out=u)
+    x = t._inverse(u, out=u)
     return np.clip(x, t.xs[0], t.xs[-1], out=x)
 
 
@@ -309,14 +322,7 @@ def ks_statistic(samples, t: CdfTable) -> float:
     InvalidParameters for samples that are not one nonempty flat array of
     real numbers (integers or floats: not bools, text, bytes, complex numbers
     or objects), DomainError for a sample that is not finite."""
-    # numpy reads a bool among other numbers in a list as 0 or 1; an array
-    # is not searched, its dtype tells
-    if isinstance(samples, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, samples)):
-        raise InvalidParameters("samples must be real numbers, got a sequence that holds a bool")
-    s = np.asarray(samples)
-    if s.dtype.kind not in "iuf":
-        raise InvalidParameters(f"samples must be real numbers, got an array of dtype {s.dtype}")
-    s = s.astype(float, copy=False)
+    s = _real_array(samples, "samples")
     if s.ndim != 1:
         raise InvalidParameters(f"samples must be a 1-D array, got {s.ndim} dimensions")
     s = np.sort(s)
@@ -333,7 +339,7 @@ def _ks_sorted(s: np.ndarray, t: CdfTable) -> float:
     flat float array s, which it overwrites with the table's CDF values.
     As s is sorted, the CDF is evaluated by runs (`_MonotoneCubic._sorted`),
     not through the guide table."""
-    F = t.cdf._sorted(np.clip(s, t.xs[0], t.xs[-1], out=s), out=s)
+    F = t._cdf._sorted(np.clip(s, t.xs[0], t.xs[-1], out=s), out=s)
     np.clip(F, 0.0, 1.0, out=F)
     # the largest i / n - F_i and F_i - (i - 1) / n for i = 1..n, a block of
     # i at a time in one reused buffer

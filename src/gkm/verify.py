@@ -469,10 +469,9 @@ def suite_sampling() -> list:
 # Longest first: the workers take the suites in this order, so that
 # sampling, a third of the work, does not start last.  Their CPU times in one
 # process on one CPU (medians of 11 runs each, three runs, on a 2-vCPU Xeon
-# host): sampling 70 ms, orthogonality 36, normalization 28, identities 23,
-# genfun 21, trivariate 18, conjugate 9, markov 6, 214 in all.  On two CPUs
-# the slowest worker then needs about 106 ms; taken in the order they are
-# defined above, about 135.
+# host): sampling 72-92 ms, orthogonality 32-34, normalization 29-31,
+# identities 23, genfun 22-26, trivariate 19-20, conjugate 10-11, markov 6,
+# 213-244 in all.  On two CPUs the slowest worker then needs about 110 ms.
 _SUITE_FN = {
     "sampling": suite_sampling,
     "orthogonality": suite_orthogonality,

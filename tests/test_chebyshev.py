@@ -11,7 +11,6 @@ from gkm import (
     USeries,
     build_cdf,
     eval_U,
-    eval_U_signed,
     gauss_chebU_rule,
     moment,
     sample,
@@ -42,17 +41,6 @@ def test_eval_U_domain():
         eval_U(3, 1.5)
 
 
-def test_eval_U_signed_values():
-    assert eval_U_signed(-1, 0.7) == 0.0
-    assert eval_U_signed(-2, 0.3) == pytest.approx(-1.0)
-    assert eval_U_signed(-3, 0.3) == pytest.approx(-0.6)
-
-
-def test_eval_U_signed_reflection():
-    for k in range(-40, 41):
-        assert eval_U_signed(k, 0.37) == pytest.approx(-eval_U_signed(-k - 2, 0.37), abs=1e-12)
-
-
 def test_useries_from_signed_folds():
     # U_{-2} = -U_0 and U_{-1} = 0
     s = USeries.from_signed([(1, 1.0), (-1, 5.0), (-2, 2.0)])
@@ -80,6 +68,15 @@ def _former_from_signed(pairs):
     for j, c in d.items():
         coeffs[j] += c
     return tuple(coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [(np.nan,), (1.0, np.inf), (-np.inf, 0.5)])
+def test_useries_coefficients_that_are_not_finite_are_invalid(coeffs):
+    # USeries((nan,)) built and summed to nan
+    with pytest.raises(InvalidParameters, match="coeffs must be finite"):
+        USeries(coeffs)
+    with pytest.raises(InvalidParameters, match="coeffs must be finite"):
+        USeries.from_signed([(-j - 2, c) for j, c in enumerate(coeffs)] + [(3, 1.0)])
 
 
 def test_useries_from_signed_has_the_bits_of_the_dict_fold():
@@ -345,14 +342,6 @@ def test_useries_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8 * SERIES_BLOCK + 3 * x.nbytes
-
-
-@pytest.mark.parametrize("k", [-1.0, -2.5, -3.0, 2.5, "2"])
-def test_eval_U_signed_names_the_index_it_was_given(k):
-    # the message names the k the caller gave, not the reflected index -k - 2
-    with pytest.raises(InvalidParameters, match=f"k must be an integer, got {k!r}$"):
-        eval_U_signed(k, 0.3)
-    assert eval_U_signed(np.int64(-3), 0.3) == eval_U_signed(-3, 0.3)
 
 
 @pytest.mark.parametrize("N", [0, -2, 2.5])

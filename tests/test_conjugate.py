@@ -101,6 +101,13 @@ def test_w_eval_values():
     assert w_eval(x, -0.2, rho) == pytest.approx(abs(z) ** 2, abs=1e-14)
 
 
+@pytest.mark.parametrize("rho", [2.0, 1.0, -1.0, np.nan, np.inf])
+def test_w_eval_refuses_a_correlation_outside_the_unit_interval(rho):
+    # w_eval(0.1, 0.2, 2.0) returned 9.0
+    with pytest.raises(InvalidParameters, match=r"\|rho\| must be < 1"):
+        w_eval(0.1, 0.2, rho)
+
+
 def test_w_eval_positive_on_square():
     g = np.linspace(-1.0, 1.0, 41)
     for rho in (-0.95, -0.3, 0.3, 0.95):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from _exact import exact_gram
 
 from gkm import P_coeffs, P_recur_check, ParamSet, elementary_all, eval_U, gram
-from gkm.chebyshev import USeries, eval_U_signed
-from gkm.core import B_prefix, _UU_sum
-from gkm.errors import InvalidParameters
+from gkm.chebyshev import USeries
+from gkm.core import B_prefix
+from gkm.errors import InvalidParameters, Unsupported
+from gkm.orthopoly import GRAM_ORDER_CAP
+from gkm.verify import _draw_params
 
 
 def test_P1_one_parameter():
@@ -40,6 +41,11 @@ def test_P3_direct_expansion():
     assert P_coeffs(3, p)(x) == pytest.approx(expect, abs=1e-14)
 
 
+def _eval_U_signed(k, x):
+    # U_{-1} = 0 and U_{-k-2} = -U_k
+    return eval_U(k, x) if k >= 0 else 0.0 if k == -1 else -eval_U(-k - 2, x)
+
+
 def test_fold_back_matches_signed_evaluation():
     # for m >= 1, the folded series equals the term-by-term signed-U sum
     rng = np.random.default_rng(30)
@@ -49,7 +55,7 @@ def test_fold_back_matches_signed_evaluation():
         for m in range(1, 7):
             x = float(rng.uniform(-1.0, 1.0))
             direct = sum(
-                (-1.0) ** j * S[j] * eval_U_signed(m - j, x)
+                (-1.0) ** j * S[j] * _eval_U_signed(m - j, x)
                 for j in range(min(n, 2 * m + 2) + 1)
             )
             assert P_coeffs(m, p)(x) == pytest.approx(direct, abs=1e-13)
@@ -155,33 +161,26 @@ def test_recurrence_residual_has_the_bits_of_three_separate_polynomials(a):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-def _former_gram(m, k, p):
-    # orthopoly._gram as it was, each sum of B values through _UU_sum
-    cm = P_coeffs(m, p).series.coeffs
-    ck = P_coeffs(k, p).series.coeffs
-    total = 0.0
-    for i, ci in enumerate(cm):
-        if ci == 0.0:
-            continue
-        for j, cj in enumerate(ck):
-            if cj == 0.0:
-                continue
-            total += ci * cj * _UU_sum(p, abs(i - j), i + j)
-    return total
+# On the sets below the kept matrix is at worst 1.73e-14 off, and the former
+# per-entry loop over coefficient pairs was 1.77e-14 off.
+GRAM_EXACT_BOUND = 2.5e-14
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(
-    st.lists(st.floats(-0.9, 0.9), max_size=6).filter(lambda a: ParamSet(a=tuple(a)).min_gap >= 0.05),
-    st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)), min_size=1, max_size=12),
-)
-def test_gram_has_the_bits_of_the_former_loop(a, pairs):
-    # on a fresh set, where the sums of B values are computed as the loop
-    # reaches them, and again on a set that has them all kept
-    fresh, former = ParamSet(a=tuple(a)), ParamSet(a=tuple(a))
-    want = [_former_gram(m, k, former).hex() for m, k in pairs]
-    assert [gram(m, k, fresh).hex() for m, k in pairs] == want
-    warm = ParamSet(a=tuple(a))
-    for m, k in pairs:
-        _former_gram(m, k, warm)
-    assert [gram(m, k, warm).hex() for m, k in pairs] == want
+def test_gram_is_within_the_former_loops_error_of_exact_rationals():
+    # verify's orthogonality sets (seed 104), every entry up to degree 12,
+    # against the exact integral of the same float coefficients
+    rng = np.random.default_rng(104)
+    for i in range(20):
+        p = _draw_params(rng, 1 + i % 6)
+        rng.uniform(-1.0, 1.0)  # the recurrence point verify draws next
+        exact = exact_gram(p.a, [P_coeffs(j, p).series.coeffs for j in range(13)])
+        got = [[gram(m, k, p) for k in range(13)] for m in range(13)]
+        assert np.max(np.abs(np.subtract(got, exact))) <= GRAM_EXACT_BOUND, p.a
+
+
+def test_gram_above_its_cap_is_unsupported():
+    p = ParamSet(a=(0.3,))
+    for m, k in ((GRAM_ORDER_CAP + 1, 0), (0, GRAM_ORDER_CAP + 1), (10 ** 12, 2)):
+        with pytest.raises(Unsupported, match="above degree"):
+            gram(m, k, p)
+    assert "_gram_matrix" not in vars(p)

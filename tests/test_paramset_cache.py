@@ -130,7 +130,7 @@ def test_warm_and_cold_instances_are_the_same_value():
 
 
 # Reference copies of the closed forms that keep nothing between calls: each
-# computes its B values afresh from a, and gram its sums of them.
+# computes its B values afresh from a, and gram its matrix of sums of them.
 
 def _B_uncached(a, ks):
     a = np.asarray(a, dtype=float)
@@ -169,14 +169,17 @@ def _P_uncached(a, m):
 
 
 def _gram_uncached(a, m, k):
-    cm, ck = _P_uncached(a, m), _P_uncached(a, k)
-    B = _B_uncached(a, np.arange(len(cm) + len(ck) + 1))
-    total = 0.0
-    for i, ci in enumerate(cm):
-        for j, cj in enumerate(ck):
-            if ci != 0.0 and cj != 0.0:
-                total += ci * cj * float(np.add.reduce(B[abs(i - j) : i + j + 1 : 2]))
-    return total
+    # entry (m, k) of C M C^T, from the row max(m, k) of the lower triangle
+    # and operands of its size: row j of C holds P_j's U coefficients, and
+    # each M_ij is its own sum of B values
+    m, k = max(m, k), min(m, k)
+    C = np.zeros((m + 1, m + 1))
+    for j in range(m + 1):
+        c = _P_uncached(a, j)
+        C[j, : len(c)] = c
+    B = _B_uncached(a, np.arange(2 * m + 1))
+    M = np.array([[np.add.reduce(B[abs(i - j) : i + j + 1 : 2]) for j in range(m + 1)] for i in range(m + 1)])
+    return float((C @ (C[m] @ M))[k])
 
 
 def _table_reads(p, K):
@@ -291,12 +294,29 @@ def test_kept_forms_in_any_order_have_the_fresh_instance_bits(a, calls, rnd):
         assert _call(lambda q: KEPT_FORMS[name](q, i), twin) == fresh[j], (name, i)
 
 
-def test_gram_keeps_each_order_of_a_pair_on_its_own():
+def test_gram_of_a_pair_has_the_same_bits_in_either_order():
     p = ParamSet(a=(0.7, -0.2, 0.45, 0.1, -0.6))
-    pairs = [(m, k) for m in range(7) for k in range(7)]
-    for m, k in pairs:
-        assert gram(m, k, p) == gram(m, k, ParamSet(a=p.a))
-    assert {key[1] for key in vars(p) if isinstance(key, tuple) and key[0] == "gram"} == set(pairs)
+    for m in range(14):
+        for k in range(14):
+            assert gram(m, k, p).hex() == gram(k, m, p).hex() == gram(k, m, ParamSet(a=p.a)).hex()
+
+
+@pytest.mark.parametrize("a", [(), (0.5,), (0.7, -0.2, 0.45, 0.1, -0.6), (0.3, -0.8, 0.1, 0.6, -0.4, 0.2, 0.85, -0.1)])
+def test_a_gram_entry_has_the_same_bits_at_every_kept_size(a):
+    # on a fresh set, after a larger entry grew the matrix first, and on sets
+    # whose matrix was built at 13, 40 and 64 rows
+    pairs = [(m, k) for m in range(13) for k in range(13)]
+    want = [gram(m, k, ParamSet(a=a)).hex() for m, k in pairs]
+    grown = ParamSet(a=a)
+    gram(20, 3, grown)
+    gram(50, 0, grown)
+    assert len(grown._gram_matrix) == 51
+    assert [gram(m, k, grown).hex() for m, k in pairs] == want
+    for size in (13, 40, 64):
+        q = ParamSet(a=a)
+        gram(size - 1, 0, q)
+        assert len(q._gram_matrix) == size
+        assert [gram(m, k, q).hex() for m, k in pairs] == want, size
 
 
 def test_coincident_set_keeps_nothing_it_refuses():

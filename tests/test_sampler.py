@@ -36,6 +36,54 @@ def test_cdf_matches_oracle_mass():
     assert float(t.cdf(0.0)) == pytest.approx(half, abs=1e-6)
 
 
+def test_cdf_is_zero_below_the_table_and_one_above_it():
+    # the cubic extrapolated before: cdf(2.0) was -2.7e7 and cdf(1e200) -inf
+    t = build_cdf(ParamSet(a=(0.5, -0.3), c=1.5))
+    x = np.array([-np.inf, -1e200, -2.0, np.nextafter(-1.5, -2.0), -1.5, -0.4, 0.3, 1.5,
+                  np.nextafter(1.5, 2.0), 2.0, 1e200, np.inf])
+    got = t.cdf(x)
+    inside = (x >= -1.5) & (x <= 1.5)
+    assert np.array_equal(got[inside], t._cdf(x[inside]))
+    assert got[x < -1.5].tolist() == [0.0] * 4 and got[x > 1.5].tolist() == [1.0] * 4
+    assert t.cdf(-2.0).shape == () and float(t.cdf(2.0)) == 1.0
+    assert t.cdf(x.reshape(3, 4)).tolist() == got.reshape(3, 4).tolist()
+    assert t.cdf([]).shape == (0,)
+    # the integers of a list are real points too
+    assert t.cdf([-2, 0, 2]).tolist() == [0.0, float(t._cdf(0.0)), 1.0]
+
+
+@pytest.mark.parametrize("x", [None, "0.3", 0.3j, True, [0.1, True], [[0.1], [0.2, 0.3]]])
+def test_cdf_refuses_points_that_are_not_real(x):
+    t = build_cdf(ParamSet(a=(0.5, -0.3)), 64)
+    with pytest.raises(InvalidParameters, match="x must be real numbers"):
+        t.cdf(x)
+
+
+def test_cdf_refuses_nan():
+    t = build_cdf(ParamSet(a=(0.5, -0.3)), 64)
+    for x in (np.nan, [0.1, np.nan, 3.0]):
+        with pytest.raises(DomainError, match="x must not be NaN"):
+            t.cdf(x)
+
+
+@pytest.mark.parametrize("u", [-0.5, 1.5, np.nextafter(1.0, 2.0), -1e-300, np.nan, np.inf, [0.5, 1.2]])
+def test_inverse_refuses_u_outside_the_unit_interval(u):
+    # inverse(-0.5) was 7.5e19 and inverse(1.5) -4.2e18
+    t = build_cdf(ParamSet(a=(0.5, -0.3)))
+    with pytest.raises(DomainError, match=r"u outside \[0, 1\]"):
+        t.inverse(u)
+
+
+def test_inverse_on_the_unit_interval_is_the_cubic():
+    t = build_cdf(ParamSet(a=(0.5, -0.3)))
+    u = np.array([0.0, 1e-300, 0.25, 0.5, 1.0])
+    assert np.array_equal(t.inverse(u), t._inverse(u))
+    assert float(t.inverse(0)) == -1.0 and float(t.inverse(1)) == 1.0
+    for bad in (None, "0.5", 0.5j):
+        with pytest.raises(InvalidParameters, match="u must be real numbers"):
+            t.inverse(bad)
+
+
 def test_cdf_requires_minimum_grid():
     with pytest.raises(InvalidParameters, match="at least 64"):
         build_cdf(ParamSet(), 32)
@@ -140,7 +188,7 @@ def _assert_same_bits(got, want):
 def test_monotone_cubic_has_the_bits_of_pchip(c, a):
     t = build_cdf(ParamSet(a=a, c=c), 2048)
     rng = np.random.default_rng(17)
-    for f, x, y in ((t.cdf, t.xs, t.Fs), (t.inverse, t.Fs, t.xs)):
+    for f, x, y in ((t._cdf, t.xs, t.Fs), (t._inverse, t.Fs, t.xs)):
         ref = PchipInterpolator(x, y)
         lo, hi = x[0], x[-1]
         span = hi - lo
@@ -150,6 +198,7 @@ def test_monotone_cubic_has_the_bits_of_pchip(c, a):
             inside.reshape(100, 200),
             x,  # the knots exactly, the last one closing the last interval
             np.array([lo, hi, 0.0, 1.0, np.nan, np.inf, -np.inf]),
+            np.array([0x7FF8000000000001, 0xFFF8000000000002], np.uint64).view(float),  # NaN payloads
             rng.uniform(lo - span, hi + span, 2_000),  # the end pieces, extrapolated
             np.nextafter(x, np.inf),
             np.nextafter(x, -np.inf),
@@ -166,8 +215,8 @@ def test_monotone_cubic_has_the_bits_of_pchip_on_tiny_tables(xs, Fs):
     # two knots: one straight piece; three: both end slopes from the edge rule
     t = CdfTable(xs=np.array(xs), Fs=np.array(Fs))
     q = np.linspace(-1.5, 1.5, 301)
-    _assert_same_bits(t.cdf(q), PchipInterpolator(xs, Fs)(q))
-    _assert_same_bits(t.inverse(q), PchipInterpolator(Fs, xs)(q))
+    _assert_same_bits(t._cdf(q), PchipInterpolator(xs, Fs)(q))
+    _assert_same_bits(t._inverse(q), PchipInterpolator(Fs, xs)(q))
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -181,8 +230,8 @@ def test_monotone_cubic_has_the_bits_of_pchip_on_tiny_tables(xs, Fs):
 def test_monotone_cubic_has_the_bits_of_pchip_on_drawn_tables(a, c, N, xq, uq):
     t = build_cdf(ParamSet(a=tuple(a), c=c), N)
     xq = np.concatenate([np.array(xq), c * np.array(uq)])
-    _assert_same_bits(t.cdf(xq), PchipInterpolator(t.xs, t.Fs)(xq))
-    _assert_same_bits(t.inverse(np.array(uq)), PchipInterpolator(t.Fs, t.xs)(np.array(uq)))
+    _assert_same_bits(t._cdf(xq), PchipInterpolator(t.xs, t.Fs)(xq))
+    _assert_same_bits(t._inverse(np.array(uq)), PchipInterpolator(t.Fs, t.xs)(np.array(uq)))
 
 
 _LOOKUP_TABLES = [build_cdf(ParamSet(a=(a,))) for a in (0.5, -0.99, 0.999999)]
@@ -199,7 +248,7 @@ def test_interval_lookup_counts_the_interior_knots_at_or_below(table, inverse, p
     # the knots crowd near 0 and 1 in an inverse table and near -1 and 1 in
     # a CDF table; an integer pick is a knot itself, one below or one above
     t = _LOOKUP_TABLES[table]
-    f = t.inverse if inverse else t.cdf
+    f = t._inverse if inverse else t._cdf
     x = t.Fs if inverse else t.xs
     q = np.array([x[p] if isinstance(p, int) else p for p in picks], dtype=float)
     q = np.concatenate([q, np.nextafter(q, -np.inf), np.nextafter(q, np.inf)])
@@ -208,7 +257,7 @@ def test_interval_lookup_counts_the_interior_knots_at_or_below(table, inverse, p
 
 def test_interval_lookup_of_nan_and_infinities():
     for t in _LOOKUP_TABLES:
-        for f, x in ((t.cdf, t.xs), (t.inverse, t.Fs)):
+        for f, x in ((t._cdf, t.xs), (t._inverse, t.Fs)):
             got = f._interval(np.array([np.nan, -np.inf, np.inf]))
             assert got.tolist() == [0, 0, x.size - 2]
 
@@ -336,7 +385,7 @@ def _former_cubic(f, q):
 def _former_ks_statistic(s, t):
     # ks_statistic as it was, on the former cubic
     s = np.sort(np.asarray(s, dtype=float))
-    F = np.clip(_former_cubic(t.cdf, np.clip(s, t.xs[0], t.xs[-1])), 0.0, 1.0)
+    F = np.clip(_former_cubic(t._cdf, np.clip(s, t.xs[0], t.xs[-1])), 0.0, 1.0)
     steps = np.arange(s.size + 1) / s.size
     return float(max(np.max(steps[1:] - F), np.max(F - steps[:-1])))
 
@@ -367,7 +416,7 @@ def _probe(rng, x, n):
 @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
 def test_monotone_cubic_has_the_bits_of_the_former_block_loop(t, n):
     rng = np.random.default_rng(n)
-    for f, x in ((t.cdf, t.xs), (t.inverse, t.Fs)):
+    for f, x in ((t._cdf, t.xs), (t._inverse, t.Fs)):
         q = _probe(rng, x, n)
         lo, hi = x[0], x[-1]
         _assert_same_bits(f(q), _former_cubic(f, q))
@@ -381,7 +430,7 @@ def test_monotone_cubic_has_the_bits_of_the_former_block_loop(t, n):
 @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK + 1, 10 ** 5 + 3])
 def test_monotone_cubic_in_place_has_the_bits_of_the_allocating_call(t, n):
     rng = np.random.default_rng(n)
-    for f, x in ((t.cdf, t.xs), (t.inverse, t.Fs)):
+    for f, x in ((t._cdf, t.xs), (t._inverse, t.Fs)):
         q = _probe(rng, x, n)
         want = _former_cubic(f, q)
         _assert_same_bits(f(q), want)
@@ -402,7 +451,7 @@ _READ_ONLY.flags.writeable = False
                          ids=["shape", "dtype", "strided", "list", "read_only"])
 def test_monotone_cubic_refuses_an_out_it_cannot_fill(out):
     with pytest.raises(InvalidParameters, match="out must be"):
-        _TABLES[1].cdf(np.zeros(5), out=out)
+        _TABLES[1]._cdf(np.zeros(5), out=out)
 
 
 @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
@@ -410,7 +459,7 @@ def test_sample_and_ks_have_the_bits_of_the_former_block_loop(n):
     for t in (_CROWDED, build_cdf(ParamSet(a=(0.5, -0.3)))):
         u = np.random.Generator(np.random.Philox(key=n)).random(n)
         draws = sample(t, n, seed=n)
-        assert np.array_equal(draws, np.clip(_former_cubic(t.inverse, u), t.xs[0], t.xs[-1]))
+        assert np.array_equal(draws, np.clip(_former_cubic(t._inverse, u), t.xs[0], t.xs[-1]))
         for s in (draws, 1.5 * draws, np.zeros(n)):
             assert ks_statistic(s, t) == _former_ks_statistic(s, t)
 
@@ -474,7 +523,7 @@ def _sorted_probe(rng, x, n, kind):
 def test_the_cubic_on_sorted_points_has_the_bits_of_the_guide_table(a, c, N, n, kind, seed):
     t = build_cdf(ParamSet(a=tuple(a), c=c), N)
     rng = np.random.default_rng(seed)
-    for f, x in ((t.cdf, t.xs), (t.inverse, t.Fs)):
+    for f, x in ((t._cdf, t.xs), (t._inverse, t.Fs)):
         q = _sorted_probe(rng, x, n, kind)
         want = f(q)
         _assert_same_bits(f._sorted(q, np.empty(n)), want)
@@ -491,5 +540,5 @@ def test_ks_statistic_evaluates_the_cdf_by_runs(monkeypatch):
     def refuse(self, q, out=None):
         raise AssertionError("the guide table was used on sorted points")
 
-    monkeypatch.setattr(type(t.cdf), "__call__", refuse)
+    monkeypatch.setattr(type(t._cdf), "__call__", refuse)
     assert ks_statistic(s, t) == want
