@@ -51,17 +51,29 @@ def _truncation_order(r: float, bound, tol: float, what: str) -> int:
     return K
 
 
+def _real_array(v, name: str) -> np.ndarray:
+    """v as a float array; InvalidParameters unless it holds real numbers:
+    integers or floats, not bools (searched for in a list, which numpy reads
+    as 0 or 1), text, bytes, complex numbers or objects."""
+    if isinstance(v, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, v)):
+        raise InvalidParameters(f"{name} must be real numbers, got a sequence that holds a bool")
+    try:
+        a = np.asarray(v)
+    except (TypeError, ValueError):
+        raise InvalidParameters(f"{name} must be real numbers, got {type(v).__name__}") from None
+    if a.dtype.kind not in "iuf":
+        raise InvalidParameters(f"{name} must be real numbers, got an array of dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
 def _check_x(x, c=1.0):
-    """x as a float array; InvalidParameters unless numpy takes it as one,
-    DomainError unless every point lies in [-c, c].
+    """x as a float array; InvalidParameters unless it holds real numbers
+    (see _real_array), DomainError unless every point lies in [-c, c].
 
     min and max propagate NaN, which fails both comparisons, and allocate no
     temporary.
     """
-    try:
-        x = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidParameters(f"x must be real, got {type(x).__name__}") from None
+    x = _real_array(x, "x")
     if not (x.size == 0 or (x.min() >= -c and x.max() <= c)):
         raise DomainError(f"x outside [-{c}, {c}]")
     return x

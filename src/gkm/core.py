@@ -306,8 +306,9 @@ def density(p: ParamSet, x):
 def density_classical_km(v: float, x):
     """The classical Kesten-McKay density with parameter v > 1 on
     [-2 sqrt(v-1), 2 sqrt(v-1)]."""
-    if not 1.0 < v < math.inf:
+    if not 1.0 < _real_or_nan(v) < math.inf:
         raise InvalidParameters(f"v must lie in (1, inf), got {v!r}")
+    v = float(v)
     half_width = 2.0 * math.sqrt(v - 1.0)
     x = _check_x(x, half_width)
     return _unwrap(v * np.sqrt(np.maximum(4.0 * (v - 1.0) - x * x, 0.0)) / (2.0 * np.pi * (v * v - x * x)))
@@ -350,9 +351,10 @@ def series_truncation_order(amax: float, tol: float) -> int:
     """Smallest K with the tail bound amax^{K+1} (K+2) / (1 - amax) < tol
     (uses |U_k| <= k + 1 on [-1, 1]); 0 <= amax < 1 and 0 < tol < inf.
     Unsupported above SERIES_ORDER_CAP."""
-    if not (0.0 <= amax < 1.0):
+    r = _real_or_nan(amax)
+    if not (0.0 <= r < 1.0):
         raise InvalidParameters(f"amax must lie in [0, 1), got {amax}")
-    return _truncation_order(amax, lambda K: amax ** (K + 1) * (K + 2) / (1.0 - amax), tol, f"amax={amax}")
+    return _truncation_order(r, lambda K: r ** (K + 1) * (K + 2) / (1.0 - r), tol, f"amax={amax}")
 
 
 def density_series(p: ParamSet, x, tol: float = 1e-10):
@@ -492,11 +494,11 @@ def _genfun_operands(p: ParamSet) -> tuple:
 
 def residual_an2(a) -> float:
     """Left side of the vanishing identity sum_i a_i^{n-2} / prod(...) = 0."""
-    a = np.asarray(a, dtype=float)
+    a = _reals("a", a)
     n = len(a)
     if n < 2:
         raise InvalidParameters("identity needs n >= 2")
-    p = ParamSet(a=tuple(a))
+    p = ParamSet(a=a)
     return float(np.sum(p._a ** (n - 2) / p._pf_den))
 
 

@@ -21,7 +21,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .chebyshev import _index
+from .chebyshev import _index, _real_array
 from .core import ParamSet, density
 from .errors import DomainError, InvalidParameters
 
@@ -240,21 +240,6 @@ class CdfTable:
         if not (q.min(initial=0.0) >= 0.0 and q.max(initial=1.0) <= 1.0):
             raise DomainError("u outside [0, 1]")
         return self._inverse(q)
-
-
-def _real_array(v, name: str) -> np.ndarray:
-    """v as a float array; InvalidParameters unless it holds real numbers:
-    integers or floats, not bools (searched for in a list, which numpy reads
-    as 0 or 1), text, bytes, complex numbers or objects."""
-    if isinstance(v, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, v)):
-        raise InvalidParameters(f"{name} must be real numbers, got a sequence that holds a bool")
-    try:
-        a = np.asarray(v)
-    except (TypeError, ValueError):
-        raise InvalidParameters(f"{name} must be real numbers, got {type(v).__name__}") from None
-    if a.dtype.kind not in "iuf":
-        raise InvalidParameters(f"{name} must be real numbers, got an array of dtype {a.dtype}")
-    return a.astype(float, copy=False)
 
 
 @cache

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .chebyshev import _index
+
 
 def elementary_all(a) -> np.ndarray:
     """All elementary symmetric functions S_0..S_n of a_1..a_n, as an array
@@ -30,6 +32,7 @@ def delta_all(mmax: int, a) -> np.ndarray:
     degree m) in one DP sweep over growing prefixes:
     h_m(a_1..a_i) = h_m(a_1..a_{i-1}) + a_i * h_{m-1}(a_1..a_i).
     """
+    mmax = _index(mmax, "mmax")
     a = np.asarray(a, dtype=float)
     h = np.zeros(mmax + 1)
     h[0] = 1.0

@@ -1,8 +1,11 @@
 """Self-verification suites: every closed form against its independent check.
 
-Each suite runs over a deterministic set of parameter draws (fixed seeds),
-produces one record per check with the worst residual seen and its
-tolerance, and is assembled into a JSON-ready report.  Two consecutive runs
+Each suite runs over a deterministic set of parameter draws (fixed seeds)
+and produces one record per check with its tolerance and its worst
+residual over the draws: the largest one seen, except that a NaN, once
+seen, stays, and fails its check (it prints as `NaN` in the JSON report,
+and `gkm verify` exits 1); a check that sees no residual reports 0.0.  The
+records are assembled into a JSON-ready report.  Two consecutive runs
 produce byte-identical reports.
 
 `run_verify` runs the suites in forked worker processes, one per usable
@@ -27,9 +30,27 @@ from .symfun import delta_all, elementary_all
 SCHEMA_VERSION = 1
 
 
-def _check(name: str, residual: float, tol: float) -> dict:
-    residual = float(residual)
-    return {"check": name, "max_residual": residual, "tol": tol, "pass": residual <= tol}
+class _Worst:
+    """The worst residual of each check, by name (see the module docstring)."""
+
+    def __init__(self):
+        self.worst = {}
+
+    def see(self, name: str, residual) -> None:
+        r, w = float(residual), self.worst.get(name, 0.0)
+        # a kept NaN stays (w != w); "not r <= w" takes a NaN r, and a tie keeps w
+        if w == w and not r <= w:
+            self.worst[name] = r
+
+    def checks(self, tols: dict) -> list:
+        """One record per check of tols, {name: tol}."""
+        if not self.worst.keys() <= tols.keys():
+            raise KeyError(f"no tolerance for {sorted(self.worst.keys() - tols.keys())}")
+        records = []
+        for name, tol in tols.items():
+            r = self.worst.get(name, 0.0)
+            records.append({"check": name, "max_residual": r, "tol": tol, "pass": r <= tol})
+        return records
 
 
 def _draw_params(rng, n: int) -> core.ParamSet:
@@ -39,83 +60,72 @@ def _draw_params(rng, n: int) -> core.ParamSet:
             return p
 
 
+def _draw_conj(rng, k: int, rho: tuple, y: float = 1.0) -> conjugate.ConjParamSet:
+    """k pairs: each rho uniform on the interval rho, then each y on (-y, y)."""
+    return conjugate.ConjParamSet(rho=tuple(rng.uniform(*rho, k)), y=tuple(rng.uniform(-y, y, k)))
+
+
 # --- suites -----------------------------------------------------------------
 
 def suite_normalization() -> list:
     rng = np.random.default_rng(101)
-    checks = []
+    w = _Worst()
     for n in range(1, 7):
-        r_special = 0.0
-        r_numeric = 0.0
         for _ in range(30):
             p = _draw_params(rng, n)
             Ac = core.A_closed(p)
-            r_special = max(r_special, abs(Ac - core.A_special(p)))
-            r_numeric = max(r_numeric, abs(Ac - oracle.normalizer_numeric(p)))
-        checks.append(_check(f"normalization/A_special_vs_closed/n={n}", r_special, 1e-11))
-        checks.append(_check(f"normalization/A_closed_vs_numeric/n={n}", r_numeric, 1e-9))
+            w.see(f"normalization/A_special_vs_closed/n={n}", abs(Ac - core.A_special(p)))
+            w.see(f"normalization/A_closed_vs_numeric/n={n}", abs(Ac - oracle.normalizer_numeric(p)))
 
-    r_int = 0.0
-    r_pos = 0.0
-    r_scale = 0.0
     for i in range(30):
         n = int(rng.integers(0, 9))
         p = _draw_params(rng, n)
         g = p._g
         A = core.normalizer(p)
-        r_int = max(r_int, abs(A * oracle.integrate_weighted(g, 1e-11).value - 1.0))
+        w.see("normalization/density_integral", abs(A * oracle.integrate_weighted(g, 1e-11).value - 1.0))
         xg = np.linspace(-1.0, 1.0, 1000)
-        r_pos = max(r_pos, max(0.0, -float(np.min(core.density(p, xg)))))
+        w.see("normalization/positivity", -np.min(core.density(p, xg)))
         c = rng.uniform(0.5, 3.0)
         x = rng.uniform(-c, c)
         pc = core.ParamSet(a=p.a, c=c)
-        r_scale = max(r_scale, abs(core.density(pc, x) - core.density(p, x / c) / c))
-    checks.append(_check("normalization/density_integral", r_int, 1e-9))
-    checks.append(_check("normalization/positivity", r_pos, 0.0))
-    checks.append(_check("normalization/scaling_law", r_scale, 1e-13))
-    return checks
+        w.see("normalization/scaling_law", abs(core.density(pc, x) - core.density(p, x / c) / c))
+    return w.checks({
+        **{f"normalization/A_special_vs_closed/n={n}": 1e-11 for n in range(1, 7)},
+        **{f"normalization/A_closed_vs_numeric/n={n}": 1e-9 for n in range(1, 7)},
+        "normalization/density_integral": 1e-9,
+        "normalization/positivity": 0.0,
+        "normalization/scaling_law": 1e-13,
+    })
 
 
 def suite_identities() -> list:
     rng = np.random.default_rng(102)
-    r_an2 = 0.0
-    r_id = 0.0
-    r_top = 0.0
-    r_id2 = 0.0
+    w = _Worst()
     for _ in range(50):
         n = int(rng.integers(2, 7))
         p = _draw_params(rng, n)
-        r_an2 = max(r_an2, abs(core.residual_an2(p.a)))
+        w.see("identities/partial_fraction_an2", abs(core.residual_an2(p.a)))
         if all(abs(ai) > 0.1 for ai in p.a):
             # the sum vanishes for k <= n - 2; at k = n - 1 it equals the
             # exact constant (-1)^{n-1} / (2^{n-1} prod a_j)
             for k in range(1, n - 1):
-                r_id = max(r_id, abs(core.residual_id(k, p.a)))
+                w.see("identities/symmetric_rational", abs(core.residual_id(k, p.a)))
             top = core.residual_id(n - 1, p.a)
             expect = (-1.0) ** (n - 1) / (2.0 ** (n - 1) * float(np.prod(p.a)))
-            r_top = max(r_top, abs(top - expect) / abs(expect))
+            w.see("identities/symmetric_rational_top_constant", abs(top - expect) / abs(expect))
         for m in range(1, 11):
-            r_id2 = max(r_id2, abs(core.residual_id2(m, p)))
-    checks = [
-        _check("identities/partial_fraction_an2", r_an2, 1e-10),
-        _check("identities/symmetric_rational", r_id, 1e-10),
-        _check("identities/symmetric_rational_top_constant", r_top, 1e-10),
-        _check("identities/alternating_SB", r_id2, 1e-10),
-    ]
+            w.see("identities/alternating_SB", abs(core.residual_id2(m, p)))
 
     # three-parameter B through complete homogeneous sums
-    r_b3 = 0.0
     for _ in range(20):
         p = _draw_params(rng, 3)
         S3 = p._S[3]
         h = delta_all(21, p.a)
         for k in range(1, 21):
-            r_b3 = max(r_b3, abs(core.B_coeff(p, k) - (h[k] - S3 * h[k - 1])))
-    checks.append(_check("identities/B3_homogeneous_relation", r_b3, 1e-12))
+            w.see("identities/B3_homogeneous_relation", abs(core.B_coeff(p, k) - (h[k] - S3 * h[k - 1])))
 
     # reciprocal normalizer as the multi-geometric generating sum
     nodes, weights = gauss_chebU_rule(64)
-    r_gen = 0.0
     K = 12
     for n in range(1, 4):
         p = core.ParamSet(a=tuple(rng.uniform(-0.25, 0.25, n)))
@@ -127,15 +137,20 @@ def suite_identities() -> list:
         for i in range(n):
             prod = prod * (pw[i] @ U)
         total = float(np.dot(weights, prod))
-        r_gen = max(r_gen, abs(total - 1.0 / core.A_closed(p)))
-    checks.append(_check("identities/reciprocal_normalizer_genfun", r_gen, 1e-6))
-    return checks
+        w.see("identities/reciprocal_normalizer_genfun", abs(total - 1.0 / core.A_closed(p)))
+    return w.checks({
+        "identities/partial_fraction_an2": 1e-10,
+        "identities/symmetric_rational": 1e-10,
+        "identities/symmetric_rational_top_constant": 1e-10,
+        "identities/alternating_SB": 1e-10,
+        "identities/B3_homogeneous_relation": 1e-12,
+        "identities/reciprocal_normalizer_genfun": 1e-6,
+    })
 
 
 def suite_genfun() -> list:
     rng = np.random.default_rng(103)
-    checks = []
-    r_quad = 0.0
+    w = _Worst()
     for n in range(1, 7):
         p = _draw_params(rng, n)
         g = p._g
@@ -144,22 +159,16 @@ def suite_genfun() -> list:
         # B_0..B_20 in one sweep, one row U_k g per k
         rows = oracle.integrate_weighted(lambda x: u_all(20, x) * g(x), 1e-11, rows=21)
         for k, r in enumerate(rows):
-            r_quad = max(r_quad, abs(B[k] - A * r.value))
-    checks.append(_check("genfun/B_vs_quadrature", r_quad, 1e-9))
+            w.see("genfun/B_vs_quadrature", abs(B[k] - A * r.value))
 
-    r_gf = 0.0
-    r_b0 = 0.0
     for _ in range(20):
         n = int(rng.integers(1, 7))
         p = _draw_params(rng, n)
         direct = core.B_prefix(p, 40).values
         via_gf = core.B_from_genfun(p, 40).values
-        r_gf = max(r_gf, float(np.max(np.abs(direct - via_gf))))
-        r_b0 = max(r_b0, abs(direct[0] - 1.0))
-    checks.append(_check("genfun/B_vs_generating_function", r_gf, 1e-11))
-    checks.append(_check("genfun/B0_normalization", r_b0, 1e-12))
+        w.see("genfun/B_vs_generating_function", np.max(np.abs(direct - via_gf)))
+        w.see("genfun/B0_normalization", abs(direct[0] - 1.0))
 
-    r_mom = 0.0
     for _ in range(20):
         n = int(rng.integers(0, 7))
         p = _draw_params(rng, n)
@@ -170,33 +179,31 @@ def suite_genfun() -> list:
         # an array of exponents, through pow, lacks
         rows = oracle.integrate_weighted(lambda x: np.array([x ** k for k in range(13)]) * g(x), 1e-11, rows=13)
         for k, r in enumerate(rows):
-            r_mom = max(r_mom, abs(core.moment(p, k) - A * r.value))
-    checks.append(_check("moments/closed_vs_quadrature", r_mom, 1e-9))
+            w.see("moments/closed_vs_quadrature", abs(core.moment(p, k) - A * r.value))
 
     w0 = core.ParamSet()
-    r_semi = max(abs(core.moment(w0, 2) - 0.25), abs(core.moment(w0, 4) - 0.125))
-    checks.append(_check("moments/semicircle_exact", r_semi, 1e-12))
+    w.see("moments/semicircle_exact", abs(core.moment(w0, 2) - 0.25))
+    w.see("moments/semicircle_exact", abs(core.moment(w0, 4) - 0.125))
 
-    r_series = 0.0
     for _ in range(10):
         n = int(rng.integers(0, 7))
         p = _draw_params(rng, n)
         x = rng.uniform(-1.0, 1.0, 7)
-        r_series = max(
-            r_series,
-            float(np.max(np.abs(core.density_series(p, x, 1e-10) - core.density(p, x)))),
-        )
-    checks.append(_check("genfun/series_vs_product_density", r_series, 1e-9))
-    return checks
+        series = core.density_series(p, x, 1e-10)
+        w.see("genfun/series_vs_product_density", np.max(np.abs(series - core.density(p, x))))
+    return w.checks({
+        "genfun/B_vs_quadrature": 1e-9,
+        "genfun/B_vs_generating_function": 1e-11,
+        "genfun/B0_normalization": 1e-12,
+        "moments/closed_vs_quadrature": 1e-9,
+        "moments/semicircle_exact": 1e-12,
+        "genfun/series_vs_product_density": 1e-9,
+    })
 
 
 def suite_orthogonality() -> list:
     rng = np.random.default_rng(104)
-    r_off = 0.0
-    r_diag = 0.0
-    r_quad = 0.0
-    r_rec = 0.0
-    r_defect = 0.0
+    w = _Worst()
     for i in range(20):
         n = 1 + i % 6
         p = _draw_params(rng, n)
@@ -208,14 +215,14 @@ def suite_orthogonality() -> list:
             if n > 2 * m + 2:
                 continue
             for k in range(m):
-                r_off = max(r_off, abs(orthopoly.gram(m, k, p)))
+                w.see("orthogonality/gram_offdiagonal", abs(orthopoly.gram(m, k, p)))
         for m in range(13):
-            r_diag = max(r_diag, max(0.0, -orthopoly.gram(m, m, p)))
+            w.see("orthogonality/gram_diagonal_positive", -orthopoly.gram(m, m, p))
         if n >= 5:
             S = p._S
             B = core.B_prefix(p, 4).values
             expect = -S[5] * B[2] + (S[6] * B[3] if n == 6 else 0.0)
-            r_defect = max(r_defect, abs(orthopoly.gram(1, 0, p) - expect))
+            w.see("orthogonality/low_degree_truncation_defect", abs(orthopoly.gram(1, 0, p) - expect))
 
         g = p._g
         A = core.A_closed(p)
@@ -232,71 +239,53 @@ def suite_orthogonality() -> list:
 
         rows = oracle.integrate_weighted(products, 1e-11, rows=len(pairs))
         for (m, k), r in zip(pairs, rows):
-            r_quad = max(r_quad, abs(A * r.value - orthopoly.gram(m, k, p)))
+            w.see("orthogonality/bilinear_vs_quadrature", abs(A * r.value - orthopoly.gram(m, k, p)))
 
         x = float(rng.uniform(-1.0, 1.0))
         for m in range(max(n, 1), 16):
-            r_rec = max(r_rec, abs(orthopoly.P_recur_check(m, p, x)))
-    checks = [
-        _check("orthogonality/gram_offdiagonal", r_off, 1e-9),
-        _check("orthogonality/gram_diagonal_positive", r_diag, 0.0),
-        _check("orthogonality/bilinear_vs_quadrature", r_quad, 1e-8),
-        _check("orthogonality/three_term_recurrence", r_rec, 1e-11),
-        _check("orthogonality/low_degree_truncation_defect", r_defect, 1e-10),
-    ]
-    return checks
+            w.see("orthogonality/three_term_recurrence", abs(orthopoly.P_recur_check(m, p, x)))
+    return w.checks({
+        "orthogonality/gram_offdiagonal": 1e-9,
+        "orthogonality/gram_diagonal_positive": 0.0,
+        "orthogonality/bilinear_vs_quadrature": 1e-8,
+        "orthogonality/three_term_recurrence": 1e-11,
+        "orthogonality/low_degree_truncation_defect": 1e-10,
+    })
 
 
 def suite_conjugate() -> list:
     rng = np.random.default_rng(105)
-    checks = []
-
-    r_norm = 0.0
-    r_marg = 0.0
+    w = _Worst()
     for _ in range(20):
         rho = float(rng.uniform(-0.9, 0.9))
         y = float(rng.uniform(-1.0, 1.0))
-        res = oracle.integrate_weighted(
-            lambda x: (1.0 - rho * rho) / conjugate.w_eval(x, y, rho), 1e-10
-        )
-        r_norm = max(r_norm, abs(res.value - 1.0))
+        res = oracle.integrate_weighted(lambda x: (1.0 - rho * rho) / conjugate.w_eval(x, y, rho), 1e-10)
+        w.see("conjugate/kernel_row_normalization", abs(res.value - 1.0))
         x = float(rng.uniform(-1.0, 1.0))
         res2 = oracle.integrate_weighted(lambda yy: conjugate.transition_density(x, yy, rho), 1e-10)
-        r_marg = max(r_marg, abs(res2.value - conjugate.wigner_density(x)))
-    checks.append(_check("conjugate/kernel_row_normalization", r_norm, 1e-8))
-    checks.append(_check("conjugate/wigner_marginal", r_marg, 1e-8))
+        w.see("conjugate/wigner_marginal", abs(res2.value - conjugate.wigner_density(x)))
 
     # Poisson-Mehler series vs closed kernel on a grid
     xs = np.linspace(-1.0, 1.0, 21)
-    r_pm = 0.0
     for rho in (-0.9, -0.45, 0.0, 0.45, 0.9):
         series = conjugate.poisson_mehler(xs[:, None], xs[None, :], rho, 1e-12)
         closed = (1.0 - rho * rho) / conjugate.w_eval(xs[:, None], xs[None, :], rho)
         # relative residual: near x = y = +-1 the closed kernel is large and
         # its denominator suffers cancellation at the roundoff level
-        r_pm = max(r_pm, float(np.max(np.abs(series - closed) / np.maximum(1.0, np.abs(closed)))))
-    checks.append(_check("conjugate/poisson_mehler_grid", r_pm, 1e-10))
+        w.see("conjugate/poisson_mehler_grid", np.max(np.abs(series - closed) / np.maximum(1.0, np.abs(closed))))
 
-    r_a2k = 0.0
     for k in (1, 2, 3):
         for _ in range(4):
-            p = conjugate.ConjParamSet(
-                rho=tuple(rng.uniform(-0.8, 0.8, k)), y=tuple(rng.uniform(-1.0, 1.0, k))
-            )
-            r_a2k = max(r_a2k, abs(conjugate.A2k_closed(p) - oracle.normalizer_numeric(p)))
-    checks.append(_check("conjugate/A2k_closed_vs_numeric", r_a2k, 1e-9))
+            p = _draw_conj(rng, k, (-0.8, 0.8))
+            w.see("conjugate/A2k_closed_vs_numeric", abs(conjugate.A2k_closed(p) - oracle.normalizer_numeric(p)))
 
     # two-pair density through the truncated double expansion
     M = 25
-    r_exp = 0.0
-    r_v = 0.0
     nodes, weights = gauss_chebU_rule(64)
     Unodes = u_all(M, nodes)
     V2 = np.einsum("in,jn,n->ij", Unodes, Unodes, weights)
     for _ in range(10):
-        p = conjugate.ConjParamSet(
-            rho=tuple(rng.uniform(-0.4, 0.4, 2)), y=tuple(rng.uniform(-1.0, 1.0, 2))
-        )
+        p = _draw_conj(rng, 2, (-0.4, 0.4))
         x = float(rng.uniform(-1.0, 1.0))
         ux, uy1, uy2 = u_all(M, np.array([x, *p.y])).T
         pw1 = p.rho[0] ** np.arange(M + 1)
@@ -305,25 +294,15 @@ def suite_conjugate() -> list:
         A4 = conjugate.A2k_closed(p)
         pref = 2.0 * A4 / (np.pi * (1.0 - p.rho[0] ** 2) * (1.0 - p.rho[1] ** 2))
         val = pref * np.sqrt(1.0 - x * x) * s
-        r_exp = max(r_exp, abs(val - conjugate.fM_density(p, x)))
+        w.see("conjugate/two_pair_expansion", abs(val - conjugate.fM_density(p, x)))
 
         # reciprocal normalizer through the V-coefficient double series
-        sv = float(
-            (pw1 * uy1) @ V2 @ (pw2 * uy2)
-        )
-        r_v = max(
-            r_v,
-            abs(sv - (1.0 - p.rho[0] ** 2) * (1.0 - p.rho[1] ** 2) / A4),
-        )
-    checks.append(_check("conjugate/two_pair_expansion", r_exp, 1e-6))
-    checks.append(_check("conjugate/reciprocal_A2k_series", r_v, 1e-6))
+        sv = float((pw1 * uy1) @ V2 @ (pw2 * uy2))
+        w.see("conjugate/reciprocal_A2k_series", abs(sv - (1.0 - p.rho[0] ** 2) * (1.0 - p.rho[1] ** 2) / A4))
 
     # elementary symmetric values from the complex pair vector
-    r_s = 0.0
     for _ in range(10):
-        p = conjugate.ConjParamSet(
-            rho=tuple(rng.uniform(-0.9, 0.9, 2)), y=tuple(rng.uniform(-1.0, 1.0, 2))
-        )
+        p = _draw_conj(rng, 2, (-0.9, 0.9))
         S = elementary_all(p.complex_a())
         r1, r2 = p.rho
         y1, y2 = p.y
@@ -334,17 +313,13 @@ def suite_conjugate() -> list:
             2 * r1 * r2 * (r2 * y1 + r1 * y2),
             r1 ** 2 * r2 ** 2,
         ]
-        r_s = max(r_s, float(np.max(np.abs(S - np.asarray(expect)))))
-        r_s = max(r_s, float(np.max(np.abs(S.imag))))
-    checks.append(_check("conjugate/pair_symmetric_values", r_s, 1e-12))
+        w.see("conjugate/pair_symmetric_values", np.max(np.abs(S - np.asarray(expect))))
+        w.see("conjugate/pair_symmetric_values", np.max(np.abs(S.imag)))
 
     # conjugate product form vs the real-branch partial-fraction machinery
-    r_c = 0.0
     for _ in range(10):
         k = int(rng.integers(1, 3))
-        p = conjugate.ConjParamSet(
-            rho=tuple(rng.uniform(0.1, 0.8, k)), y=tuple(rng.uniform(-0.9, 0.9, k))
-        )
+        p = _draw_conj(rng, k, (0.1, 0.8), 0.9)
         a = p.complex_a()
         x = rng.uniform(-1.0, 1.0, 5)
         den = np.ones_like(x, dtype=complex)
@@ -352,47 +327,52 @@ def suite_conjugate() -> list:
             den = den * (1.0 + ai * ai - 2.0 * ai * x)
         A = conjugate.A2k_closed(p)
         val = 2.0 * A * np.sqrt(1.0 - x * x) / (np.pi * den.real)
-        r_c = max(r_c, float(np.max(np.abs(val - conjugate.fM_density(p, x)))))
-        r_c = max(r_c, float(np.max(np.abs(den.imag))))
-    checks.append(_check("conjugate/real_branch_consistency", r_c, 1e-11))
-    return checks
+        w.see("conjugate/real_branch_consistency", np.max(np.abs(val - conjugate.fM_density(p, x))))
+        w.see("conjugate/real_branch_consistency", np.max(np.abs(den.imag)))
+    return w.checks({
+        "conjugate/kernel_row_normalization": 1e-8,
+        "conjugate/wigner_marginal": 1e-8,
+        "conjugate/poisson_mehler_grid": 1e-10,
+        "conjugate/A2k_closed_vs_numeric": 1e-9,
+        "conjugate/two_pair_expansion": 1e-6,
+        "conjugate/reciprocal_A2k_series": 1e-6,
+        "conjugate/pair_symmetric_values": 1e-12,
+        "conjugate/real_branch_consistency": 1e-11,
+    })
 
 
 def suite_markov() -> list:
     rng = np.random.default_rng(106)
-    r_ck = 0.0
+    w = _Worst()
     for _ in range(20):
         x, y2 = rng.uniform(-0.95, 0.95, 2)
         r1, r2 = rng.uniform(-0.85, 0.85, 2)
-        r_ck = max(r_ck, abs(conjugate.chapman_residual(float(x), float(y2), float(r1), float(r2), 1e-10)))
-    checks = [_check("markov/chapman_kolmogorov", r_ck, 1e-8)]
+        w.see("markov/chapman_kolmogorov",
+              abs(conjugate.chapman_residual(float(x), float(y2), float(r1), float(r2), 1e-10)))
 
-    r_br = 0.0
     for _ in range(20):
         x, y1, y2 = rng.uniform(-0.95, 0.95, 3)
         r1, r2 = rng.uniform(-0.85, 0.85, 2)
         lhs = conjugate.conditional_bridge(float(x), float(y1), float(y2), float(r1), float(r2))
-        rhs = conjugate.fM_density(
-            conjugate.ConjParamSet(rho=(float(r1), float(r2)), y=(float(y1), float(y2))), float(x)
-        )
-        r_br = max(r_br, abs(lhs - rhs))
-    checks.append(_check("markov/conditional_bridge", r_br, 1e-10))
+        pair = conjugate.ConjParamSet(rho=(float(r1), float(r2)), y=(float(y1), float(y2)))
+        w.see("markov/conditional_bridge", abs(lhs - conjugate.fM_density(pair, float(x))))
 
-    r_2d = 0.0
-    r_xy = 0.0
     for rho in (0.0, 0.3, -0.6):
         res = oracle.integrate_2d(lambda x, y: conjugate.f2M(x, y, rho), 1e-10)
-        r_2d = max(r_2d, abs(res.value - 1.0))
+        w.see("markov/bivariate_normalization", abs(res.value - 1.0))
         res2 = oracle.integrate_2d(lambda x, y: conjugate.f2M(x, y, rho) * x * y, 1e-10)
-        r_xy = max(r_xy, abs(res2.value - rho / 4.0))
-    checks.append(_check("markov/bivariate_normalization", r_2d, 1e-8))
-    checks.append(_check("markov/bivariate_cross_moment", r_xy, 1e-8))
-    return checks
+        w.see("markov/bivariate_cross_moment", abs(res2.value - rho / 4.0))
+    return w.checks({
+        "markov/chapman_kolmogorov": 1e-8,
+        "markov/conditional_bridge": 1e-10,
+        "markov/bivariate_normalization": 1e-8,
+        "markov/bivariate_cross_moment": 1e-8,
+    })
 
 
 def suite_trivariate() -> list:
     rng = np.random.default_rng(107)
-    r_l13 = 0.0
+    w = _Worst()
     for _ in range(10):
         r1, r2, r3 = rng.uniform(-0.8, 0.8, 3)
         y2, y3 = rng.uniform(-1.0, 1.0, 2)
@@ -406,64 +386,62 @@ def suite_trivariate() -> list:
 
         lhs = oracle.integrate_weighted(g, 1e-10).value
         rhs = (1.0 - r2 ** 2 * r3 ** 2) / conjugate.w_eval(y2, y3, r2 * r3)
-        r_l13 = max(r_l13, abs(lhs - rhs))
-    checks = [_check("trivariate/kernel_marginalization", r_l13, 1e-8)]
+        w.see("trivariate/kernel_marginalization", abs(lhs - rhs))
 
-    r_marg = 0.0
     for _ in range(5):
         r1, r2, r3 = rng.uniform(-0.7, 0.7, 3)
         y2, y3 = rng.uniform(-0.95, 0.95, 2)
-        lhs = oracle.integrate_plain(
-            lambda y1: conjugate.g3(y1, y2, y3, r1, r2, r3), 1e-10
-        ).value
-        r_marg = max(r_marg, abs(lhs - conjugate.f2M(y2, y3, r2 * r3)))
-    checks.append(_check("trivariate/density_marginal", r_marg, 1e-8))
+        lhs = oracle.integrate_plain(lambda y1: conjugate.g3(y1, y2, y3, r1, r2, r3), 1e-10).value
+        w.see("trivariate/density_marginal", abs(lhs - conjugate.f2M(y2, y3, r2 * r3)))
 
-    r_mass = 0.0
     for r1, r2, r3 in ((0.0, 0.0, 0.0), (0.5, -0.4, 0.3), (0.6, 0.6, 0.0)):
         res = oracle.integrate_3d(lambda a, b, c: conjugate.g3(a, b, c, r1, r2, r3), 1e-7)
-        r_mass = max(r_mass, abs(res.value - 1.0))
-    checks.append(_check("trivariate/total_mass", r_mass, 1e-6))
+        w.see("trivariate/total_mass", abs(res.value - 1.0))
 
     grid = np.linspace(-1.0, 1.0, 21)
-    r_pos = 0.0
     for _ in range(5):
         r1, r2, r3 = rng.uniform(-0.8, 0.8, 3)
         vals = conjugate.g3(grid[:, None, None], grid[None, :, None], grid[None, None, :], r1, r2, r3)
-        r_pos = max(r_pos, max(0.0, -float(np.min(vals))))
-    checks.append(_check("trivariate/positivity_grid", r_pos, 0.0))
-    return checks
+        w.see("trivariate/positivity_grid", -np.min(vals))
+    return w.checks({
+        "trivariate/kernel_marginalization": 1e-8,
+        "trivariate/density_marginal": 1e-8,
+        "trivariate/total_mass": 1e-6,
+        "trivariate/positivity_grid": 0.0,
+    })
 
 
 def suite_sampling() -> list:
     rng = np.random.default_rng(108)
     count = 100_000
-    r_ks = 0.0
+    w = _Worst()
     for i in range(10):
         n = int(rng.integers(0, 5))
         p = _draw_params(rng, n)
         table = sampler.build_cdf(p, 2048)
         draws = sampler.sample(table, count, seed=1000 + i)
-        r_ks = max(r_ks, sampler.ks_statistic(draws, table) * np.sqrt(count))
-    checks = [_check("sampling/ks_roundtrip", r_ks, sampler.KS_CRIT_99)]
+        w.see("sampling/ks_roundtrip", sampler.ks_statistic(draws, table) * np.sqrt(count))
 
     p6 = core.ParamSet(a=(0.6,))
     table = sampler.build_cdf(p6, 2048)
     draws = sampler.sample(table, count, seed=2024)
-    checks.append(_check("sampling/mean_recovery", abs(float(np.mean(draws)) - 0.3), 0.006))
+    w.see("sampling/mean_recovery", abs(float(np.mean(draws)) - 0.3))
 
-    r_mom = 0.0
     for k in range(1, 5):
         mk = core.moment(p6, k)
         dk = draws ** k
         emp = float(np.mean(dk))
         se = float(np.std(dk, ddof=1) / np.sqrt(count))
-        r_mom = max(r_mom, abs(emp - mk) / (5.0 * se))
-    checks.append(_check("sampling/moment_recovery_5se", r_mom, 1.0))
+        w.see("sampling/moment_recovery_5se", abs(emp - mk) / (5.0 * se))
 
     again = sampler.sample(table, count, seed=2024)
-    checks.append(_check("sampling/determinism", float(np.max(np.abs(again - draws))), 0.0))
-    return checks
+    w.see("sampling/determinism", np.max(np.abs(again - draws)))
+    return w.checks({
+        "sampling/ks_roundtrip": sampler.KS_CRIT_99,
+        "sampling/mean_recovery": 0.006,
+        "sampling/moment_recovery_5se": 1.0,
+        "sampling/determinism": 0.0,
+    })
 
 
 # Longest first: the workers take the suites in this order, so that

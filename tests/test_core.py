@@ -16,6 +16,7 @@ from gkm import (
     density,
     density_classical_km,
     density_series,
+    eval_U,
     inner_UU,
     moment,
     residual_an2,
@@ -33,6 +34,7 @@ from gkm.errors import (
     ZeroParameter,
 )
 from gkm.oracle import integrate_weighted, normalizer_numeric
+from gkm.symfun import delta_all
 from gkm.verify import run_verify
 
 
@@ -510,7 +512,6 @@ def test_residual_id():
 
 def test_residual_id2():
     from gkm import elementary_all
-    from gkm.symfun import delta_all
 
     p = ParamSet(a=(0.2, 0.3))
     # m=2 is the classical e-h identity Delta_2 - S_1 Delta_1 + S_2 Delta_0
@@ -628,11 +629,33 @@ def test_identity_residuals_need_integer_indices(call):
     (lambda: poisson_mehler_order("0.5", 1e-3), "rho"),
     (lambda: density(ParamSet(a=(0.3,)), "x"), "x must be real"),
     (lambda: fM_density(ConjParamSet(rho=(0.3,), y=(0.2,)), "x"), "x must be real"),
+    # points numpy converts to floats, which gave values before
+    (lambda: density(ParamSet(a=(0.5,)), "0.3"), "x must be real"),
+    (lambda: density(ParamSet(a=(0.5,)), b"0.3"), "x must be real"),
+    (lambda: density(ParamSet(a=(0.5,)), True), "x must be real"),
+    (lambda: density(ParamSet(a=(0.5,)), np.array([True, False])), "x must be real"),
+    (lambda: density(ParamSet(a=(0.5,)), [True, 0.2]), "x must be real"),
+    (lambda: density(ParamSet(a=(0.5,)), 0.3 + 0j), "x must be real"),
+    (lambda: density(ParamSet(a=(0.5,)), np.array([0.3], dtype=object)), "x must be real"),
+    (lambda: eval_U(2, "0.5"), "x must be real"),
+    (lambda: fM_density(ConjParamSet(rho=(0.3,), y=(0.2,)), "0.1"), "x must be real"),
+    (lambda: series_truncation_order("x", 1e-3), "amax must lie"),
+    (lambda: series_truncation_order(None, 1e-3), "amax must lie"),
+    (lambda: series_truncation_order(0.5j, 1e-3), "amax must lie"),
+    (lambda: density_classical_km("3", 0.0), "v must lie"),
+    (lambda: density_classical_km(None, 0.0), "v must lie"),
+    (lambda: delta_all(2.5, (0.1, 0.2)), "mmax must be an integer"),
+    (lambda: delta_all(-1, (0.1, 0.2)), "mmax must be non-negative"),
+    (lambda: residual_an2(0.5), "a must be a sequence of reals"),
 ], ids=["integrate_weighted", "run_verify", "density_series", "f2M", "poisson_mehler_order", "text_rho", "density",
-        "fM_density"])
+        "fM_density", "density_text_number", "density_bytes", "density_bool", "density_bool_array",
+        "density_list_with_bool", "density_complex", "density_object_array", "eval_U_text", "fM_density_text_number",
+        "series_order_text", "series_order_None", "series_order_complex", "classical_km_text", "classical_km_None",
+        "delta_all_float", "delta_all_negative", "residual_an2_scalar"])
 def test_non_numeric_inputs_are_invalid(call, message):
-    # a bare TypeError or ValueError before, from the comparison, abs or
-    # numpy's conversion inside the shared checks
+    # a bare TypeError, ValueError or IndexError before, from the comparison,
+    # abs, len or numpy's conversion inside the shared checks, or a value
+    # read from a point numpy converts
     with pytest.raises(InvalidParameters, match=message):
         call()
 

@@ -36,7 +36,7 @@ def test_suites_are_submitted_longest_first(monkeypatch):
 
     monkeypatch.setattr(_pool, "fork_map", fake_fork_map)
     for name in verify.SUITES:
-        monkeypatch.setitem(verify._SUITE_FN, name, lambda name=name: [verify._check(f"{name}/c", 0.0, 0.0)])
+        monkeypatch.setitem(verify._SUITE_FN, name, lambda name=name: verify._Worst().checks({f"{name}/c": 0.0}))
     verify.run_verify(CONJ_SUITES)
     verify.run_verify("all")
     assert submitted == [["trivariate", "conjugate", "markov"], list(verify.SUITES)]
