@@ -6,7 +6,9 @@ Run:  python3 demos/01_density_gallery.py
 
 import numpy as np
 
-from gkm import ParamSet, density, density_classical_km
+import math
+
+from gkm import ParamSet, density
 from gkm.core import normalizer
 
 xs = np.linspace(-0.99, 0.99, 5)
@@ -29,7 +31,9 @@ a = 0.5
 v = 1.0 + 1.0 / a ** 2
 pair = ParamSet(a=(a, -a), c=2.0 / a)
 for x in (-1.5, 0.0, 2.0):
-    print(f"  x={x:5.2f}  pair form {density(pair, x):.8f}  classical {density_classical_km(v, x):.8f}")
+    # the classical density v sqrt(4(v-1) - x^2) / (2 pi (v^2 - x^2)) on |x| <= 2 sqrt(v-1)
+    classical = v * math.sqrt(4.0 * (v - 1.0) - x * x) / (2.0 * math.pi * (v * v - x * x))
+    print(f"  x={x:5.2f}  pair form {density(pair, x):.8f}  classical {classical:.8f}")
 
 print("\nScaling law: the c = 2 density is the c = 1 density squeezed by 1/c:")
 pc = ParamSet(a=(0.3,), c=2.0)

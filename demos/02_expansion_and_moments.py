@@ -6,7 +6,7 @@ Run:  python3 demos/02_expansion_and_moments.py
 
 import numpy as np
 
-from gkm import B_from_genfun, ParamSet, Q_poly, density, density_series, moment, residual_id2
+from gkm import B_from_genfun, ParamSet, Q_poly, density, density_series, elementary_all, moment
 from gkm.chebyshev import u_all
 from gkm.core import B_prefix
 from gkm.oracle import integrate_weighted
@@ -17,9 +17,14 @@ print("B coefficients: closed form vs generating-function division vs quadrature
 closed = B_prefix(p, 6).values
 genfun = B_from_genfun(p, 6).values
 
-# g of the density A g(x) (2/pi) sqrt(1 - x^2); integrate_weighted
-# supplies the semicircle weight
-unnormalized = p._g
+
+def unnormalized(x):
+    """g of the density A g(x) (2/pi) sqrt(1 - x^2), 1 / prod_j (1 + a_j^2 - 2 a_j x);
+    integrate_weighted supplies the semicircle weight"""
+    g = np.ones_like(x)
+    for aj in p.a:
+        g = g / (1.0 + aj * aj - 2.0 * aj * x)
+    return g
 
 
 from gkm.core import A_closed
@@ -42,6 +47,15 @@ print("\nTruncated series density tracks the product form:")
 for x in (-0.7, 0.0, 0.9):
     print(f"  x={x:5.2f}  series {density_series(p, x, 1e-10):.10f}  product {density(p, x):.10f}")
 
-print("\nAlternating S*B identity residuals (exact up to rounding):")
+print("\nAlternating sums sum_j (-1)^j S_j B_{m-j}, zero up to rounding:")
+S = elementary_all(p.a)
+B = B_prefix(p, 9).values
+
+
+def signed_B(i):
+    # the signed-U convention: B_{-1} = 0, B_{-k} = -B_{k-2}
+    return B[i] if i >= 0 else 0.0 if i == -1 else -B[-i - 2]
+
+
 for m in (1, 2, 5, 9):
-    print(f"  m={m}: {residual_id2(m, p):.2e}")
+    print(f"  m={m}: {sum((-1) ** j * S[j] * signed_B(m - j) for j in range(len(S))):.2e}")

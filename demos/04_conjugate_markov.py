@@ -14,14 +14,16 @@ from gkm import (
     fM_density,
     g3,
     poisson_mehler,
-    w_eval,
+    transition_density,
+    wigner_density,
 )
 from gkm.oracle import integrate_2d, integrate_3d, normalizer_numeric
 
 print("Poisson-Mehler: the series sum_j rho^j U_j(x)U_j(y) has a closed form:")
 for (x, y, rho) in ((0.2, 0.4, 0.5), (0.0, 0.0, 0.5), (-0.8, 0.9, -0.7)):
     series = poisson_mehler(x, y, rho, 1e-12)
-    closed = (1.0 - rho ** 2) / w_eval(x, y, rho)
+    # the Poisson kernel (1 - rho^2) / w(x, y | rho): the transition density over the semicircle
+    closed = transition_density(x, y, rho) / wigner_density(x)
     print(f"  (x,y,rho)=({x:5.2f},{y:5.2f},{rho:5.2f})  series {series:.10f}  closed {closed:.10f}")
 
 print("\nClosed normalizers vs the quadrature oracle:")

@@ -11,8 +11,6 @@ from .conjugate import (
     g3,
     poisson_mehler,
     transition_density,
-    w3_eval,
-    w_eval,
     wigner_density,
 )
 from .core import (
@@ -24,13 +22,9 @@ from .core import (
     ParamSet,
     Q_poly,
     density,
-    density_classical_km,
     density_series,
     inner_UU,
     moment,
-    residual_an2,
-    residual_id,
-    residual_id2,
 )
 from .oracle import IntegrationResult, integrate_2d, integrate_3d, integrate_weighted, normalizer_numeric
 from .orthopoly import OrthoPoly, P_coeffs, P_recur_check, gram

@@ -51,16 +51,28 @@ def _truncation_order(r: float, bound, tol: float, what: str) -> int:
     return K
 
 
+def _is_real(v) -> bool:
+    """Whether v is a Python int or float, and not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _real_array(v, name: str) -> np.ndarray:
     """v as a float array; InvalidParameters unless it holds real numbers:
     integers or floats, not bools (searched for in a list, which numpy reads
-    as 0 or 1), text, bytes, complex numbers or objects."""
+    as 0 or 1), text, bytes, complex numbers or objects.  Python ints beyond
+    int64, which numpy keeps as objects, are read as reals too, and refused
+    only beyond the float range."""
     if isinstance(v, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, v)):
         raise InvalidParameters(f"{name} must be real numbers, got a sequence that holds a bool")
     try:
         a = np.asarray(v)
     except (TypeError, ValueError):
         raise InvalidParameters(f"{name} must be real numbers, got {type(v).__name__}") from None
+    if a.dtype.kind == "O" and not isinstance(v, np.ndarray) and all(map(_is_real, a.flat)):
+        try:
+            return a.astype(float)
+        except OverflowError:
+            raise InvalidParameters(f"{name} must lie in the float range") from None
     if a.dtype.kind not in "iuf":
         raise InvalidParameters(f"{name} must be real numbers, got an array of dtype {a.dtype}")
     return a.astype(float, copy=False)
@@ -85,20 +97,19 @@ def _unwrap(r):
 
 
 def _real_or_nan(v) -> float:
-    """v as a Python float; NaN, which every range check refuses, for text
-    and for a value float() does not take."""
-    if isinstance(v, (str, bytes)):
-        return np.nan
+    """_float(v); NaN, which every range check refuses, for a value it does
+    not take."""
     try:
-        return float(v)
+        return _float(v)
     except (TypeError, ValueError, OverflowError):
         return np.nan
 
 
 def _float(v) -> float:
-    """float(v), refusing a bool (which float() takes as 0 or 1) with
-    TypeError, as float() refuses other non-reals."""
-    if isinstance(v, (bool, np.bool_)):
+    """float(v), refusing with TypeError a bool (which float() takes as 0 or
+    1) and text or bytes (which it parses), as float() refuses other
+    non-reals."""
+    if isinstance(v, (bool, np.bool_, str, bytes, bytearray)):
         raise TypeError
     return float(v)
 

@@ -212,7 +212,7 @@ def cmd_genfun(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = verify.run_verify(args.suite, args.tol)
+    report = verify.run_verify(args.suite)
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out, sys.stdout)
     return 0 if report["pass"] else 1
 
@@ -291,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a self-verification suite")
     sp.add_argument("--suite", default="all", choices=("all",) + verify.SUITES)
-    sp.add_argument("--tol", type=float, default=None, help="override every check tolerance")
     sp.add_argument("--out", help="output path (default stdout)")
     sp.set_defaults(fn=cmd_verify)
 
@@ -307,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_conj_eval)
 
     sp = sub.add_parser("conj-verify", help="conjugate-branch suites only")
-    sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--out", help="output path (default stdout)")
     sp.set_defaults(fn=cmd_verify, suite=verify.CONJ_SUITES)
 

@@ -53,7 +53,7 @@ class ConjParamSet:
         pair in turn, in place."""
         r = np.ones(np.shape(x))
         for ri, yi in zip(self.rho, self.y):
-            np.divide(r, w_eval(x, yi, ri), out=r)
+            np.divide(r, _w_eval(x, yi, ri), out=r)
         return r
 
     @cached_property
@@ -81,14 +81,13 @@ class ConjParamSet:
         return ConjParamSet(rho=tuple(d["rho"]), y=tuple(d["y"]))
 
 
-def w_eval(x, y, rho):
+def _w_eval(x, y, rho):
     """(1 - rho^2)^2 - 4 x y rho (1 + rho^2) + 4 rho^2 (x^2 + y^2); positive
-    for |x|, |y| <= 1 and |rho| < 1, and InvalidParameters unless |rho| < 1."""
-    _check_unit(rho=rho)
+    for |x|, |y| <= 1 and |rho| < 1, which each caller checks."""
     return (1.0 - rho * rho) ** 2 - 4.0 * x * y * rho * (1.0 + rho * rho) + 4.0 * rho * rho * (x * x + y * y)
 
 
-def w3_eval(y1, y2, y3, r1, r2, r3):
+def _w3_eval(y1, y2, y3, r1, r2, r3):
     """The trivariate polynomial in the three-pair normalizer and 3D density."""
     t1 = (
         (1.0 - r1 ** 2 * r2 ** 2)
@@ -120,16 +119,16 @@ def A2k_closed(p: ConjParamSet) -> float:
     if p.k == 2:
         return (
             (1.0 - r[0] ** 2) * (1.0 - r[1] ** 2)
-            * w_eval(y[0], y[1], r[0] * r[1])
+            * _w_eval(y[0], y[1], r[0] * r[1])
             / (1.0 - r[0] ** 2 * r[1] ** 2)
         )
     if p.k == 3:
         return (
             (1.0 - r[0] ** 2) * (1.0 - r[1] ** 2) * (1.0 - r[2] ** 2)
-            * w_eval(y[0], y[1], r[0] * r[1])
-            * w_eval(y[1], y[2], r[1] * r[2])
-            * w_eval(y[0], y[2], r[0] * r[2])
-            / w3_eval(y[0], y[1], y[2], r[0], r[1], r[2])
+            * _w_eval(y[0], y[1], r[0] * r[1])
+            * _w_eval(y[1], y[2], r[1] * r[2])
+            * _w_eval(y[0], y[2], r[0] * r[2])
+            / _w3_eval(y[0], y[1], y[2], r[0], r[1], r[2])
         )
     raise Unsupported("closed normalizers stop at three pairs; use the numeric oracle")
 
@@ -140,7 +139,7 @@ def fM_density(p: ConjParamSet, x):
     num = p._A * 2.0 * np.sqrt(np.maximum(1.0 - x * x, 0.0))
     den = np.pi * np.ones_like(x)
     for r, v in zip(p.rho, p.y):
-        den = den * w_eval(x, v, r)
+        den = den * _w_eval(x, v, r)
     return _unwrap(num / den)
 
 
@@ -178,7 +177,7 @@ def f2M(x, y, rho: float):
         4.0
         * (1.0 - rho * rho)
         * np.sqrt(np.maximum((1.0 - x * x) * (1.0 - y * y), 0.0))
-        / (np.pi ** 2 * w_eval(x, y, rho))
+        / (np.pi ** 2 * _w_eval(x, y, rho))
     )
     return _unwrap(r)
 
@@ -194,12 +193,12 @@ def g3(y1, y2, y3, r1: float, r2: float, r3: float):
         * np.sqrt(np.maximum(1.0 - y1 * y1, 0.0))
         * np.sqrt(np.maximum(1.0 - y2 * y2, 0.0))
         * np.sqrt(np.maximum(1.0 - y3 * y3, 0.0))
-        * w3_eval(y1, y2, y3, r1, r2, r3)
+        * _w3_eval(y1, y2, y3, r1, r2, r3)
     )
     den = (
-        w_eval(y1, y2, r1 * r2)
-        * w_eval(y2, y3, r2 * r3)
-        * w_eval(y1, y3, r1 * r3)
+        _w_eval(y1, y2, r1 * r2)
+        * _w_eval(y2, y3, r2 * r3)
+        * _w_eval(y1, y3, r1 * r3)
     )
     r = num / den
     return _unwrap(r)
@@ -210,7 +209,7 @@ def transition_density(x, y, rho: float):
     _check_unit(rho=rho)
     x = _check_x(x)
     y = _check_x(y)
-    r = (1.0 - rho * rho) * (2.0 / np.pi) * np.sqrt(np.maximum(1.0 - x * x, 0.0)) / w_eval(x, y, rho)
+    r = (1.0 - rho * rho) * (2.0 / np.pi) * np.sqrt(np.maximum(1.0 - x * x, 0.0)) / _w_eval(x, y, rho)
     return _unwrap(r)
 
 
@@ -223,8 +222,8 @@ def chapman_residual(x: float, y2: float, r1: float, r2: float, tol: float = 1e-
     def g(y1):
         # weight (2/pi) sqrt(1-y1^2) is supplied by integrate_weighted
         return (
-            (1.0 - r1 * r1) / w_eval(x, y1, r1)
-            * (1.0 - r2 * r2) * (2.0 / np.pi) * np.sqrt(np.maximum(1.0 - x * x, 0.0)) / w_eval(y1, y2, r2)
+            (1.0 - r1 * r1) / _w_eval(x, y1, r1)
+            * (1.0 - r2 * r2) * (2.0 / np.pi) * np.sqrt(np.maximum(1.0 - x * x, 0.0)) / _w_eval(y1, y2, r2)
         )
 
     lhs = oracle.integrate_weighted(g, tol).value
@@ -250,6 +249,6 @@ def conditional_bridge(x: float, y1: float, y2: float, r1: float, r2: float) -> 
         den = transition_density(y1, y2, r1 * r2) * wigner_density(y2)
         return float(num / den)
     _check_x([y1, y2])
-    num = (1.0 - r1 * r1) / w_eval(y1, x, r1) * transition_density(x, y2, r2)
-    den = (1.0 - (r1 * r2) ** 2) / w_eval(y1, y2, r1 * r2)
+    num = (1.0 - r1 * r1) / _w_eval(y1, x, r1) * transition_density(x, y2, r2)
+    den = (1.0 - (r1 * r2) ** 2) / _w_eval(y1, y2, r1 * r2)
     return float(num / den)

@@ -4,9 +4,8 @@ The density on [-c, c] is a scaled semicircle divided by a product of
 factors c(1 + a_j^2) - 2 a_j x, one per real parameter a_j with |a_j| < 1.
 This module provides the normalizing constant (partial-fraction closed form
 and the cancellation-free low-order specials), the U-basis expansion
-coefficients B_{n,k}, raw moments, the generating-function route to the
-B sequence, and the rational-symmetric identity residuals used as exact
-self-checks; `density_series` sums through `chebyshev`'s one U-series sum.
+coefficients B_{n,k}, raw moments and the generating-function route to
+the B sequence; `density_series` sums through `chebyshev`'s one U-series sum.
 """
 
 from __future__ import annotations
@@ -20,14 +19,8 @@ import numpy as np
 
 from . import oracle
 # u_all stays bound here: perfbench/selftest.py asserts core.u_all is chebyshev.u_all (ROADMAP item 14)
-from .chebyshev import _check_x, _float, _index, _real_or_nan, _reals, _truncation_order, _u_sums, _unwrap, u_all
-from .errors import (
-    DegenerateParameters,
-    InternalInconsistency,
-    InvalidParameters,
-    Unsupported,
-    ZeroParameter,
-)
+from .chebyshev import _check_x, _float, _index, _is_real, _real_or_nan, _reals, _truncation_order, _u_sums, _unwrap, u_all
+from .errors import DegenerateParameters, InternalInconsistency, InvalidParameters, Unsupported
 from .symfun import elementary_all
 
 # Partial-fraction closed forms are refused below this parameter separation.
@@ -40,10 +33,6 @@ MOMENT_ORDER_CAP = 1014
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _check_unit(**values):
@@ -303,17 +292,6 @@ def density(p: ParamSet, x):
     return np.divide(num, den, out=num)
 
 
-def density_classical_km(v: float, x):
-    """The classical Kesten-McKay density with parameter v > 1 on
-    [-2 sqrt(v-1), 2 sqrt(v-1)]."""
-    if not 1.0 < _real_or_nan(v) < math.inf:
-        raise InvalidParameters(f"v must lie in (1, inf), got {v!r}")
-    v = float(v)
-    half_width = 2.0 * math.sqrt(v - 1.0)
-    x = _check_x(x, half_width)
-    return _unwrap(v * np.sqrt(np.maximum(4.0 * (v - 1.0) - x * x, 0.0)) / (2.0 * np.pi * (v * v - x * x)))
-
-
 def _B_values(p: ParamSet, ks: np.ndarray) -> np.ndarray:
     """B_{n,k} = A_n sum_i a_i^{n+k-1} / prod_{j != i} (a_i - a_j)(1 - a_i a_j)
     for each index k of ks; the closed-form B values of the package all come
@@ -490,57 +468,3 @@ def _genfun_operands(p: ParamSet) -> tuple:
     """q, the coefficients d of prod (1 - a_i t), and an empty B prefix."""
     S = p._S
     return Q_poly(p).tolist(), (S * (-1.0) ** np.arange(len(S))).tolist(), []
-
-
-def residual_an2(a) -> float:
-    """Left side of the vanishing identity sum_i a_i^{n-2} / prod(...) = 0."""
-    a = _reals("a", a)
-    n = len(a)
-    if n < 2:
-        raise InvalidParameters("identity needs n >= 2")
-    p = ParamSet(a=a)
-    return float(np.sum(p._a ** (n - 2) / p._pf_den))
-
-
-def residual_id(k: int, a) -> float:
-    """Left side of the symmetric-rational identity with g(x) = (1+x^2)/(2x):
-
-    sum_i a_i^{n-2} S_k(g applied to the others) / prod_{j != i} (a_j - a_i)(1 - a_i a_j).
-    """
-    k = _index(k)
-    a = np.asarray(a, dtype=float)
-    n = len(a)
-    if not 1 <= k <= n - 1:
-        raise InvalidParameters("k must satisfy 1 <= k <= n - 1")
-    if np.any(a == 0.0):
-        raise ZeroParameter("g(x) = (1 + x^2)/(2x) is undefined at 0")
-    # (a_j - a_i) is exactly -(a_i - a_j), so these are the denominators' bits
-    den = (-1.0) ** (n - 1) * ParamSet(a=tuple(a))._pf_den
-    g = (1.0 + a * a) / (2.0 * a)
-    total = 0.0
-    for i in range(n):
-        Sk = elementary_all(np.delete(g, i))[k]
-        total += a[i] ** (n - 2) * Sk / den[i]
-    return float(total)
-
-
-def residual_id2(m: int, p: ParamSet) -> float:
-    """Alternating convolution sum_j (-1)^j S_j B_{n,m-j}; zero analytically.
-
-    B at negative index follows the signed-U convention B_{n,-1} = 0,
-    B_{n,-k} = -B_{n,k-2}.
-    """
-    m = _index(m, "m")
-    if m < 1:
-        raise InvalidParameters("m must be >= 1")
-    n = p.n
-    if n < 2:
-        raise InvalidParameters("identity needs n >= 2")
-    S = p._S
-    L = max(m, n - m - 2)
-    B = p._B(L)[: L + 1].tolist()
-    total = 0.0
-    for j in range(n + 1):
-        i = m - j
-        total += (-1.0) ** j * S[j] * (B[i] if i >= 0 else 0.0 if i == -1 else -B[-i - 2])
-    return float(total)

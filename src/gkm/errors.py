@@ -13,10 +13,6 @@ class DegenerateParameters(GKMError, ValueError):
     """Closed partial-fraction form refused: parameters too close to coincident."""
 
 
-class ZeroParameter(GKMError, ValueError):
-    """An operation that divides by a parameter received a_i = 0."""
-
-
 class DomainError(GKMError, ValueError):
     """Evaluation point outside the support of the density / polynomial."""
 

@@ -173,9 +173,9 @@ def _periodic_trapezoid(F, tol: float, dim: int = 1) -> tuple:
 
 
 def _values(v, shape: tuple) -> np.ndarray:
-    """A 1D integrand's values as a real array of the given shape, that of
-    its points or (rows, points); InvalidParameters for any other result,
-    before the rule computes with it."""
+    """An integrand's values as a real array of the given shape, that of its
+    points or (rows, points); InvalidParameters for any other result, before
+    the rule computes with it."""
     v = np.asarray(v)
     if v.shape != shape or v.dtype.kind not in "biuf":
         raise InvalidParameters(
@@ -215,10 +215,12 @@ def integrate_weighted(g, tol: float = 1e-11, rows: int | None = None):
 def _over_cube(h, dim: int, tol: float) -> IntegrationResult:
     """integral over [-1, 1]^dim of h(x_1, ..., x_dim), dim = 2 or 3, as
     2^-dim times the full-period integral of h(cos theta_1, ...)
-    prod_i |sin theta_i|."""
+    prod_i |sin theta_i|; h's values are checked as _values checks them,
+    against the broadcast shape of its arguments."""
 
     def F(*theta):
-        return h(*(np.cos(t) for t in theta)) * math.prod(np.abs(np.sin(t)) for t in theta)
+        shape = np.broadcast_shapes(*(t.shape for t in theta))
+        return _values(h(*(np.cos(t) for t in theta)), shape) * math.prod(np.abs(np.sin(t)) for t in theta)
 
     return _periodic_trapezoid(F, tol, dim)[0]
 
@@ -241,7 +243,8 @@ def integrate_plain(g, tol: float = 1e-11) -> IntegrationResult:
 
 
 def integrate_2d(h, tol: float = 1e-9) -> IntegrationResult:
-    """integral over [-1,1]^2 of h(x, y), h taking broadcastable arrays.
+    """integral over [-1,1]^2 of h(x, y), h taking broadcastable arrays and
+    returning reals of their broadcast shape (InvalidParameters otherwise).
 
     As in integrate_plain, the rule converges geometrically when h is
     sqrt(1-x^2) sqrt(1-y^2) times a smooth function.  A jump of h can go

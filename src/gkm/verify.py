@@ -25,7 +25,7 @@ import numpy as np
 from . import _pool, conjugate, core, oracle, orthopoly, sampler
 from .errors import InvalidParameters
 from .chebyshev import _u_sums, gauss_chebU_rule, u_all
-from .symfun import delta_all, elementary_all
+from .symfun import elementary_all
 
 SCHEMA_VERSION = 1
 
@@ -98,29 +98,85 @@ def suite_normalization() -> list:
     })
 
 
+# --- the symmetric-rational identities of the paper, which only the
+# identities suite reads; p is one of its draws: n >= 2, every gap at least
+# 0.05, and |a_i| > 0.1 for _residual_id
+
+def _residual_an2(p: core.ParamSet) -> float:
+    """sum_i a_i^{n-2} / prod_{j != i} (a_i - a_j)(1 - a_i a_j); zero."""
+    return float(np.sum(p._a ** (p.n - 2) / p._pf_den))
+
+
+def _residual_id(k: int, p: core.ParamSet) -> float:
+    """With g(x) = (1 + x^2)/(2x), 1 <= k <= n - 1:
+
+    sum_i a_i^{n-2} S_k(g applied to the others) / prod_{j != i} (a_j - a_i)(1 - a_i a_j),
+
+    zero for k <= n - 2 and (-1)^{n-1} / (2^{n-1} prod a_j) at k = n - 1.
+    """
+    a, n = p._a, p.n
+    # (a_j - a_i) is exactly -(a_i - a_j), so these are the denominators' bits
+    den = (-1.0) ** (n - 1) * p._pf_den
+    g = (1.0 + a * a) / (2.0 * a)
+    total = 0.0
+    for i in range(n):
+        Sk = elementary_all(np.delete(g, i))[k]
+        total += a[i] ** (n - 2) * Sk / den[i]
+    return float(total)
+
+
+def _residual_id2(m: int, p: core.ParamSet) -> float:
+    """The alternating convolution sum_j (-1)^j S_j B_{n,m-j}, m >= 1; zero.
+
+    B at negative index follows the signed-U convention B_{n,-1} = 0,
+    B_{n,-k} = -B_{n,k-2}.
+    """
+    n, S = p.n, p._S
+    L = max(m, n - m - 2)
+    B = p._B(L)[: L + 1].tolist()
+    total = 0.0
+    for j in range(n + 1):
+        i = m - j
+        total += (-1.0) ** j * S[j] * (B[i] if i >= 0 else 0.0 if i == -1 else -B[-i - 2])
+    return float(total)
+
+
+def _delta_all(mmax: int, p: core.ParamSet) -> np.ndarray:
+    """Complete homogeneous sums h_0..h_mmax of a (h_m sums all monomials of
+    total degree m) in one sweep over growing prefixes:
+    h_m(a_1..a_i) = h_m(a_1..a_{i-1}) + a_i * h_{m-1}(a_1..a_i).
+    """
+    h = np.zeros(mmax + 1)
+    h[0] = 1.0
+    for x in p._a:
+        for d in range(1, mmax + 1):
+            h[d] += x * h[d - 1]
+    return h
+
+
 def suite_identities() -> list:
     rng = np.random.default_rng(102)
     w = _Worst()
     for _ in range(50):
         n = int(rng.integers(2, 7))
         p = _draw_params(rng, n)
-        w.see("identities/partial_fraction_an2", abs(core.residual_an2(p.a)))
+        w.see("identities/partial_fraction_an2", abs(_residual_an2(p)))
         if all(abs(ai) > 0.1 for ai in p.a):
             # the sum vanishes for k <= n - 2; at k = n - 1 it equals the
             # exact constant (-1)^{n-1} / (2^{n-1} prod a_j)
             for k in range(1, n - 1):
-                w.see("identities/symmetric_rational", abs(core.residual_id(k, p.a)))
-            top = core.residual_id(n - 1, p.a)
+                w.see("identities/symmetric_rational", abs(_residual_id(k, p)))
+            top = _residual_id(n - 1, p)
             expect = (-1.0) ** (n - 1) / (2.0 ** (n - 1) * float(np.prod(p.a)))
             w.see("identities/symmetric_rational_top_constant", abs(top - expect) / abs(expect))
         for m in range(1, 11):
-            w.see("identities/alternating_SB", abs(core.residual_id2(m, p)))
+            w.see("identities/alternating_SB", abs(_residual_id2(m, p)))
 
     # three-parameter B through complete homogeneous sums
     for _ in range(20):
         p = _draw_params(rng, 3)
         S3 = p._S[3]
-        h = delta_all(21, p.a)
+        h = _delta_all(21, p)
         for k in range(1, 21):
             w.see("identities/B3_homogeneous_relation", abs(core.B_coeff(p, k) - (h[k] - S3 * h[k - 1])))
 
@@ -259,7 +315,7 @@ def suite_conjugate() -> list:
     for _ in range(20):
         rho = float(rng.uniform(-0.9, 0.9))
         y = float(rng.uniform(-1.0, 1.0))
-        res = oracle.integrate_weighted(lambda x: (1.0 - rho * rho) / conjugate.w_eval(x, y, rho), 1e-10)
+        res = oracle.integrate_weighted(lambda x: (1.0 - rho * rho) / conjugate._w_eval(x, y, rho), 1e-10)
         w.see("conjugate/kernel_row_normalization", abs(res.value - 1.0))
         x = float(rng.uniform(-1.0, 1.0))
         res2 = oracle.integrate_weighted(lambda yy: conjugate.transition_density(x, yy, rho), 1e-10)
@@ -269,7 +325,7 @@ def suite_conjugate() -> list:
     xs = np.linspace(-1.0, 1.0, 21)
     for rho in (-0.9, -0.45, 0.0, 0.45, 0.9):
         series = conjugate.poisson_mehler(xs[:, None], xs[None, :], rho, 1e-12)
-        closed = (1.0 - rho * rho) / conjugate.w_eval(xs[:, None], xs[None, :], rho)
+        closed = (1.0 - rho * rho) / conjugate._w_eval(xs[:, None], xs[None, :], rho)
         # relative residual: near x = y = +-1 the closed kernel is large and
         # its denominator suffers cancellation at the roundoff level
         w.see("conjugate/poisson_mehler_grid", np.max(np.abs(series - closed) / np.maximum(1.0, np.abs(closed))))
@@ -378,14 +434,14 @@ def suite_trivariate() -> list:
         y2, y3 = rng.uniform(-1.0, 1.0, 2)
 
         def g(y1):
-            return conjugate.w3_eval(y1, y2, y3, r1, r2, r3) / (
-                conjugate.w_eval(y1, y2, r1 * r2)
-                * conjugate.w_eval(y2, y3, r2 * r3)
-                * conjugate.w_eval(y1, y3, r1 * r3)
+            return conjugate._w3_eval(y1, y2, y3, r1, r2, r3) / (
+                conjugate._w_eval(y1, y2, r1 * r2)
+                * conjugate._w_eval(y2, y3, r2 * r3)
+                * conjugate._w_eval(y1, y3, r1 * r3)
             )
 
         lhs = oracle.integrate_weighted(g, 1e-10).value
-        rhs = (1.0 - r2 ** 2 * r3 ** 2) / conjugate.w_eval(y2, y3, r2 * r3)
+        rhs = (1.0 - r2 ** 2 * r3 ** 2) / conjugate._w_eval(y2, y3, r2 * r3)
         w.see("trivariate/kernel_marginalization", abs(lhs - rhs))
 
     for _ in range(5):
@@ -465,14 +521,12 @@ SUITES = tuple(_SUITE_FN)
 CONJ_SUITES = ("conjugate", "markov", "trivariate")
 
 
-def run_verify(suite: str | tuple = "all", tol: float | None = None) -> dict:
+def run_verify(suite: str | tuple = "all") -> dict:
     """Execute one named suite, a tuple of suites (reported as their names
-    joined by "+"), or all of them, and assemble the report.  More than one
-    suite runs in forked workers (see the module docstring).
-
-    If tol is given it replaces every check's default tolerance; it must
-    satisfy 0 <= tol < inf.  InvalidParameters for an unknown suite name or
-    an empty tuple, which would pass with no check run.
+    joined by "+"), or all of them, and assemble the report; each check
+    keeps its own tolerance.  More than one suite runs in forked workers
+    (see the module docstring).  InvalidParameters for an unknown suite name
+    or an empty tuple, which would pass with no check run.
     """
     names = SUITES if suite == "all" else (suite,) if isinstance(suite, str) else tuple(suite)
     if not names:
@@ -480,16 +534,10 @@ def run_verify(suite: str | tuple = "all", tol: float | None = None) -> dict:
     for name in names:
         if name not in _SUITE_FN:
             raise InvalidParameters(f"unknown suite {name!r}; choose from {('all',) + SUITES}")
-    if tol is not None:
-        oracle._check_tol(tol)
     # the suites are independent (each draws from its own seeds), and the
     # sort by check name below makes the report the same in any order
     order = sorted(names, key=SUITES.index)
     checks = [c for result in _pool.fork_map(lambda name: _SUITE_FN[name](), order) for c in result]
-    if tol is not None:
-        for c in checks:
-            c["tol"] = tol
-            c["pass"] = c["max_residual"] <= tol
     checks.sort(key=lambda c: c["check"])
     return {
         "schema_version": SCHEMA_VERSION,

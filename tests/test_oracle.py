@@ -225,13 +225,13 @@ def test_a_tolerance_outside_zero_to_infinity_is_refused_before_any_evaluation(i
 @pytest.mark.parametrize("tol", _BAD_TOLS)
 def test_chapman_residual_refuses_the_tolerance_before_any_evaluation(tol, monkeypatch):
     calls = []
-    w_eval = conjugate.w_eval
+    w_eval = conjugate._w_eval
 
     def spy(*args):
         calls.append(args)
         return w_eval(*args)
 
-    monkeypatch.setattr(conjugate, "w_eval", spy)
+    monkeypatch.setattr(conjugate, "_w_eval", spy)
     with pytest.raises(InvalidParameters, match="tol"):
         conjugate.chapman_residual(0.1, -0.2, 0.3, 0.4, tol)
     assert calls == []
@@ -327,7 +327,7 @@ def _former_g(p, x):
             r = r / (1.0 + aj * aj - 2.0 * aj * x)
     else:
         for ri, yi in zip(np.asarray(p.rho), np.asarray(p.y)):
-            r = r / conjugate.w_eval(x, yi, ri)
+            r = r / conjugate._w_eval(x, yi, ri)
     return r
 
 
@@ -393,6 +393,21 @@ def test_an_integrand_of_another_shape_or_kind_is_refused(integrate, g):
     # the first two used to raise a bare ValueError and TypeError
     with pytest.raises(InvalidParameters, match="the integrand must return reals of shape"):
         integrate(g, 1e-10)
+
+
+@pytest.mark.parametrize("h", [
+    lambda *x: "a",
+    lambda *x: 1.0,
+    lambda *x: x[0],
+    lambda *x: sum(x) + 1j,
+    lambda *x: np.full(np.broadcast_shapes(*map(np.shape, x)), None),
+], ids=["text", "scalar", "one_axis", "complex", "objects"])
+@pytest.mark.parametrize("integrate", [integrate_2d, integrate_3d], ids=["2d", "3d"])
+def test_a_2d_or_3d_integrand_of_another_shape_or_kind_is_refused(integrate, h):
+    # text and complex used to raise numpy's UFuncTypeError and a bare
+    # TypeError; the rule wants the broadcast shape of the arguments
+    with pytest.raises(InvalidParameters, match="the integrand must return reals of shape"):
+        integrate(h, 1e-10)
 
 
 @pytest.mark.parametrize("g, rows", [

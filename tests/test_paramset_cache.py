@@ -26,10 +26,10 @@ from gkm import (
     gram,
     inner_UU,
     moment,
-    residual_id2,
 )
 from gkm.chebyshev import USeries
 from gkm.core import MOMENT_ORDER_CAP, B_prefix, normalizer
+from gkm.verify import _residual_id2
 from gkm.errors import DegenerateParameters, DomainError, GKMError, InvalidParameters, Unsupported
 
 CLOSED_FORMS = {
@@ -241,7 +241,7 @@ def test_B_coeff_does_not_grow_the_table():
 def test_coincident_set_stores_no_table():
     p = ParamSet(a=(0.3, 0.3, -0.2))
     for fn in (lambda q: B_prefix(q, 4), lambda q: moment(q, 3), lambda q: inner_UU(q, 1, 2),
-               lambda q: gram(2, 1, q), lambda q: residual_id2(1, q)):
+               lambda q: gram(2, 1, q), lambda q: _residual_id2(1, q)):
         with pytest.raises(DegenerateParameters):
             fn(p)
     assert "_B_table" not in vars(p)

@@ -52,6 +52,14 @@ def test_cdf_is_zero_below_the_table_and_one_above_it():
     assert t.cdf([-2, 0, 2]).tolist() == [0.0, float(t._cdf(0.0)), 1.0]
 
 
+def test_python_ints_beyond_int64_are_real_points():
+    # numpy holds them in object arrays, which were refused as not real
+    t = build_cdf(ParamSet(a=(0.5, -0.3)), 64)
+    assert t.cdf([-(2**70), 0, 2**70]).tolist() == [0.0, float(t._cdf(0.0)), 1.0]
+    assert float(t.cdf(2**64)) == 1.0
+    assert ks_statistic([0.1, -0.2, 2**70], t) == ks_statistic([0.1, -0.2, 2.0 ** 70], t)
+
+
 @pytest.mark.parametrize("x", [None, "0.3", 0.3j, True, [0.1, True], [[0.1], [0.2, 0.3]]])
 def test_cdf_refuses_points_that_are_not_real(x):
     t = build_cdf(ParamSet(a=(0.5, -0.3)), 64)

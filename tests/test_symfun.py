@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gkm import elementary_all
-from gkm.symfun import delta_all
+from gkm import ParamSet, elementary_all
+from gkm.verify import _delta_all
 
 
 def test_elementary_small():
@@ -44,18 +44,18 @@ def test_elementary_complex_dtype():
 
 
 def test_delta_small():
-    assert delta_all(1, (0.3, 0.4))[1] == pytest.approx(0.7)
-    assert delta_all(2, (0.1, 0.2))[2] == pytest.approx(0.07)
-    assert delta_all(3, (0.5,))[3] == pytest.approx(0.125)
-    assert delta_all(0, ())[0] == 1.0
-    assert delta_all(2, ())[2] == 0.0
+    assert _delta_all(1, ParamSet(a=(0.3, 0.4)))[1] == pytest.approx(0.7)
+    assert _delta_all(2, ParamSet(a=(0.1, 0.2)))[2] == pytest.approx(0.07)
+    assert _delta_all(3, ParamSet(a=(0.5,)))[3] == pytest.approx(0.125)
+    assert _delta_all(0, ParamSet())[0] == 1.0
+    assert _delta_all(2, ParamSet())[2] == 0.0
 
 
 def test_delta_equal_parameters_count():
     # all parameters equal: h_m = C(m+n-1, m) a^m
     for n in (1, 2, 3, 4):
         for m in (0, 1, 2, 3):
-            got = delta_all(m, (0.5,) * n)[m]
+            got = _delta_all(m, ParamSet(a=(0.5,) * n))[m]
             expect = math.comb(m + n - 1, m) * 0.5 ** m
             assert got == pytest.approx(expect, abs=1e-14)
 
@@ -66,7 +66,7 @@ def test_eh_duality():
     for _ in range(5):
         n = int(rng.integers(1, 7))
         a = rng.uniform(-0.9, 0.9, n)
-        h = delta_all(30, a)
+        h = _delta_all(30, ParamSet(a=tuple(a)))
         S = elementary_all(a)
         e = np.zeros(31)
         e[: n + 1] = S * (-1.0) ** np.arange(n + 1)

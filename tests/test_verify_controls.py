@@ -32,12 +32,35 @@ def _A_special_6(scale):
     return lambda mp: _wrap(mp, core, "A_special", lambda args, v: v * scale if args[0].n == 6 else v)
 
 
-def _B_7(scale):
+def _B_where(picked, scale):
+    """B_k scaled at each index k of the array ks where picked(ks) holds."""
     def mutate(args, values):
-        values[args[1] == 7] *= scale
+        values[picked(args[1])] *= scale
         return values
 
     return lambda mp: _wrap(mp, core, "_B_values", mutate)
+
+
+def _B_7(scale):
+    return _B_where(lambda ks: ks == 7, scale)
+
+
+def _runtime_A(scale):
+    # the kept normalizer every density reads, replaced by a property, which
+    # takes precedence over a value kept in the instance
+    def mutate(mp):
+        real = core.ParamSet._A.func
+        mp.setattr(core.ParamSet, "_A", property(lambda p: real(p) * scale))
+
+    return mutate
+
+
+def _density_above_half(scale):
+    return lambda mp: _wrap(mp, core, "density", lambda args, v: v * np.where(np.asarray(args[1]) > 0.5, scale, 1.0))
+
+
+def _scaled(module, name, scale):
+    return lambda mp: _wrap(mp, module, name, lambda args, v: v * scale)
 
 
 def _gram_3_1(mp):
@@ -68,10 +91,6 @@ def _P_4_U_2(mp):
     _wrap(mp, orthopoly, "_build_P", mutate)
 
 
-def _A2k_closed(mp):
-    _wrap(mp, conjugate, "A2k_closed", lambda args, v: v * (1.0 + 1e-8))
-
-
 NAN_ROWS = {
     "moment_3": ("genfun", "moments/closed_vs_quadrature", _moment_3(NAN)),
     "gram_3_1": ("orthogonality", "orthogonality/gram_offdiagonal", _gram_3_1),
@@ -85,7 +104,13 @@ FINITE_ROWS = {
     "A_special_6_1e-10": ("normalization", "normalization/A_special_vs_closed/n=6", _A_special_6(1.0 + 1e-10)),
     "P_4_U_2_1e-10": ("orthogonality", "orthogonality/three_term_recurrence", _P_4_U_2),
     "moment_3_1e-8": ("genfun", "moments/closed_vs_quadrature", _moment_3(1.0 + 1e-8)),
-    "A2k_closed_1e-8": ("conjugate", "conjugate/A2k_closed_vs_numeric", _A2k_closed),
+    "A2k_closed_1e-8": ("conjugate", "conjugate/A2k_closed_vs_numeric", _scaled(conjugate, "A2k_closed", 1.0 + 1e-8)),
+    "runtime_A_1e-8": ("genfun", "genfun/series_vs_product_density", _runtime_A(1.0 + 1e-8)),
+    "density_above_half_1e-12": ("normalization", "normalization/scaling_law", _density_above_half(1.0 + 1e-12)),
+    "B_from_30_1e-8": ("genfun", "genfun/B_vs_generating_function", _B_where(lambda ks: ks >= 30, 1.0 + 1e-8)),
+    "f2M_1e-6": ("markov", "markov/bivariate_normalization", _scaled(conjugate, "f2M", 1.0 + 1e-6)),
+    "g3_1e-6": ("trivariate", "trivariate/density_marginal", _scaled(conjugate, "g3", 1.0 + 1e-6)),
+    "wigner_density_1e-6": ("conjugate", "conjugate/wigner_marginal", _scaled(conjugate, "wigner_density", 1.0 + 1e-6)),
 }
 
 
